@@ -3,7 +3,7 @@
 Data goes to files and stdout (the monitors table); progress and error text
 go to stderr.  Exit codes: 0 run completed and no monitor failed, 1 monitors
 failed, 2 usage or configuration error, 3 runtime failure (convexity loss,
-hypothesis violation, unwritable output).
+degenerate snapshot, hypothesis violation, unwritable output).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class RunSpec:
     cfl: float = 0.4
     scheme: str = "curvature"
     spatial: str = "fourier"
-    dealias: bool = False
     seed: int = 0
 
     def to_dict(self):
@@ -101,7 +100,7 @@ def _flow_config(spec, law, initial):
     return flow.FlowConfig(
         law=law, initial=initial, c_cfl=spec.cfl, area_floor=spec.area_floor,
         k_cap=spec.k_cap, max_steps=spec.max_steps, snapshot_every=spec.cadence,
-        formulation=spec.scheme, spatial_scheme=spec.spatial, dealias=spec.dealias)
+        formulation=spec.scheme, spatial_scheme=spec.spatial)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +180,7 @@ def execute_run(spec, out_dir):
         est = traj.omega_estimate
         print(f"omega bracket: [{est.omega_lo!r}, {est.omega_hi!r}] ({est.method})")
     print(f"stop reason: {traj.stop_reason}  steps: {traj.step_count}")
-    if traj.stop_reason == flow.STOP_CONVEXITY_LOSS:
+    if traj.stop_reason in (flow.STOP_CONVEXITY_LOSS, flow.STOP_DEGENERATE):
         return EXIT_RUNTIME
     if any(r.status == "fail" for r in reports):
         return EXIT_MONITOR_FAIL
@@ -237,6 +236,9 @@ def execute_check_law(law_name_str, x_lo, x_hi, n_probes):
 
 
 def execute_sweep(specs, out_root, workers):
+    for spec in specs:  # a bad entry is a usage error before any run starts
+        parse_law(spec.law)
+        build_initial(spec)
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
     names = []
@@ -286,8 +288,6 @@ def _add_run_flags(p, multi=False):
                    help="evolved formulation")
     p.add_argument("--spatial", choices=("fourier", "fd4"), default="fourier",
                    help="spatial derivative scheme")
-    p.add_argument("--dealias", action="store_true",
-                   help="apply a 2/3-rule filter to the nonlinearity")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for fourier phase randomization")
     p.add_argument("--out", default="out", help="output directory")
@@ -297,7 +297,7 @@ def _spec_from_args(args, law, curve):
     return RunSpec(law=law, curve=curve, n=args.n, area_floor=args.area_floor,
                    k_cap=args.k_cap, max_steps=args.max_steps, cadence=args.cadence,
                    cfl=args.cfl, scheme=args.scheme, spatial=args.spatial,
-                   dealias=args.dealias, seed=args.seed)
+                   seed=args.seed)
 
 
 def build_parser():

@@ -4,9 +4,14 @@ Curvature form (angle parametrization):  dk/dt = k^2 (Phi(k)_thth + Phi(k))
 Support form:                            dh/dt = -Phi((h'' + h)^-1)
 with Phi(k) = G(k) * k.
 
-Both are advanced with classical RK4 under an adaptive parabolic CFL bound;
-steps that lose positivity anywhere are rejected and retried smaller.  The
-equation stiffens as curvature blows up, so runs stop at an area floor (or a
+One stepper core integrates both.  It advances a tuple of rows, each a
+("curvature", k) or ("support", h) array, with shared classical RK4 steps
+under the adaptive parabolic CFL bound (min over the rows); a step that
+loses positivity in any row is rejected and retried at half the dt.  ``run``
+passes one row (two for formulation="both"), ``containment_run`` passes its
+outer and inner support rows, and ``step``, ``stable_dt`` and the ``rhs_*``
+functions expose single pieces of the core on one profile.  The equation
+stiffens as curvature blows up, so runs stop at an area floor (or a
 curvature cap) and report a bracket for the blow-up time instead of trying
 to cross it.
 """
@@ -22,6 +27,7 @@ import numpy as np
 from . import geometry
 from .errors import (
     ConvexityLossError,
+    DegenerateProfileError,
     HypothesisViolationError,
     InsufficientDataError,
     NotClosedError,
@@ -34,6 +40,7 @@ STOP_AREA_FLOOR = "area-floor"
 STOP_CURVATURE_CAP = "curvature-cap"
 STOP_STEP_LIMIT = "step-limit"
 STOP_CONVEXITY_LOSS = "convexity-loss"
+STOP_DEGENERATE = "degenerate"
 STOP_ANALYTIC = "analytic"  # used by exact reference trajectories only
 
 FORMULATIONS = ("curvature", "support", "both")
@@ -62,7 +69,6 @@ class FlowConfig:
     snapshot_every: int = 500
     formulation: str = "curvature"
     spatial_scheme: str = "fourier"
-    dealias: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.c_cfl <= 1.0):
@@ -127,60 +133,33 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides
+# the stepper core
 # ---------------------------------------------------------------------------
 
-def _rhs_k_arrays(k, grid, law, scheme, dealias):
-    # positivity guard is NaN-safe; law.g needs no further validation here
-    if not np.min(k) > 0.0:
-        raise StepRejected("curvature lost positivity in a stage")
-    phi = law.g(k) * k
-    if dealias:
-        phi = geometry.dealias_two_thirds(phi, grid)
-    return k * k * (geometry.second_derivative(phi, grid, scheme) + phi)
-
-
-def _rhs_h_arrays(h, grid, law, scheme, dealias):
-    rho = geometry.second_derivative(h, grid, scheme) + h
+def _rhs(form, y, grid, law, scheme):
+    """Right-hand side of one row; StepRejected when a stage leaves the domain."""
+    if form == "curvature":
+        # positivity guard is NaN-safe; law.g needs no further validation here
+        if not np.min(y) > 0.0:
+            raise StepRejected("curvature lost positivity in a stage")
+        phi = law.g(y) * y
+        return y * y * (geometry.second_derivative(phi, grid, scheme) + phi)
+    rho = geometry.second_derivative(y, grid, scheme) + y
     if not np.min(rho) > 0.0:
         raise StepRejected("support profile lost convexity in a stage")
     k = 1.0 / rho
-    phi = law.g(k) * k
-    if dealias:
-        phi = geometry.dealias_two_thirds(phi, grid)
-    return -phi
+    return -(law.g(k) * k)
 
 
-def rhs_curvature(kp, law, scheme="fourier", dealias=False):
-    """dk/dt = k^2 (Phi'' + Phi) evaluated on the grid."""
-    return _rhs_k_arrays(kp.k, kp.grid, law, scheme, dealias)
+def _cfl_dt(rows, rhos, grid, law, c_cfl, scheme):
+    """Parabolic CFL bound c_cfl * dtheta^2 / (2 max(k^2 Phi'(k)) * d_scheme), min over rows."""
+    cfl_base = c_cfl * grid.dtheta ** 2 / (2.0 * _SCHEME_RADIUS_FACTOR[scheme])
+    dts = []
+    for (form, y), rho in zip(rows, rhos):
+        k = y if form == "curvature" else 1.0 / rho
+        dts.append(cfl_base / float(np.max(k * k * law.phi_prime(k))))
+    return min(dts)
 
-
-def rhs_support(sp, law, scheme="fourier", dealias=False):
-    """dh/dt = -Phi(k) with k read off the support profile."""
-    rho = geometry.curvature_radius(sp, scheme)  # names the violating node
-    phi = law.phi(1.0 / rho)
-    if dealias:
-        phi = geometry.dealias_two_thirds(phi, sp.grid)
-    return -phi
-
-
-def stable_dt(profile, law, c_cfl, scheme="fourier"):
-    """Parabolic CFL bound c_cfl * dtheta^2 / (2 max(k^2 Phi'(k)) * d_scheme)."""
-    if isinstance(profile, CurvatureProfile):
-        k = profile.k
-        grid = profile.grid
-    else:
-        grid = profile.grid
-        k = 1.0 / geometry.curvature_radius(profile, scheme)
-    diffusion = float(np.max(k * k * law.phi_prime(k)))
-    factor = _SCHEME_RADIUS_FACTOR[scheme]
-    return c_cfl * grid.dtheta ** 2 / (2.0 * diffusion * factor)
-
-
-# ---------------------------------------------------------------------------
-# stepping
-# ---------------------------------------------------------------------------
 
 def _rk4(y, dt, f):
     k1 = f(y)
@@ -190,25 +169,89 @@ def _rk4(y, dt, f):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def step(state, law, dt, scheme="fourier", dealias=False):
+def _rk4_rows(rows, dt, grid, law, scheme):
+    """One RK4 step of every row; returns (rows, rhos) or raises StepRejected.
+
+    A step is rejected when any stage, or the result, produces k <= 0
+    (curvature row) or h'' + h <= 0 (support row).  ``rhos`` holds the
+    result's h'' + h for each support row and None for each curvature row.
+    """
+    new_rows, rhos = [], []
+    for form, y in rows:
+        new = _rk4(y, dt, lambda z: _rhs(form, z, grid, law, scheme))
+        if form == "curvature":
+            rho = None
+            if not np.min(new) > 0.0:
+                raise StepRejected("curvature lost positivity over a full step")
+        else:
+            rho = geometry.second_derivative(new, grid, scheme) + new
+            if not np.min(rho) > 0.0:
+                raise StepRejected("support profile lost convexity over a full step")
+        new_rows.append((form, new))
+        rhos.append(rho)
+    return tuple(new_rows), tuple(rhos)
+
+
+def _march(rows, rhos, grid, law, c_cfl, scheme):
+    """Advance rows of one flow with shared RK4 steps, yielding each accepted one.
+
+    Every step takes the CFL bound over all rows and halves it on rejection.
+    Yields (t, dt, rows, rhos) per accepted step; returns, ending the
+    iteration, once halving pushes dt below 1e-14 of the elapsed time (or
+    of the first dt), which callers report as convexity loss.
+    """
+    clock = _Clock()
+    first_dt = None
+    while True:
+        dt = _cfl_dt(rows, rhos, grid, law, c_cfl, scheme)
+        if first_dt is None:
+            first_dt = dt
+        dt_floor = 1e-14 * max(clock.t, first_dt)
+        while True:
+            try:
+                rows, rhos = _rk4_rows(rows, dt, grid, law, scheme)
+                break
+            except StepRejected:
+                dt *= 0.5
+                if dt < dt_floor:
+                    return
+        clock.advance(dt)
+        yield clock.t, dt, rows, rhos
+
+
+def _row(profile):
+    if isinstance(profile, CurvatureProfile):
+        return "curvature", profile.k
+    if isinstance(profile, SupportProfile):
+        return "support", profile.h
+    raise TypeError(f"cannot step a {type(profile)}")
+
+
+def rhs_curvature(kp, law, scheme="fourier"):
+    """dk/dt = k^2 (Phi'' + Phi) on the grid; raises StepRejected unless k > 0."""
+    return _rhs("curvature", kp.k, kp.grid, law, scheme)
+
+
+def rhs_support(sp, law, scheme="fourier"):
+    """dh/dt = -Phi(k), k = (h'' + h)^-1; raises StepRejected unless h'' + h > 0."""
+    return _rhs("support", sp.h, sp.grid, law, scheme)
+
+
+def stable_dt(profile, law, c_cfl, scheme="fourier"):
+    """Parabolic CFL bound c_cfl * dtheta^2 / (2 max(k^2 Phi'(k)) * d_scheme)."""
+    row = _row(profile)
+    rho = geometry.curvature_radius(profile, scheme) if row[0] == "support" else None
+    return _cfl_dt((row,), (rho,), profile.grid, law, c_cfl, scheme)
+
+
+def step(state, law, dt, scheme="fourier"):
     """One classical RK4 step; raises StepRejected instead of mutating anything.
 
     A step is rejected when any stage, or the result, produces k <= 0
     (curvature form) or h'' + h <= 0 (support form).
     """
-    grid = state.grid
-    if isinstance(state, CurvatureProfile):
-        new_k = _rk4(state.k, dt, lambda y: _rhs_k_arrays(y, grid, law, scheme, dealias))
-        if not np.min(new_k) > 0.0:
-            raise StepRejected("curvature lost positivity over a full step")
-        return CurvatureProfile(grid, new_k, state.t + dt)
-    if isinstance(state, SupportProfile):
-        new_h = _rk4(state.h, dt, lambda y: _rhs_h_arrays(y, grid, law, scheme, dealias))
-        rho = geometry.second_derivative(new_h, grid, scheme) + new_h
-        if not np.min(rho) > 0.0:
-            raise StepRejected("support profile lost convexity over a full step")
-        return SupportProfile(grid, new_h, state.t + dt)
-    raise TypeError(f"cannot step a {type(state)}")
+    rows, _ = _rk4_rows((_row(state),), dt, state.grid, law, scheme)
+    return type(state)(state.grid, rows[0][1], state.t + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +274,7 @@ def _support_area_from_k(k, grid):
     return 0.5 * grid.dtheta * total / n
 
 
-def _area_of_support_arrays(h, grid, rho=None):
-    if rho is None:
-        rho = geometry.second_derivative(h, grid) + h
+def _area_of_support_arrays(h, grid, rho):
     return 0.5 * float(h @ rho) * grid.dtheta
 
 
@@ -256,15 +297,16 @@ def run(config):
 
     Snapshots (with full geometry summaries) are recorded every
     ``snapshot_every`` accepted steps and at the final state.  Stop reasons,
-    in tie-break order: area-floor, curvature-cap, step-limit; loss of
-    convexity ends the run with reason "convexity-loss" rather than raising.
+    in tie-break order: area-floor, curvature-cap, step-limit.  Loss of
+    convexity ends the run with reason "convexity-loss", and a snapshot too
+    distorted to summarize with "degenerate", rather than raising; the
+    snapshots taken so far are kept either way.
     With formulation="both" the two forms advance with shared time steps and
     their sup-norm curvature disagreement is recorded per snapshot.
     """
     law = config.law
     grid = config.initial.grid
     scheme = config.spatial_scheme
-    dealias = config.dealias
 
     # initial data in the forms this run evolves
     if isinstance(config.initial, CurvatureProfile):
@@ -288,20 +330,18 @@ def run(config):
             "parabolic and cannot be integrated")
     roundness = hyp.all_ok
 
-    evolve_k = config.formulation in ("curvature", "both")
-    evolve_h = config.formulation in ("support", "both")
-    k = kp0.k.copy() if evolve_k else None
-    h = sp0.h.copy() if evolve_h else None
+    rows = tuple((form, y) for form, y in (("curvature", kp0.k), ("support", sp0.h))
+                 if config.formulation in (form, "both"))
 
-    clock = _Clock()
     snapshots = []
     disagreement = [] if config.formulation == "both" else None
 
-    def take_snapshot():
-        t = clock.t
-        if evolve_k:
+    def take_snapshot(t, rows):
+        arrays = dict(rows)
+        k, h = arrays.get("curvature"), arrays.get("support")
+        if k is not None:
             kp = CurvatureProfile(grid, k, t)
-            sp = SupportProfile(grid, h, t) if evolve_h else geometry.support_from_curvature(kp)
+            sp = SupportProfile(grid, h, t) if h is not None else geometry.support_from_curvature(kp)
             summary = geometry.summarize(kp, scheme)
         else:
             sp = SupportProfile(grid, h, t)
@@ -312,70 +352,41 @@ def run(config):
             rho = geometry.second_derivative(h, grid, scheme) + h
             disagreement.append(float(np.max(np.abs(k - 1.0 / rho))))
 
-    take_snapshot()
+    def snapshot_failure(t, rows):
+        """Take a snapshot; returns the stop reason its geometry failed with, if any."""
+        try:
+            take_snapshot(t, rows)
+        except (ConvexityLossError, NotClosedError):
+            return STOP_CONVEXITY_LOSS
+        except DegenerateProfileError:
+            return STOP_DEGENERATE
+        return None
+
+    take_snapshot(0.0, rows)
     area0 = snapshots[0].summary.area
     traj = Trajectory(snapshots=snapshots, stop_reason=STOP_STEP_LIMIT,
                       config=config, hypothesis_report=hyp,
                       roundness_expected=roundness,
                       form_disagreement=disagreement)
 
-    cfl_base = config.c_cfl * grid.dtheta ** 2 / (2.0 * _SCHEME_RADIUS_FACTOR[scheme])
-    rho_h = (geometry.second_derivative(h, grid, scheme) + h) if evolve_h else None
-    first_dt = None
+    rhos = tuple(None if form == "curvature"
+                 else geometry.second_derivative(y, grid, scheme) + y
+                 for form, y in rows)
+    t = 0.0
     steps = 0
-    while True:
-        # adaptive CFL bound over the active forms
-        dts = []
-        if evolve_k:
-            dts.append(cfl_base / float(np.max(k * k * law.phi_prime(k))))
-        if evolve_h:
-            kk = 1.0 / rho_h
-            dts.append(cfl_base / float(np.max(kk * kk * law.phi_prime(kk))))
-        dt = min(dts)
-        if first_dt is None:
-            first_dt = dt
-        dt_floor = 1e-14 * max(clock.t, first_dt)
-
-        # attempt the step, halving on rejection
-        new_k = new_h = new_rho = None
-        while True:
-            try:
-                if evolve_k:
-                    new_k = _rk4(k, dt, lambda y: _rhs_k_arrays(y, grid, law, scheme, dealias))
-                    if not np.min(new_k) > 0.0:
-                        raise StepRejected("curvature lost positivity over a full step")
-                if evolve_h:
-                    new_h = _rk4(h, dt, lambda y: _rhs_h_arrays(y, grid, law, scheme, dealias))
-                    new_rho = geometry.second_derivative(new_h, grid, scheme) + new_h
-                    if not np.min(new_rho) > 0.0:
-                        raise StepRejected("support lost convexity over a full step")
-                break
-            except StepRejected:
-                dt *= 0.5
-                new_k = new_h = new_rho = None
-                if dt < dt_floor:
-                    break
-        if (evolve_k and new_k is None) or (evolve_h and new_h is None):
-            # repeated rejection pushed dt below the floor
-            traj.stop_reason = STOP_CONVEXITY_LOSS
-            break
-
-        if evolve_k:
-            k = new_k
-        if evolve_h:
-            h, rho_h = new_h, new_rho
-        clock.advance(dt)
+    for t, dt, rows, rhos in _march(rows, rhos, grid, law, config.c_cfl, scheme):
         steps += 1
         traj.dt_min = min(traj.dt_min, dt)
         traj.dt_max = max(traj.dt_max, dt)
 
         # stop checks read the curvature form when both evolve (tie: area wins)
-        if evolve_k:
-            area = _support_area_from_k(k, grid)
-            k_now = float(np.max(k))
+        form, y = rows[0]
+        if form == "curvature":
+            area = _support_area_from_k(y, grid)
+            k_now = float(np.max(y))
         else:
-            area = _area_of_support_arrays(h, grid, rho_h)
-            k_now = float(1.0 / np.min(rho_h))
+            area = _area_of_support_arrays(y, grid, rhos[0])
+            k_now = float(1.0 / np.min(rhos[0]))
         stop = None
         if area <= config.area_floor * area0:
             stop = STOP_AREA_FLOOR
@@ -383,25 +394,19 @@ def run(config):
             stop = STOP_CURVATURE_CAP
         elif steps >= config.max_steps:
             stop = STOP_STEP_LIMIT
-
+        elif steps % config.snapshot_every == 0:
+            stop = snapshot_failure(t, rows)
         if stop is not None:
             traj.stop_reason = stop
             break
-        if steps % config.snapshot_every == 0:
-            try:
-                take_snapshot()
-            except (ConvexityLossError, NotClosedError):
-                traj.stop_reason = STOP_CONVEXITY_LOSS
-                break
+    else:
+        traj.stop_reason = STOP_CONVEXITY_LOSS  # halving pushed dt below its floor
 
     traj.step_count = steps
     if traj.dt_min == float("inf"):
         traj.dt_min = 0.0
-    if snapshots[-1].t < clock.t:
-        try:
-            take_snapshot()
-        except (ConvexityLossError, NotClosedError):
-            pass  # keep the last good snapshot
+    if snapshots[-1].t < t:
+        snapshot_failure(t, rows)  # on failure the last good snapshot stays last
 
     last = snapshots[-1].summary
     if last.k_max >= 10.0 * k_max0:
@@ -472,11 +477,12 @@ def _steiner_centered(sp):
 def containment_run(outer, inner, law, config):
     """Co-evolve two support profiles with shared steps and track their gap.
 
-    Both curves are Steiner-centered first; the pointwise ordering
-    h_outer >= h_inner at t = 0 (set containment with a common origin) is a
-    precondition.  The run ends when either curve reaches the configured
-    area floor (the inner one blows up first for nested initial data); the
-    containment contract is min(h_outer - h_inner) >= -1e-8 * L_outer(0).
+    Both curves are Steiner-centered first; convexity of both and the
+    pointwise ordering h_outer >= h_inner at t = 0 (set containment with a
+    common origin) are preconditions.  The run ends when either curve
+    reaches the configured area floor (the inner one blows up first for
+    nested initial data); the containment contract is
+    min(h_outer - h_inner) >= -1e-8 * L_outer(0).
     """
     if outer.grid.n != inner.grid.n:
         raise ValueError("outer and inner profiles must share a grid")
@@ -484,74 +490,35 @@ def containment_run(outer, inner, law, config):
     scheme = config.spatial_scheme
     outer = _steiner_centered(outer)
     inner = _steiner_centered(inner)
+    rhos = (geometry.curvature_radius(outer, scheme),
+            geometry.curvature_radius(inner, scheme))
     gap0 = outer.h - inner.h
-    length0 = geometry.periodic_integral(
-        geometry.curvature_radius(outer, scheme), grid)
-    tol = 1e-8 * length0
+    tol = 1e-8 * geometry.periodic_integral(rhos[0], grid)
     if np.min(gap0) < -tol:
         raise ValueError(
             f"outer profile does not contain inner at t=0 "
             f"(min gap {np.min(gap0):.3e} after Steiner centering)")
 
-    h_out = outer.h.copy()
-    h_in = inner.h.copy()
-    areas0 = (_area_of_support_arrays(h_out, grid), _area_of_support_arrays(h_in, grid))
-    clock = _Clock()
+    rows = (("support", outer.h), ("support", inner.h))
+    areas0 = [_area_of_support_arrays(h, grid, rho) for (_, h), rho in zip(rows, rhos)]
     times = [0.0]
     gaps = [float(np.min(gap0))]
-    stop_reason = STOP_STEP_LIMIT
-    first_dt = None
-    steps = 0
-    while steps < config.max_steps:
-        try:
-            dts = []
-            for arr in (h_out, h_in):
-                rho = geometry.second_derivative(arr, grid, scheme) + arr
-                if not np.min(rho) > 0.0:
-                    raise StepRejected("containment state lost convexity")
-                kk = 1.0 / rho
-                diffusion = float(np.max(kk * kk * law.phi_prime(kk)))
-                dts.append(config.c_cfl * grid.dtheta ** 2
-                           / (2.0 * diffusion * _SCHEME_RADIUS_FACTOR[scheme]))
-            dt = min(dts)
-        except StepRejected:
-            stop_reason = STOP_CONVEXITY_LOSS
-            break
-        if first_dt is None:
-            first_dt = dt
-        dt_floor = 1e-14 * max(clock.t, first_dt)
-
-        while True:
-            try:
-                new_out = _rk4(h_out, dt, lambda y: _rhs_h_arrays(y, grid, law, scheme, False))
-                new_in = _rk4(h_in, dt, lambda y: _rhs_h_arrays(y, grid, law, scheme, False))
-                for arr in (new_out, new_in):
-                    rho = geometry.second_derivative(arr, grid, scheme) + arr
-                    if not np.min(rho) > 0.0:
-                        raise StepRejected("containment step lost convexity")
-                break
-            except StepRejected:
-                dt *= 0.5
-                if dt < dt_floor:
-                    new_out = None
-                    break
-        if new_out is None:
-            stop_reason = STOP_CONVEXITY_LOSS
-            break
-
-        h_out, h_in = new_out, new_in
-        clock.advance(dt)
-        steps += 1
-
+    march = _march(rows, rhos, grid, law, config.c_cfl, scheme)
+    for steps, (t, _, rows, rhos) in enumerate(march, start=1):
         floor_hit = any(
-            _area_of_support_arrays(arr, grid) <= config.area_floor * a0
-            for arr, a0 in zip((h_out, h_in), areas0))
+            _area_of_support_arrays(h, grid, rho) <= config.area_floor * a0
+            for (_, h), rho, a0 in zip(rows, rhos, areas0))
         if steps % config.snapshot_every == 0 or floor_hit:
-            times.append(clock.t)
-            gaps.append(float(np.min(h_out - h_in)))
+            times.append(t)
+            gaps.append(float(np.min(rows[0][1] - rows[1][1])))
         if floor_hit:
             stop_reason = STOP_AREA_FLOOR
             break
+        if steps >= config.max_steps:
+            stop_reason = STOP_STEP_LIMIT
+            break
+    else:
+        stop_reason = STOP_CONVEXITY_LOSS
 
     ok = [g >= -tol for g in gaps]
     return ContainmentReport(times=times, min_gap=gaps, ok=ok,

@@ -128,14 +128,6 @@ def periodic_antiderivative(values, grid):
     return mean * grid.theta + (periodic - periodic[0])
 
 
-def dealias_two_thirds(values, grid):
-    """Zero the top third of the spectrum (stress-test filter, off by default)."""
-    fh = np.fft.rfft(values)
-    m = _fourier_modes(grid.n)
-    fh[m > grid.n / 3.0] = 0.0
-    return np.fft.irfft(fh, n=grid.n)
-
-
 # ---------------------------------------------------------------------------
 # curve representations
 # ---------------------------------------------------------------------------

@@ -155,13 +155,6 @@ def parse_law(name):
     return power_law(float(arg))
 
 
-def law_name(law):
-    """CLI name of a built-in law (inverse of parse_law for power laws)."""
-    if law.label.startswith("power p="):
-        return "power:" + law.label.split("=", 1)[1]
-    return law.label
-
-
 def check_hypotheses(law, x_lo, x_hi, n_probes=64):
     """Probe (H1) and (H2) on a log-spaced grid over [x_lo, x_hi].
 

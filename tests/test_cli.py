@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from curveflow import cli
+from curveflow import cli, flow, geometry
 from curveflow.cli import RunSpec, build_initial, emit_timeseries, main
+from curveflow.errors import DegenerateProfileError
 from curveflow.flow import FlowConfig, run
 from curveflow.geometry import AngleGrid, SupportProfile
 from curveflow.oracle import circle_profile
@@ -62,9 +63,10 @@ def test_run_determinism_and_echo_closure(tmp_path):
     bytes1 = (out1 / "series.csv").read_bytes()
     assert bytes1 == (out2 / "series.csv").read_bytes()
 
-    # feeding the config echo back reproduces the run byte for byte
+    # feeding the config echo back reproduces the run byte for byte; keys
+    # that older versions wrote (the removed "dealias") are ignored
     echo = json.loads((out1 / "summary.json").read_text())["config"]
-    spec = RunSpec.from_dict(echo)
+    spec = RunSpec.from_dict(dict(echo, dealias=False))
     assert cli.execute_run(spec, out3) == 0
     assert bytes1 == (out3 / "series.csv").read_bytes()
 
@@ -120,6 +122,37 @@ def test_sweep_subcommand(tmp_path):
     for entry in index["runs"]:
         assert entry["exit"] == 0
         assert (out / entry["name"] / "series.csv").exists()
+
+
+def test_sweep_rejects_bad_entry_before_any_run(tmp_path):
+    out = tmp_path / "sweep"
+    code = run_main(["sweep", "--curve", "circle:1", "--curve", "bogus:1",
+                     "--n", "64", "--area-floor", "1e-1", "--out", str(out)])
+    assert code == 2
+    assert not list(out.glob("run_*"))
+
+
+def test_degenerate_snapshot_is_a_stop_not_a_crash(tmp_path, monkeypatch):
+    summarize = geometry.summarize
+    calls = []
+
+    def fail_third(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise DegenerateProfileError("forced")
+        return summarize(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "summarize", fail_third)
+    out = tmp_path / "degenerate"
+    spec = RunSpec(curve="circle:1", n=64, area_floor=1e-2, cadence=5)
+    assert cli.execute_run(spec, out) == cli.EXIT_RUNTIME
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["stop_reason"] == flow.STOP_DEGENERATE
+    assert summary["steps"]["count"] == 10
+    # the snapshots before the failing one are kept, in order
+    times = [s["t"] for s in summary["snapshots"]]
+    assert len(times) >= 2 and times[0] == 0.0 and times[1] > 0.0
+    assert times == sorted(times)
 
 
 def test_usage_errors():

@@ -192,16 +192,23 @@ def test_run_step_limit_stop():
     assert traj.step_count == 10
 
 
-def test_run_convexity_loss_is_a_stop_not_a_crash(monkeypatch):
+@pytest.mark.parametrize("driver", ["curvature", "support", "both", "containment"])
+def test_run_convexity_loss_is_a_stop_not_a_crash(monkeypatch, driver):
     # the parabolic smoothing makes genuine convexity loss unreachable from
     # valid data, so exhaust the rejection/halving path directly
-    def always_reject(h, grid, law, scheme, dealias):
+    def always_reject(form, y, grid, law, scheme):
         raise StepRejected("forced")
 
-    monkeypatch.setattr(flow, "_rhs_h_arrays", always_reject)
+    monkeypatch.setattr(flow, "_rhs", always_reject)
     g = AngleGrid(64)
     sp = SupportProfile(g, np.ones(g.n))
-    config = FlowConfig(law=power_law(1), initial=sp, formulation="support")
+    if driver == "containment":
+        config = FlowConfig(law=power_law(1), initial=sp)
+        report = containment_run(sp, sp, power_law(1), config)
+        assert report.stop_reason == flow.STOP_CONVEXITY_LOSS
+        assert report.times == [0.0]
+        return
+    config = FlowConfig(law=power_law(1), initial=sp, formulation=driver)
     traj = run(config)
     assert traj.stop_reason == flow.STOP_CONVEXITY_LOSS
     assert traj.snapshots  # last good state is recorded

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curveflow.errors import SpeedLawDomainError
-from curveflow.speed_law import SpeedLaw, check_hypotheses, law_name, parse_law, power_law
+from curveflow.speed_law import SpeedLaw, check_hypotheses, parse_law, power_law
 
 BUILTIN_PS = (1.0 / 3.0, 1.0, 2.0, 3.0)
 
@@ -120,6 +120,5 @@ def test_check_hypotheses_nonfinite_probe_carries_abscissa():
 def test_parse_law_round_trip():
     law = parse_law("power:0.5")
     assert law.g(4.0) == pytest.approx(0.5)
-    assert law_name(law) == "power:0.5"
     with pytest.raises(ValueError):
         parse_law("mystery:1")
