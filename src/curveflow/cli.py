@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -119,10 +120,20 @@ def _summary_row(t, summary):
             summary.closure_residual_norm)
 
 
-def _report_to_json(report):
-    out = dataclasses.asdict(report)
-    out["worst_margin"] = None if np.isnan(report.worst_margin) else report.worst_margin
-    return out
+def _finite_or_null(value):
+    """``value`` with every non-finite float, nested ones included, made None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
+def _write_json(path, doc):
+    """Write strict JSON: inf and nan become null rather than Infinity/NaN."""
+    path.write_text(json.dumps(_finite_or_null(doc), indent=2, allow_nan=False) + "\n")
 
 
 def emit_timeseries(traj, out_dir, spec=None, reports=None):
@@ -159,9 +170,9 @@ def emit_timeseries(traj, out_dir, spec=None, reports=None):
         "snapshots": [dict(zip(SERIES_COLUMNS, _summary_row(s.t, s.summary)))
                       for s in traj.snapshots],
         "form_disagreement": traj.form_disagreement,
-        "monitors": [_report_to_json(r) for r in (reports or [])],
+        "monitors": [dataclasses.asdict(r) for r in (reports or [])],
     }
-    (out / "summary.json").write_text(json.dumps(doc, indent=2) + "\n")
+    _write_json(out / "summary.json", doc)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +224,7 @@ def execute_containment(spec, outer_desc, inner_desc, out_dir):
         "tol_contain": report.tol_contain, "stop_reason": report.stop_reason,
         "all_ok": report.all_ok, "worst_gap": min(report.min_gap),
     }
-    (out / "containment.json").write_text(json.dumps(doc, indent=2) + "\n")
+    _write_json(out / "containment.json", doc)
     print(f"containment: {'ok' if report.all_ok else 'VIOLATED'}  "
           f"worst gap {min(report.min_gap)!r}  tol {report.tol_contain!r}")
     if report.stop_reason == flow.STOP_CONVEXITY_LOSS:
@@ -247,18 +258,20 @@ def execute_sweep(specs, out_root, workers):
         names.append(f"run_{i:03d}_{tag}")
 
     def worker(pair):
+        """(exit code, error message or None) of one member run."""
         spec, name = pair
         try:
-            return execute_run(spec, out_root / name)
+            return execute_run(spec, out_root / name), None
         except CurveFlowError as exc:
             print(f"{name}: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
+            return EXIT_RUNTIME, str(exc)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        codes = list(pool.map(worker, zip(specs, names)))
-    index = {"runs": [{"name": n, "spec": s.to_dict(), "exit": c}
-                      for n, s, c in zip(names, specs, codes)]}
-    (out_root / "sweep.json").write_text(json.dumps(index, indent=2) + "\n")
+        results = list(pool.map(worker, zip(specs, names)))
+    codes = [code for code, _ in results]
+    index = {"runs": [{"name": n, "spec": s.to_dict(), "exit": c, "error": e}
+                      for n, s, (c, e) in zip(names, specs, results)]}
+    _write_json(out_root / "sweep.json", index)
     for name, code in zip(names, codes):
         print(f"{name}: exit {code}")
     return max(codes) if codes else EXIT_OK

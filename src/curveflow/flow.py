@@ -336,44 +336,46 @@ def run(config):
     snapshots = []
     disagreement = [] if config.formulation == "both" else None
 
-    def take_snapshot(t, rows):
+    def take_snapshot(t, rows, rhos):
+        # rhos holds the support row's h'' + h as the stepper core computed it
         arrays = dict(rows)
         k, h = arrays.get("curvature"), arrays.get("support")
+        rho = dict(zip(arrays, rhos)).get("support")
         if k is not None:
             kp = CurvatureProfile(grid, k, t)
             sp = SupportProfile(grid, h, t) if h is not None else geometry.support_from_curvature(kp)
             summary = geometry.summarize(kp, scheme)
         else:
             sp = SupportProfile(grid, h, t)
-            kp = geometry.k_from_support(sp, scheme)
+            kp = CurvatureProfile(grid, 1.0 / rho, t)
             summary = geometry.summarize(sp, scheme)
         snapshots.append(Snapshot(t=t, curvature=kp, support=sp, summary=summary))
         if disagreement is not None:
-            rho = geometry.second_derivative(h, grid, scheme) + h
             disagreement.append(float(np.max(np.abs(k - 1.0 / rho))))
 
-    def snapshot_failure(t, rows):
+    def snapshot_failure(t, rows, rhos):
         """Take a snapshot; returns the stop reason its geometry failed with, if any."""
         try:
-            take_snapshot(t, rows)
+            take_snapshot(t, rows, rhos)
         except (ConvexityLossError, NotClosedError):
             return STOP_CONVEXITY_LOSS
         except DegenerateProfileError:
             return STOP_DEGENERATE
         return None
 
-    take_snapshot(0.0, rows)
+    rhos = tuple(None if form == "curvature"
+                 else geometry.second_derivative(y, grid, scheme) + y
+                 for form, y in rows)
+    take_snapshot(0.0, rows, rhos)
     area0 = snapshots[0].summary.area
     traj = Trajectory(snapshots=snapshots, stop_reason=STOP_STEP_LIMIT,
                       config=config, hypothesis_report=hyp,
                       roundness_expected=roundness,
                       form_disagreement=disagreement)
 
-    rhos = tuple(None if form == "curvature"
-                 else geometry.second_derivative(y, grid, scheme) + y
-                 for form, y in rows)
     t = 0.0
     steps = 0
+    snapshot_stop = False
     for t, dt, rows, rhos in _march(rows, rhos, grid, law, config.c_cfl, scheme):
         steps += 1
         traj.dt_min = min(traj.dt_min, dt)
@@ -395,7 +397,8 @@ def run(config):
         elif steps >= config.max_steps:
             stop = STOP_STEP_LIMIT
         elif steps % config.snapshot_every == 0:
-            stop = snapshot_failure(t, rows)
+            stop = snapshot_failure(t, rows, rhos)
+            snapshot_stop = stop is not None
         if stop is not None:
             traj.stop_reason = stop
             break
@@ -405,8 +408,8 @@ def run(config):
     traj.step_count = steps
     if traj.dt_min == float("inf"):
         traj.dt_min = 0.0
-    if snapshots[-1].t < t:
-        snapshot_failure(t, rows)  # on failure the last good snapshot stays last
+    if snapshots[-1].t < t and not snapshot_stop:
+        snapshot_failure(t, rows, rhos)  # on failure the last good snapshot stays last
 
     last = snapshots[-1].summary
     if last.k_max >= 10.0 * k_max0:

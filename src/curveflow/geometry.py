@@ -19,7 +19,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     ConvexityLossError,
@@ -284,7 +283,10 @@ def support_from_curvature(kp):
 
 def curvature_radius(sp, scheme="fourier"):
     """h'' + h, the curvature radius; raises naming the first non-convex node."""
-    rho = second_derivative(sp.h, sp.grid, scheme) + sp.h
+    return _checked_radius(sp, second_derivative(sp.h, sp.grid, scheme) + sp.h)
+
+
+def _checked_radius(sp, rho):
     if np.min(rho) <= 0.0:
         j = int(np.argmax(rho <= 0.0))
         raise ConvexityLossError(
@@ -316,25 +318,70 @@ def radii(sp):
     A disk of center c and radius r sits inside the body iff
     c . u(theta) + r <= h(theta) for all theta, and contains it iff
     h(theta) - c . u(theta) <= r; both centre problems are linear programs
-    over the sampled directions and are solved with the HiGHS dual simplex,
-    whose basic solutions make the values translation-equivariant to
-    rounding error.
+    over the sampled directions.  The outer one is ``_min_max_support`` and
+    the inner one is the same problem for -h, with the centre mirrored.  Both
+    are solved exactly at a vertex, so the values are translation-equivariant
+    to rounding error.
     """
     _degenerate_guard(curvature_radius(sp))
+    return _radii(sp)
+
+
+def _radii(sp):
     th = sp.grid.theta
     cos, sin = np.cos(th), np.sin(th)
-    ones = np.ones_like(cos)
+    r_out, _ = _min_max_support(sp.h, cos, sin)
+    neg_r_in, _ = _min_max_support(-sp.h, cos, sin)
+    return -neg_r_in, r_out
 
-    inner = linprog(c=[0.0, 0.0, -1.0],
-                    A_ub=np.column_stack([cos, sin, ones]), b_ub=sp.h,
-                    bounds=[(None, None)] * 3, method="highs-ds")
-    outer = linprog(c=[0.0, 0.0, 1.0],
-                    A_ub=np.column_stack([-cos, -sin, -ones]), b_ub=-sp.h,
-                    bounds=[(None, None)] * 3, method="highs-ds")
-    if not (inner.success and outer.success):
-        raise DegenerateProfileError("radius linear program failed: "
-                                     + (inner.message or outer.message))
-    return float(-inner.fun), float(outer.fun)
+
+def _min_max_support(h, cos, sin):
+    """(r, c): min over centres c of max_j (h_j - c . u_j), and a minimizing c.
+
+    This is the linear program  min r  s.t.  c . u_j + r >= h_j  in the three
+    unknowns (c_x, c_y, r), solved by the dual simplex.  A basis is three
+    constraints whose directions hold the origin in their convex hull, which
+    is dual feasibility: multipliers lambda >= 0 with sum lambda_i u_i = 0
+    and sum lambda_i = 1.  Its vertex meets the three as equalities.  Each
+    pivot enters the most violated constraint e and drops the basis row with
+    the smallest lambda_i / alpha_i over alpha_i > 0, where
+    sum alpha_i (u_i, 1) = (u_e, 1); that keeps lambda >= 0 and never lowers
+    r.  The vertex is optimal once no constraint is violated by more than
+    1e-13 max|h|.  Smooth profiles need a handful of pivots; a solve that
+    has not converged after n raises DegenerateProfileError.
+    """
+    n = h.shape[0]
+    tol = 1e-13 * float(np.max(np.abs(h)))
+    basis = [0, n // 3, 2 * n // 3]
+    for _ in range(n):
+        # the inverse of the matrix with rows a_i = (cos_i, sin_i, 1) has the
+        # columns (a_{i+1} x a_{i+2}) / det; their third entries are
+        # det * lambda_i, which sum to det
+        rows = [(float(cos[j]), float(sin[j])) for j in basis]
+        cols = []
+        for i in range(3):
+            (c1, s1), (c2, s2) = rows[(i + 1) % 3], rows[(i + 2) % 3]
+            cols.append((s1 - s2, c2 - c1, c1 * s2 - s1 * c2))
+        det = cols[0][2] + cols[1][2] + cols[2][2]
+        cx, cy, r = (sum(float(h[j]) * col[k] for j, col in zip(basis, cols)) / det
+                     for k in range(3))
+        violation = h - (cx * cos + cy * sin + r)
+        e = int(np.argmax(violation))
+        if violation[e] <= tol:
+            return r, (cx, cy)
+        ce, se = float(cos[e]), float(sin[e])
+        leave, best = None, math.inf
+        for i, col in enumerate(cols):
+            alpha = (col[0] * ce + col[1] * se + col[2]) / det
+            if alpha > 0.0:
+                ratio = max(col[2] / det, 0.0) / alpha
+                if ratio < best:
+                    leave, best = i, ratio
+        if leave is None:
+            break
+        basis[leave] = e
+    raise DegenerateProfileError(
+        "radii solver did not converge; profile treated as numerically degenerate")
 
 
 def steiner_point(sp):
@@ -353,6 +400,10 @@ def hausdorff_to_unit_disk(sp):
     s . u + 1.
     """
     _degenerate_guard(curvature_radius(sp))
+    return _hausdorff_to_unit_disk(sp)
+
+
+def _hausdorff_to_unit_disk(sp):
     th = sp.grid.theta
     sx, sy = steiner_point(sp)
     centered = sp.h - sx * np.cos(th) - sy * np.sin(th)
@@ -371,29 +422,40 @@ def normalize(sp, area):
 # ---------------------------------------------------------------------------
 
 def summarize(profile, scheme="fourier"):
-    """All scalar observables of one snapshot, from either representation."""
+    """All scalar observables of one snapshot, from either representation.
+
+    The Fourier h'' + h is computed once and serves the area, the convexity
+    and contrast guard, and (for a support profile on the Fourier scheme)
+    the curvature.
+    """
     if isinstance(profile, CurvatureProfile):
         kp = profile
         sp = support_from_curvature(kp)
+        rho = second_derivative(sp.h, sp.grid) + sp.h
     elif isinstance(profile, SupportProfile):
         sp = profile
-        kp = k_from_support(sp, scheme)
+        rho = second_derivative(sp.h, sp.grid) + sp.h
+        if scheme == "fourier":
+            kp = CurvatureProfile(sp.grid, 1.0 / _checked_radius(sp, rho), sp.t)
+        else:
+            kp = k_from_support(sp, scheme)
     else:
         raise TypeError(f"expected a curvature or support profile, got {type(profile)}")
 
     length = length_of(kp)
-    area = area_from_support(sp)
+    area = 0.5 * periodic_integral(sp.h * rho, sp.grid)
     if not (length > 0.0 and area > 0.0):
         raise DegenerateProfileError(f"non-positive length {length} or area {area}")
     c, s = closure_residual(kp)
-    r_in, r_out = radii(sp)
+    _degenerate_guard(_checked_radius(sp, rho))
+    r_in, r_out = _radii(sp)
     k_min = float(np.min(kp.k))
     k_max = float(np.max(kp.k))
     iso = length * length / area
     bonnesen = iso - 4.0 * math.pi - math.pi ** 2 * (r_out - r_in) ** 2 / area
     total_curvature = periodic_integral(kp.k, kp.grid)  # equals oint k^2 ds
     gage = 1.0 - (math.pi * length / area) / total_curvature
-    hdf = hausdorff_to_unit_disk(normalize(sp, area))
+    hdf = _hausdorff_to_unit_disk(normalize(sp, area))
     return GeometrySummary(
         length=length, area=area, r_in=r_in, r_out=r_out,
         k_min=k_min, k_max=k_max,

@@ -13,7 +13,6 @@ import dataclasses
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import SpeedLawDomainError
 
@@ -76,6 +75,10 @@ class SpeedLaw:
             raise SpeedLawDomainError("tail integral needs k > 0", abscissa=k)
         if self.tail_integral is not None:
             return float(self.tail_integral(k))
+        # scipy is imported here, not at the top, so that runs of laws with a
+        # closed-form tail (every built-in one) never load it
+        from scipy.integrate import quad
+
         total = 0.0
         lo = k
         hi = 8.0 * k

@@ -1,5 +1,10 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +154,8 @@ def test_degenerate_snapshot_is_a_stop_not_a_crash(tmp_path, monkeypatch):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["stop_reason"] == flow.STOP_DEGENERATE
     assert summary["steps"]["count"] == 10
+    # the state whose snapshot failed is not summarized a second time
+    assert len(calls) == 3
     # the snapshots before the failing one are kept, in order
     times = [s["t"] for s in summary["snapshots"]]
     assert len(times) >= 2 and times[0] == 0.0 and times[1] > 0.0
@@ -194,3 +201,56 @@ def test_build_initial_descriptors():
     assert isinstance(prof, SupportProfile)
     again = build_initial(spec)
     assert np.array_equal(prof.h, again.h)  # same seed, same phases
+
+
+def strict_load(path):
+    """json.loads that rejects the non-standard NaN/Infinity/-Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token} in {path.name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_json_outputs_are_strict(tmp_path, monkeypatch):
+    g = AngleGrid(64)
+    traj = run(FlowConfig(law=power_law(1), initial=circle_profile(1.0, g),
+                          max_steps=20))
+    traj.hypothesis_report = dataclasses.replace(
+        traj.hypothesis_report, witness_c0=math.inf, worst_violation=math.inf)
+    traj.form_disagreement = [0.0, math.nan]
+    emit_timeseries(traj, tmp_path / "run", spec=RunSpec(n=64))
+    doc = strict_load(tmp_path / "run" / "summary.json")
+    assert doc["hypothesis_report"]["witness_c0"] is None
+    assert doc["hypothesis_report"]["worst_violation"] is None
+    assert doc["form_disagreement"] == [0.0, None]
+
+    assert run_main(["containment", "--outer", "circle:2", "--inner", "circle:1",
+                     "--n", "64", "--area-floor", "0.5",
+                     "--out", str(tmp_path / "pair")]) == 0
+    assert strict_load(tmp_path / "pair" / "containment.json")["all_ok"] is True
+
+    # one member run fails at run time: its message is recorded, the other
+    # run's entry keeps a null error
+    execute_run = cli.execute_run
+
+    def fail_ellipse(spec, out_dir):
+        if spec.curve.startswith("ellipse"):
+            raise DegenerateProfileError("forced")
+        return execute_run(spec, out_dir)
+
+    monkeypatch.setattr(cli, "execute_run", fail_ellipse)
+    code = run_main(["sweep", "--curve", "circle:1", "--curve", "ellipse:2,1",
+                     "--n", "64", "--area-floor", "0.5",
+                     "--out", str(tmp_path / "sweep")])
+    assert code == cli.EXIT_RUNTIME
+    runs = strict_load(tmp_path / "sweep" / "sweep.json")["runs"]
+    assert [(r["exit"], r["error"]) for r in runs] == [(0, None), (3, "forced")]
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, importing the same curveflow this suite tests
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, curveflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"

@@ -195,6 +195,31 @@ def test_radii_cases():
     assert r_in == pytest.approx(1.0, abs=1e-9) and r_out == pytest.approx(1.0, abs=1e-9)
 
 
+def test_radii_match_linprog_and_meet_every_constraint(profile_corpus):
+    # scipy's LP solver is an independent oracle for the vertex solve
+    from scipy.optimize import linprog
+
+    for sp in profile_corpus:
+        th = sp.grid.theta
+        cos, sin = np.cos(th), np.sin(th)
+        a_ub = np.column_stack([cos, sin, np.ones_like(cos)])
+        free = [(None, None)] * 3
+        inner = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=sp.h, bounds=free,
+                        method="highs-ds")
+        outer = linprog(c=[0.0, 0.0, 1.0], A_ub=-a_ub, b_ub=-sp.h, bounds=free,
+                        method="highs-ds")
+        r_in, r_out = radii(sp)
+        assert r_in == pytest.approx(-inner.fun, abs=1e-7)
+        assert r_out == pytest.approx(outer.fun, abs=1e-7)
+
+        # r_out's centre and the mirrored r_in centre are feasible to rounding
+        tol = 1e-12 * np.max(np.abs(sp.h))
+        for h, value in ((sp.h, r_out), (-sp.h, -r_in)):
+            r, (cx, cy) = geometry._min_max_support(h, cos, sin)
+            assert r == value
+            assert np.max(h - (cx * cos + cy * sin)) <= r + tol
+
+
 def test_hausdorff_cases():
     g = AngleGrid(256)
     assert hausdorff_to_unit_disk(SupportProfile(g, np.ones(g.n))) < 1e-14
