@@ -39,13 +39,13 @@ class RunSpec:
     law: str = "power:1"
     curve: str = "circle:1"
     n: int = 256
-    area_floor: float = 1e-3
-    k_cap: Optional[float] = None
-    max_steps: int = 100_000_000
-    cadence: int = 500
-    cfl: float = 0.4
-    scheme: str = "curvature"
-    spatial: str = "fourier"
+    area_floor: float = flow.FlowConfig.area_floor
+    k_cap: Optional[float] = flow.FlowConfig.k_cap
+    max_steps: int = flow.FlowConfig.max_steps
+    cadence: int = flow.FlowConfig.snapshot_every
+    cfl: float = flow.FlowConfig.c_cfl
+    scheme: str = flow.FlowConfig.formulation
+    spatial: str = flow.FlowConfig.spatial_scheme
     seed: int = 0
 
     def to_dict(self):
@@ -181,10 +181,8 @@ def emit_timeseries(traj, out_dir, spec=None, reports=None):
 
 def execute_run(spec, out_dir):
     """Shared path for `run` and for sweep workers; returns an exit code."""
-    law = parse_law(spec.law)
-    initial = build_initial(spec)
-    traj = flow.run(_flow_config(spec, law, initial))
-    reports = diagnostics.run_all_monitors(traj, law)
+    traj = flow.run(_flow_config(spec, parse_law(spec.law), build_initial(spec)))
+    reports = diagnostics.run_all_monitors(traj)
     emit_timeseries(traj, out_dir, spec=spec, reports=reports)
     print(diagnostics.format_monitor_table(reports))
     if traj.omega_estimate is not None:
@@ -198,20 +196,18 @@ def execute_run(spec, out_dir):
     return EXIT_OK
 
 
-def _support_initial(spec, descriptor):
-    base = dataclasses.replace(spec, curve=descriptor)
-    profile = build_initial(base)
+def _as_support(profile):
     if isinstance(profile, geometry.CurvatureProfile):
-        profile = geometry.support_from_curvature(profile)
+        return geometry.support_from_curvature(profile)
     return profile
 
 
 def execute_containment(spec, outer_desc, inner_desc, out_dir):
     law = parse_law(spec.law)
-    outer = _support_initial(spec, outer_desc)
-    inner = _support_initial(spec, inner_desc)
-    config = _flow_config(spec, law, outer)
-    report = flow.containment_run(outer, inner, law, config)
+    outer, inner = (build_initial(dataclasses.replace(spec, curve=descriptor))
+                    for descriptor in (outer_desc, inner_desc))
+    config = _flow_config(spec, law, outer)  # k_cap is checked against the outer curve
+    report = flow.containment_run(_as_support(outer), _as_support(inner), config)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -248,14 +244,11 @@ def execute_check_law(law_name_str, x_lo, x_hi, n_probes):
 
 def execute_sweep(specs, out_root, workers):
     for spec in specs:  # a bad entry is a usage error before any run starts
-        parse_law(spec.law)
-        build_initial(spec)
+        _flow_config(spec, parse_law(spec.law), build_initial(spec))
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, spec in enumerate(specs):
-        tag = f"{spec.law}_{spec.curve}".replace(":", "").replace(",", "x")
-        names.append(f"run_{i:03d}_{tag}")
+    names = [f"run_{i:03d}_" + f"{s.law}_{s.curve}".replace(":", "").replace(",", "x")
+             for i, s in enumerate(specs)]
 
     def worker(pair):
         """(exit code, error message or None) of one member run."""
@@ -268,13 +261,12 @@ def execute_sweep(specs, out_root, workers):
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(worker, zip(specs, names)))
-    codes = [code for code, _ in results]
     index = {"runs": [{"name": n, "spec": s.to_dict(), "exit": c, "error": e}
                       for n, s, (c, e) in zip(names, specs, results)]}
     _write_json(out_root / "sweep.json", index)
-    for name, code in zip(names, codes):
+    for name, (code, _) in zip(names, results):
         print(f"{name}: exit {code}")
-    return max(codes) if codes else EXIT_OK
+    return max((code for code, _ in results), default=EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -282,35 +274,30 @@ def execute_sweep(specs, out_root, workers):
 # ---------------------------------------------------------------------------
 
 def _add_run_flags(p, multi=False):
-    action = "append" if multi else "store"
-    p.add_argument("--law", action=action, default=None,
-                   help="speed law, e.g. power:1" + (" (repeatable)" if multi else ""))
-    p.add_argument("--curve", action=action, default=None,
-                   help="initial curve: circle:R | ellipse:a,b | fourier:m:amp,..."
-                        + (" (repeatable)" if multi else ""))
-    p.add_argument("--n", type=int, default=256, help="grid size (power of two >= 32)")
-    p.add_argument("--area-floor", type=float, default=1e-3,
+    """The RunSpec flags, each dest named as its field; repeatable ones default
+    to None, since argparse would append to a list default."""
+    action, repeat = ("append", ", repeatable") if multi else ("store", "")
+    p.add_argument("--law", action=action, default=None if multi else RunSpec.law,
+                   help=f"speed law power:p (default {RunSpec.law}{repeat})")
+    p.add_argument("--curve", action=action, default=None if multi else RunSpec.curve,
+                   help="initial curve: circle:R | ellipse:a,b | fourier:m:amp,... "
+                        f"(default {RunSpec.curve}{repeat})")
+    p.add_argument("--n", type=int, default=RunSpec.n, help="grid size (power of two >= 32)")
+    p.add_argument("--area-floor", type=float, default=RunSpec.area_floor,
                    help="stop when A drops to this fraction of A(0)")
-    p.add_argument("--k-cap", type=float, default=None,
+    p.add_argument("--k-cap", type=float, default=RunSpec.k_cap,
                    help="absolute curvature cap (default 1e6 * k_max(0))")
-    p.add_argument("--max-steps", type=int, default=100_000_000)
-    p.add_argument("--cadence", type=int, default=500,
+    p.add_argument("--max-steps", type=int, default=RunSpec.max_steps)
+    p.add_argument("--cadence", type=int, default=RunSpec.cadence,
                    help="snapshot every this many accepted steps")
-    p.add_argument("--cfl", type=float, default=0.4, help="CFL safety factor")
-    p.add_argument("--scheme", choices=flow.FORMULATIONS, default="curvature",
+    p.add_argument("--cfl", type=float, default=RunSpec.cfl, help="CFL safety factor")
+    p.add_argument("--scheme", choices=flow.FORMULATIONS, default=RunSpec.scheme,
                    help="evolved formulation")
-    p.add_argument("--spatial", choices=("fourier", "fd4"), default="fourier",
+    p.add_argument("--spatial", choices=flow.SPATIAL_SCHEMES, default=RunSpec.spatial,
                    help="spatial derivative scheme")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int, default=RunSpec.seed,
                    help="seed for fourier phase randomization")
     p.add_argument("--out", default="out", help="output directory")
-
-
-def _spec_from_args(args, law, curve):
-    return RunSpec(law=law, curve=curve, n=args.n, area_floor=args.area_floor,
-                   k_cap=args.k_cap, max_steps=args.max_steps, cadence=args.cadence,
-                   cfl=args.cfl, scheme=args.scheme, spatial=args.spatial,
-                   seed=args.seed)
 
 
 def build_parser():
@@ -340,29 +327,25 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     try:
         if args.subcommand == "run":
-            spec = _spec_from_args(args, args.law or "power:1", args.curve or "circle:1")
-            return execute_run(spec, args.out)
+            return execute_run(RunSpec.from_dict(vars(args)), args.out)
         if args.subcommand == "containment":
-            spec = _spec_from_args(args, args.law or "power:1", args.outer)
+            spec = RunSpec.from_dict(dict(vars(args), curve=args.outer))
             return execute_containment(spec, args.outer, args.inner, args.out)
         if args.subcommand == "sweep":
-            laws = args.law or ["power:1"]
-            curves = args.curve or ["circle:1"]
-            specs = [_spec_from_args(args, law, curve)
-                     for law in laws for curve in curves]
+            specs = [RunSpec.from_dict(dict(vars(args), law=law, curve=curve))
+                     for law in args.law or [RunSpec.law]
+                     for curve in args.curve or [RunSpec.curve]]
             return execute_sweep(specs, args.out, args.workers)
         if args.subcommand == "check-law":
             lo, hi = map(float, args.range.split(","))
             return execute_check_law(args.law, lo, hi, args.probes)
-        parser.error(f"unknown subcommand {args.subcommand}")
     except (CurveFlowError, OSError) as exc:
         # convexity loss, hypothesis violation, unwritable output directory
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ from .errors import InsufficientDataError
 RATIO_TOL = 0.05          # roundness target for k_min/k_max and r_in/r_out
 BLOWUP_RHO_TOL = 0.05     # target for |rho - 1| of the blow-up integral
 EVOLUTION_TOL = 0.01      # relative mismatch allowed in dL/dt, dA/dt
+RESOLUTION_GATE = 0.1     # one-sided slope disagreement that skips a snapshot pair
 ISO_SLACK = 1e-8          # relative slack for monotonicity of L^2/A
 BONNESEN_TOL = 1e-7       # relative tolerance for the Bonnesen gap
 GAGE_TOL = 1e-9           # roundoff allowance for 0 <= F < 1
@@ -128,9 +129,10 @@ def monitor_gage(traj):
                                "late_liminf_trend": min(trend)})
 
 
-def monitor_gradient_estimate(traj, law):
+def monitor_gradient_estimate(traj):
     """max |dPhi/dtheta|^2 <= max(2 max_(s<=t) Phi^2, initial Phi_theta^2 + 2 Phi^2)."""
     _need_snapshots(traj, 1)
+    law = traj.config.law
     scheme = traj.config.spatial_scheme
     times = traj.times()
     lhs, phimax2 = [], []
@@ -187,7 +189,7 @@ def monitor_ratio_asymptotics(traj):
     return _downgrade_out_of_hypothesis(report, traj, "roundness of the ratios")
 
 
-def monitor_blowup_integral(traj, law):
+def monitor_blowup_integral(traj):
     """rho(theta, t) = tail(k)/(omega_hat - t) must approach 1 uniformly.
 
     The tail integral is monotone in k, so the extremes over theta are
@@ -196,6 +198,7 @@ def monitor_blowup_integral(traj, law):
     Inconclusive when no bracket is available or it is too wide.
     """
     _need_snapshots(traj, 1)
+    law = traj.config.law
     times = traj.times()
     est = traj.omega_estimate
     if est is None:
@@ -251,23 +254,26 @@ def _resolution_q(ts, ys, i):
     # one-sided slopes disagreeing means the stencil under-resolves the series
     hm = ts[i] - ts[i - 1]
     hp = ts[i + 1] - ts[i]
+    if hm * hp * (hm + hp) == 0.0:  # spacing too fine for the stencil to represent
+        return math.inf
     fwd = (ys[i + 1] - ys[i]) / hp
     bwd = (ys[i] - ys[i - 1]) / hm
     central = _central_derivative(ts, ys, i)
     return abs(fwd - bwd) / max(abs(central), 1e-300)
 
 
-def monitor_evolution_identities(traj, law, resolution_gate=0.1):
+def monitor_evolution_identities(traj):
     """dL/dt = -oint G(k) k dtheta and dA/dt = -oint G(k) dtheta along snapshots.
 
     Central differences of the recorded L and A series against the exact
     right-hand sides, judged at 1% relative mismatch.  Only temporally
     resolved snapshot pairs count: where the forward and backward slopes of
-    either series disagree by more than ``resolution_gate`` of the central
+    either series disagree by more than ``RESOLUTION_GATE`` of the central
     value, the sampling itself cannot support the check and the pair is
     skipped.  Inconclusive when no pair survives the gate.
     """
     _need_snapshots(traj, 3)
+    law = traj.config.law
     ts = traj.times()
     lengths = [s.length for s in traj.summaries()]
     areas = [s.area for s in traj.summaries()]
@@ -275,7 +281,7 @@ def monitor_evolution_identities(traj, law, resolution_gate=0.1):
     skipped = 0
     for i in range(1, len(ts) - 1):
         if max(_resolution_q(ts, lengths, i),
-               _resolution_q(ts, areas, i)) > resolution_gate:
+               _resolution_q(ts, areas, i)) > RESOLUTION_GATE:
             skipped += 1
             continue
         kp = traj.snapshots[i].curvature
@@ -301,20 +307,20 @@ def monitor_evolution_identities(traj, law, resolution_gate=0.1):
 # orchestration
 # ---------------------------------------------------------------------------
 
-def run_all_monitors(traj, law):
+def run_all_monitors(traj):
     """Evaluate every monitor; multi-snapshot ones are skipped (inconclusive)
     when the trajectory is too short to judge."""
     reports = []
-    for name, fn, needs_law in (
-            ("iso-ratio-monotone", monitor_iso_ratio, False),
-            ("bonnesen", monitor_bonnesen, False),
-            ("gage-deficit", monitor_gage, False),
-            ("gradient-estimate", monitor_gradient_estimate, True),
-            ("ratio-asymptotics", monitor_ratio_asymptotics, False),
-            ("blowup-integral", monitor_blowup_integral, True),
-            ("evolution-identities", monitor_evolution_identities, True)):
+    for name, fn in (
+            ("iso-ratio-monotone", monitor_iso_ratio),
+            ("bonnesen", monitor_bonnesen),
+            ("gage-deficit", monitor_gage),
+            ("gradient-estimate", monitor_gradient_estimate),
+            ("ratio-asymptotics", monitor_ratio_asymptotics),
+            ("blowup-integral", monitor_blowup_integral),
+            ("evolution-identities", monitor_evolution_identities)):
         try:
-            reports.append(fn(traj, law) if needs_law else fn(traj))
+            reports.append(fn(traj))
         except InsufficientDataError as exc:
             reports.append(_inconclusive(name, [], [], str(exc)))
     return reports

@@ -31,6 +31,7 @@ from .errors import (
     HypothesisViolationError,
     InsufficientDataError,
     NotClosedError,
+    SpeedLawDomainError,
     StepRejected,
 )
 from .geometry import CurvatureProfile, SupportProfile
@@ -49,6 +50,7 @@ FORMULATIONS = ("curvature", "support", "both")
 # Fourier value pi^2/dtheta^2; the CFL bound then gives the same
 # lambda_max * dt = c_cfl * pi^2 / 2 for every scheme (RK4 wants c <~ 0.56).
 _SCHEME_RADIUS_FACTOR = {"fourier": 1.0, "fd4": 16.0 / (3.0 * math.pi ** 2)}
+SPATIAL_SCHEMES = tuple(_SCHEME_RADIUS_FACTOR)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,7 +59,10 @@ class FlowConfig:
 
     ``area_floor`` is the fraction of the initial area at which the run
     stops; ``k_cap`` is an absolute curvature cap (default 1e6 times the
-    initial maximum).  ``snapshot_every`` counts accepted steps.
+    initial maximum), checked against the initial k_max when the config is
+    built.  ``snapshot_every`` counts accepted steps.  Building the config
+    also sets ``initial_curvature``, the initial profile in curvature form,
+    and ``curvature_cap``, the cap in force.
     """
 
     law: object
@@ -77,15 +82,18 @@ class FlowConfig:
             raise ValueError(f"area_floor must be in (0, 1), got {self.area_floor}")
         if self.formulation not in FORMULATIONS:
             raise ValueError(f"formulation must be one of {FORMULATIONS}")
-        if self.spatial_scheme not in _SCHEME_RADIUS_FACTOR:
-            raise ValueError(f"spatial_scheme must be one of "
-                             f"{tuple(_SCHEME_RADIUS_FACTOR)}")
+        if self.spatial_scheme not in SPATIAL_SCHEMES:
+            raise ValueError(f"spatial_scheme must be one of {SPATIAL_SCHEMES}")
         if self.max_steps < 1 or self.snapshot_every < 1:
             raise ValueError("max_steps and snapshot_every must be >= 1")
-
-    @property
-    def n(self):
-        return self.initial.grid.n
+        kp0 = (self.initial if isinstance(self.initial, CurvatureProfile)
+               else geometry.k_from_support(self.initial, self.spatial_scheme))
+        k_max0 = float(np.max(kp0.k))
+        k_cap = self.k_cap if self.k_cap is not None else 1e6 * k_max0
+        if not k_cap > k_max0:
+            raise ValueError(f"k_cap {k_cap} must exceed the initial k_max {k_max0}")
+        object.__setattr__(self, "initial_curvature", kp0)
+        object.__setattr__(self, "curvature_cap", k_cap)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,7 +165,11 @@ def _cfl_dt(rows, rhos, grid, law, c_cfl, scheme):
     dts = []
     for (form, y), rho in zip(rows, rhos):
         k = y if form == "curvature" else 1.0 / rho
-        dts.append(cfl_base / float(np.max(k * k * law.phi_prime(k))))
+        dt = cfl_base / np.max(k * k * law.phi_prime(k))  # numpy gives inf on 0, no raise
+        if not 0.0 < dt < math.inf:
+            raise SpeedLawDomainError(f"{law.label}: no finite CFL step at k_max = "
+                                      f"{np.max(k):.3e}", abscissa=float(np.max(k)))
+        dts.append(float(dt))
     return min(dts)
 
 
@@ -309,17 +321,12 @@ def run(config):
     scheme = config.spatial_scheme
 
     # initial data in the forms this run evolves
-    if isinstance(config.initial, CurvatureProfile):
-        kp0 = config.initial
-        sp0 = geometry.support_from_curvature(kp0)
-    else:
-        sp0 = config.initial
-        kp0 = geometry.k_from_support(sp0, scheme)
+    kp0 = config.initial_curvature
+    sp0 = (config.initial if isinstance(config.initial, SupportProfile)
+           else geometry.support_from_curvature(kp0))
     k_max0 = float(np.max(kp0.k))
     k_min0 = float(np.min(kp0.k))
-    k_cap = config.k_cap if config.k_cap is not None else 1e6 * k_max0
-    if not k_cap > k_max0:
-        raise ValueError(f"k_cap {k_cap} must exceed the initial k_max {k_max0}")
+    k_cap = config.curvature_cap
 
     # validate the law on the curvature range this run can visit
     hyp = check_hypotheses(law, k_min0 / 2.0, k_cap, n_probes=64)
@@ -413,7 +420,7 @@ def run(config):
 
     last = snapshots[-1].summary
     if last.k_max >= 10.0 * k_max0:
-        traj.omega_estimate = estimate_blowup(traj, law)
+        traj.omega_estimate = estimate_blowup(traj)
     return traj
 
 
@@ -421,8 +428,8 @@ def run(config):
 # blow-up bracketing and containment
 # ---------------------------------------------------------------------------
 
-def estimate_blowup(traj, law):
-    """Bracket the blow-up time from the final snapshot.
+def estimate_blowup(traj):
+    """Bracket the blow-up time from the final snapshot, under the run's law.
 
     omega - t <= tail(k_max(t)) and omega - t >= tail(k_min(t)), with
     tail(k) = int_k^inf dx/(G(x) x^3); the bracket collapses for circles.
@@ -433,6 +440,7 @@ def estimate_blowup(traj, law):
     log-curvature growth with lambda the smooth-mode linearization rate,
     plus a 1e-11 relative floor for floating-point accumulation in t.
     """
+    law = traj.config.law
     last = traj.snapshots[-1]
     k_max0 = traj.snapshots[0].summary.k_max
     if last.summary.k_max < 10.0 * k_max0:
@@ -477,8 +485,8 @@ def _steiner_centered(sp):
     return SupportProfile(sp.grid, sp.h - sx * np.cos(th) - sy * np.sin(th), sp.t)
 
 
-def containment_run(outer, inner, law, config):
-    """Co-evolve two support profiles with shared steps and track their gap.
+def containment_run(outer, inner, config):
+    """Co-evolve two support profiles under ``config.law`` and track their gap.
 
     Both curves are Steiner-centered first; convexity of both and the
     pointwise ordering h_outer >= h_inner at t = 0 (set containment with a
@@ -506,7 +514,7 @@ def containment_run(outer, inner, law, config):
     areas0 = [_area_of_support_arrays(h, grid, rho) for (_, h), rho in zip(rows, rhos)]
     times = [0.0]
     gaps = [float(np.min(gap0))]
-    march = _march(rows, rhos, grid, law, config.c_cfl, scheme)
+    march = _march(rows, rhos, grid, config.law, config.c_cfl, scheme)
     for steps, (t, _, rows, rhos) in enumerate(march, start=1):
         floor_hit = any(
             _area_of_support_arrays(h, grid, rho) <= config.area_floor * a0

@@ -278,6 +278,8 @@ def support_from_curvature(kp):
     fh = np.fft.rfft(1.0 / kp.k)
     fh[1] = 0.0  # kernel mode: Steiner point pinned at the origin
     h = np.fft.irfft(fh / _fourier_tables(kp.grid.n)[3], n=kp.grid.n)
+    if not np.all(np.isfinite(h)):
+        raise DegenerateProfileError("the support solve overflowed: curve too large")
     return SupportProfile(kp.grid, h, kp.t)
 
 
@@ -444,8 +446,8 @@ def summarize(profile, scheme="fourier"):
 
     length = length_of(kp)
     area = 0.5 * periodic_integral(sp.h * rho, sp.grid)
-    if not (length > 0.0 and area > 0.0):
-        raise DegenerateProfileError(f"non-positive length {length} or area {area}")
+    if not (0.0 < length < math.inf and 0.0 < area < math.inf):
+        raise DegenerateProfileError(f"length {length} or area {area} not finite and positive")
     c, s = closure_residual(kp)
     _degenerate_guard(_checked_radius(sp, rho))
     r_in, r_out = _radii(sp)

@@ -84,7 +84,6 @@ def circle_trajectory(r0, p, times, n=256):
     """
     sol = CircleSolution(r0, p)
     grid = AngleGrid(n)
-    law = power_law(p)
     snaps = []
     for t in times:
         r = sol.radius(t)
@@ -92,7 +91,7 @@ def circle_trajectory(r0, p, times, n=256):
         sp = SupportProfile(grid, np.full(grid.n, r), t)
         snaps.append(flow.Snapshot(t=float(t), curvature=kp, support=sp,
                                    summary=geometry.summarize(kp)))
-    config = flow.FlowConfig(law=law, initial=snaps[0].curvature)
+    config = flow.FlowConfig(law=power_law(p), initial=snaps[0].curvature)
     omega = sol.omega
     traj = flow.Trajectory(
         snapshots=snaps, stop_reason=flow.STOP_ANALYTIC, config=config,

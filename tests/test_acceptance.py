@@ -194,7 +194,7 @@ def test_criterion_7_gradient_estimate(circle_runs, ellipse512, ellipse_affine,
                                        both512):
     failures = []
     for name, traj in shipped_runs(circle_runs, ellipse512, ellipse_affine, both512):
-        report = monitor_gradient_estimate(traj, traj.config.law)
+        report = monitor_gradient_estimate(traj)
         if report.status != "pass":
             failures.append(f"{name}: {report.status}")
     ok = not failures
@@ -208,13 +208,13 @@ def test_criterion_8_containment(circle_runs):
     outer = SupportProfile(g, np.full(g.n, 2.0))
     inner = SupportProfile(g, np.full(g.n, 1.0))
     config = FlowConfig(law=law, initial=outer, area_floor=1e-3, snapshot_every=250)
-    report = containment_run(outer, inner, law, config)
+    report = containment_run(outer, inner, config)
     worst_dev = max(
         abs(gap - (math.sqrt(4.0 - 2.0 * t) - math.sqrt(1.0 - 2.0 * t)))
         for t, gap in zip(report.times, report.min_gap))
 
     inner_e = geometry.support_from_curvature(oracle.ellipse_profile(1.5, 1.0, g))
-    report_e = containment_run(outer, inner_e, law, config)
+    report_e = containment_run(outer, inner_e, config)
     ok = worst_dev <= 1e-5 and report.all_ok and report_e.all_ok
     verdict(8, ok, f"concentric gap matches exact to {worst_dev:.2e} (<=1e-5); "
                    f"circle-over-ellipse min gap {min(report_e.min_gap):.2e} "
@@ -271,7 +271,7 @@ def test_criterion_12_evolution_identities(circle_runs, ellipse512, ellipse_affi
                                            both512):
     failures, worst = [], 0.0
     for name, traj in shipped_runs(circle_runs, ellipse512, ellipse_affine, both512):
-        report = monitor_evolution_identities(traj, traj.config.law)
+        report = monitor_evolution_identities(traj)
         if report.status != "pass":
             failures.append(f"{name}: {report.status} ({report.note})")
         else:

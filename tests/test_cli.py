@@ -129,12 +129,18 @@ def test_sweep_subcommand(tmp_path):
         assert (out / entry["name"] / "series.csv").exists()
 
 
-def test_sweep_rejects_bad_entry_before_any_run(tmp_path):
+@pytest.mark.parametrize("bad_entry", [
+    ["--curve", "circle:1", "--curve", "bogus:1"],
+    # k_cap = 5 is above k_max(0) = 1 of the first curve but not the 10 of the second
+    ["--curve", "circle:1", "--curve", "circle:0.1", "--k-cap", "5"],
+], ids=["unknown-curve", "k-cap-below-k-max"])
+def test_sweep_rejects_bad_entry_before_any_run(tmp_path, bad_entry):
     out = tmp_path / "sweep"
-    code = run_main(["sweep", "--curve", "circle:1", "--curve", "bogus:1",
+    code = run_main(["sweep", *bad_entry,
                      "--n", "64", "--area-floor", "1e-1", "--out", str(out)])
     assert code == 2
     assert not list(out.glob("run_*"))
+    assert not (out / "sweep.json").exists()
 
 
 def test_degenerate_snapshot_is_a_stop_not_a_crash(tmp_path, monkeypatch):
@@ -160,6 +166,35 @@ def test_degenerate_snapshot_is_a_stop_not_a_crash(tmp_path, monkeypatch):
     times = [s["t"] for s in summary["snapshots"]]
     assert len(times) >= 2 and times[0] == 0.0 and times[1] > 0.0
     assert times == sorted(times)
+
+
+@pytest.mark.parametrize("args, expected", [
+    # area pi R^2 overflows: the initial snapshot is degenerate
+    (["run", "--curve", "circle:1.3407807929942596e+154"], 3),
+    # k^2 Phi'(k) underflows to 0: no finite CFL step
+    (["run", "--curve", "circle:6.748370691814794e+161"], 3),
+    # h = R overflows in the Fourier support solve
+    (["run", "--curve", "circle:5.617791046444737e+306"], 3),
+    # Phi'(k) overflows; the step halving used to loop forever on dt = 0
+    (["containment", "--law", "power:1.4571529819837308e+16",
+      "--outer", "circle:0.05", "--inner", "circle:0.01"], 3),
+    # snapshot spacing ~1e-196 underflows the evolution-identity stencil
+    (["run", "--law", "power:6", "--curve", "circle:6", "--cfl", "6e-200",
+      "--area-floor", "6e-200", "--scheme", "support", "--k-cap", "6",
+      "--cadence", "5"], 0),
+    # a member run that fails at run time is recorded, not lost
+    (["sweep", "--curve", "circle:1", "--curve", "circle:1.3407807929942596e+154"], 3),
+], ids=["area-overflow", "cfl-underflow", "support-overflow", "law-overflow",
+        "stencil-underflow", "sweep-member"])
+def test_unrepresentable_inputs_end_with_an_exit_code(tmp_path, args, expected):
+    out = tmp_path / "extreme"
+    with np.errstate(all="ignore"):
+        code = run_main(args + ["--n", "32", "--max-steps", "20", "--out", str(out)])
+    assert code == expected
+    if args[0] == "sweep":
+        index = json.loads((out / "sweep.json").read_text())
+        assert [run["exit"] for run in index["runs"]] == [0, 3]
+        assert "area inf" in index["runs"][1]["error"]
 
 
 def test_usage_errors():

@@ -1,0 +1,100 @@
+"""Property tests of the command line: random `run` and `sweep` arguments.
+
+Whatever the flags, `main` must return an exit code in 0-3 (never raise),
+every JSON file it writes must be strict JSON, and a sweep that exits 2 must
+not have started any run.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from curveflow import flow
+from curveflow.cli import main
+
+EXIT_CODES = {0, 1, 2, 3}
+
+numbers = st.floats(allow_nan=True, allow_infinity=True)
+junk = st.text(max_size=12)
+
+
+def mostly(valid, invalid):
+    """Draws ``invalid`` one time in ten, so most examples reach a run."""
+    return st.integers(0, 9).flatmap(lambda i: invalid if i == 0 else valid)
+
+
+radii = mostly(st.floats(min_value=0.05, max_value=5.0), numbers)
+laws = mostly(st.builds("power:{}".format, st.floats(min_value=0.2, max_value=4.0)),
+              st.one_of(st.builds("power:{}".format, numbers), junk))
+# amplitudes up to 0.5 / (m^2 + 1) keep most fourier curves convex
+fourier_modes = st.lists(
+    st.integers(-3, 20).flatmap(lambda m: st.tuples(
+        st.just(m), st.floats(min_value=-0.5, max_value=0.5).map(lambda a: a / (m * m + 1)))),
+    min_size=1, max_size=3)
+curves = mostly(st.one_of(
+    st.builds("circle:{}".format, radii),
+    st.builds("ellipse:{},{}".format, radii, radii),
+    fourier_modes.map(lambda modes: "fourier:" + ",".join(f"{m}:{a}" for m, a in modes)),
+), junk)
+k_caps = st.one_of(st.none(), mostly(st.floats(min_value=0.0, max_value=100.0), numbers))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def assert_strict_json(root):
+    for path in Path(root).rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def call_main(args):
+    with np.errstate(all="ignore"):  # overflowing inputs are the point here
+        code = main(args)
+    assert code in EXIT_CODES, f"exit {code!r} for {args}"
+    return code
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=laws, curve=curves, n=mostly(st.sampled_from([32, 64]), st.just(16)),
+       cadence=mostly(st.integers(1, 20), st.integers(-1, 0)),
+       cfl=mostly(st.floats(min_value=0.05, max_value=1.0), numbers),
+       area_floor=mostly(st.floats(min_value=1e-3, max_value=0.9), numbers),
+       k_cap=k_caps, scheme=st.sampled_from(flow.FORMULATIONS),
+       max_steps=mostly(st.integers(1, 40), st.just(0)))
+def test_run_exits_with_a_code_and_writes_strict_json(law, curve, n, cadence, cfl,
+                                                      area_floor, k_cap, scheme,
+                                                      max_steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        # --flag=value keeps values such as "-inf" or "-x" from reading as flags
+        args = ["run", f"--law={law}", f"--curve={curve}", f"--n={n}",
+                f"--cadence={cadence}", f"--cfl={cfl}", f"--area-floor={area_floor}",
+                f"--scheme={scheme}", f"--max-steps={max_steps}", f"--out={tmp}"]
+        if k_cap is not None:
+            args.append(f"--k-cap={k_cap}")
+        call_main(args)
+        assert_strict_json(tmp)
+
+
+@settings(max_examples=25, deadline=None)
+@given(curves=st.lists(curves, min_size=1, max_size=3), k_cap=k_caps)
+# a k_cap between the two curves' initial k_max: valid for the first only
+@example(curves=["circle:1", "circle:0.1"], k_cap=5.0)
+def test_sweep_rejects_before_any_run_or_indexes_every_run(curves, k_cap):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "sweep"
+        args = ["sweep", "--n", "32", "--workers", "2", "--max-steps", "20",
+                "--out", str(out)]
+        args += [f"--curve={curve}" for curve in curves]
+        if k_cap is not None:
+            args.append(f"--k-cap={k_cap}")
+        code = call_main(args)
+        if code == 2:
+            assert not list(out.glob("run_*"))
+            assert not (out / "sweep.json").exists()
+        else:
+            json.loads((out / "sweep.json").read_text(), parse_constant=_reject_constant)

@@ -40,8 +40,19 @@ def ellipse_run():
     return run(config)
 
 
-def test_every_monitor_passes_on_exact_circle(exact_circle):
-    reports = run_all_monitors(exact_circle, power_law(1))
+@pytest.fixture(scope="module")
+def exact_circle_p2():
+    # p = 2 blows up at omega = R0^3 / 3; spacing refines toward it
+    omega = 1.0 / 3.0
+    times = omega - omega * np.geomspace(1.0, 1e-4, 200)
+    return oracle.circle_trajectory(1.0, 2.0, times, n=128)
+
+
+@pytest.mark.parametrize("circle", ["exact_circle", "exact_circle_p2"], ids=["p1", "p2"])
+def test_every_monitor_passes_on_exact_circle(request, circle):
+    # the monitors read the law from the trajectory's config, so a p = 2
+    # circle is judged under p = 2 (under p = 1 two monitors would fail)
+    reports = run_all_monitors(request.getfixturevalue(circle))
     assert len(reports) == 7
     for r in reports:
         assert r.status == "pass", f"{r.name}: {r.note}"
@@ -49,9 +60,8 @@ def test_every_monitor_passes_on_exact_circle(exact_circle):
 
 
 def test_monitors_are_deterministic(exact_circle):
-    law = power_law(1)
-    first = run_all_monitors(exact_circle, law)
-    second = run_all_monitors(exact_circle, law)
+    first = run_all_monitors(exact_circle)
+    second = run_all_monitors(exact_circle)
     assert first == second
 
 
@@ -84,9 +94,9 @@ def test_ellipse_run_monitors(ellipse_run):
     gage = monitor_gage(ellipse_run)
     assert gage.passed
     assert gage.extras["final"] < 1e-2
-    grad = monitor_gradient_estimate(ellipse_run, power_law(1))
+    grad = monitor_gradient_estimate(ellipse_run)
     assert grad.passed
-    evo = monitor_evolution_identities(ellipse_run, power_law(1))
+    evo = monitor_evolution_identities(ellipse_run)
     assert evo.passed, f"worst mismatch {evo.extras['worst_mismatch']}"
 
 
@@ -99,7 +109,7 @@ def test_ratio_asymptotics_on_deep_run(ellipse_run):
 
 
 def test_blowup_integral_on_deep_ellipse(ellipse_run):
-    report = monitor_blowup_integral(ellipse_run, power_law(1))
+    report = monitor_blowup_integral(ellipse_run)
     assert report.status == "pass"
     assert report.values[-1] <= 0.05
 
@@ -111,12 +121,12 @@ def test_ratio_asymptotics_inconclusive_when_shallow():
     traj = run(config)
     report = monitor_ratio_asymptotics(traj)
     assert report.status == "inconclusive"
-    blow = monitor_blowup_integral(traj, power_law(1))
+    blow = monitor_blowup_integral(traj)
     assert blow.status == "inconclusive"  # no omega bracket that early
 
 
 def test_blowup_integral_on_exact_circle(exact_circle):
-    report = monitor_blowup_integral(exact_circle, power_law(1))
+    report = monitor_blowup_integral(exact_circle)
     assert report.status == "pass"
     assert max(report.values) < 1e-10  # rho is identically 1 for circles
     lo_ranges = report.extras["rho_ranges"]["lo"]
@@ -142,12 +152,12 @@ def test_affine_ellipse_is_out_of_hypothesis():
 def test_evolution_identities_need_three_snapshots():
     traj = oracle.circle_trajectory(1.0, 1.0, [0.0, 0.2], n=64)
     with pytest.raises(InsufficientDataError):
-        monitor_evolution_identities(traj, power_law(1))
+        monitor_evolution_identities(traj)
 
 
 def test_run_all_monitors_swallows_insufficient_data():
     traj = oracle.circle_trajectory(1.0, 1.0, [0.1], n=64)
-    reports = run_all_monitors(traj, power_law(1))
+    reports = run_all_monitors(traj)
     assert len(reports) == 7
     statuses = {r.name: r.status for r in reports}
     assert statuses["iso-ratio-monotone"] == "inconclusive"
@@ -160,12 +170,12 @@ def test_gradient_monitor_reports_rather_than_aborts():
     config = FlowConfig(law=power_law(1), initial=oracle.ellipse_profile(1.8, 1.0, g),
                         area_floor=0.2, snapshot_every=50)
     traj = run(config)
-    report = monitor_gradient_estimate(traj, power_law(1))
+    report = monitor_gradient_estimate(traj)
     assert report.status in ("pass", "fail")
 
 
 def test_format_monitor_table(exact_circle):
-    reports = run_all_monitors(exact_circle, power_law(1))
+    reports = run_all_monitors(exact_circle)
     table = format_monitor_table(reports)
     lines = table.splitlines()
     assert lines[0].startswith("monitor")

@@ -204,7 +204,7 @@ def test_run_convexity_loss_is_a_stop_not_a_crash(monkeypatch, driver):
     sp = SupportProfile(g, np.ones(g.n))
     if driver == "containment":
         config = FlowConfig(law=power_law(1), initial=sp)
-        report = containment_run(sp, sp, power_law(1), config)
+        report = containment_run(sp, sp, config)
         assert report.stop_reason == flow.STOP_CONVEXITY_LOSS
         assert report.times == [0.0]
         return
@@ -223,8 +223,8 @@ def test_run_rejects_bad_config():
         FlowConfig(law=power_law(1), initial=kp, area_floor=1.0)
     with pytest.raises(ValueError):
         FlowConfig(law=power_law(1), initial=kp, formulation="spectral")
-    with pytest.raises(ValueError):
-        run(FlowConfig(law=power_law(1), initial=kp, k_cap=0.5))
+    with pytest.raises(ValueError):  # k_cap below k_max(0) = 1 fails when built
+        FlowConfig(law=power_law(1), initial=kp, k_cap=0.5)
 
 
 def test_run_rejects_nonparabolic_law():
@@ -265,13 +265,13 @@ def test_tail_mass_circle_identity():
 def test_estimate_blowup_requires_asymptotic_regime():
     traj = oracle.circle_trajectory(1.0, 1.0, [0.0, 0.4], n=64)
     with pytest.raises(InsufficientDataError):
-        estimate_blowup(traj, power_law(1))
+        estimate_blowup(traj)
 
 
 def test_estimate_blowup_circle_bracket():
     times = [0.0, 0.2, 0.4, 0.4955]  # k grows past 10x at the end
     traj = oracle.circle_trajectory(1.0, 1.0, times, n=64)
-    est = estimate_blowup(traj, power_law(1))
+    est = estimate_blowup(traj)
     assert est.omega_lo <= 0.5 <= est.omega_hi
     assert est.omega_hi - est.omega_lo < 1e-9
     assert est.method == "closed-form"
@@ -285,7 +285,7 @@ def test_containment_concentric_circles():
     law = power_law(1)
     config = FlowConfig(law=law, initial=outer, area_floor=1e-2,
                         snapshot_every=200)
-    report = containment_run(outer, inner, law, config)
+    report = containment_run(outer, inner, config)
     assert report.all_ok
     assert report.stop_reason == flow.STOP_AREA_FLOOR
     for t, gap in zip(report.times, report.min_gap):
@@ -300,7 +300,7 @@ def test_containment_identical_curves():
     sp = geometry.support_from_curvature(oracle.ellipse_profile(1.5, 1.0, g))
     law = power_law(1)
     config = FlowConfig(law=law, initial=sp, area_floor=5e-2, snapshot_every=200)
-    report = containment_run(sp, sp, law, config)
+    report = containment_run(sp, sp, config)
     assert report.all_ok
     assert max(abs(v) for v in report.min_gap) < 1e-12
 
@@ -311,4 +311,4 @@ def test_containment_requires_nesting():
     inner = SupportProfile(g, np.full(g.n, 2.0))
     config = FlowConfig(law=power_law(1), initial=outer)
     with pytest.raises(ValueError):
-        containment_run(outer, inner, power_law(1), config)
+        containment_run(outer, inner, config)
