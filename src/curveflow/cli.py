@@ -108,9 +108,10 @@ def _flow_config(spec, law, initial):
 # output files
 # ---------------------------------------------------------------------------
 
-def _fmt(value):
-    # full round-trip decimal precision
-    return repr(float(value))
+def _write_csv(path, header, rows):
+    """Write ``header``, then each row of Python numbers as comma-joined ``repr``s."""
+    lines = [header] + [",".join(map(repr, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _summary_row(t, summary):
@@ -143,18 +144,14 @@ def emit_timeseries(traj, out_dir, spec=None, reports=None):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    lines = [",".join(SERIES_COLUMNS)]
-    for snap in traj.snapshots:
-        lines.append(",".join(_fmt(v) for v in _summary_row(snap.t, snap.summary)))
-    (out / "series.csv").write_text("\n".join(lines) + "\n")
-
+    _write_csv(out / "series.csv", ",".join(SERIES_COLUMNS),
+               [_summary_row(snap.t, snap.summary) for snap in traj.snapshots])
     for index, snap in enumerate(traj.snapshots):
-        curve = geometry.reconstruct(snap.curvature)
-        rows = [f"# t={_fmt(snap.t)} n={snap.curvature.grid.n}", "theta,k,h,x,y"]
-        for theta, k, h, (x, y) in zip(snap.curvature.grid.theta, snap.curvature.k,
-                                       snap.support.h, curve.points):
-            rows.append(",".join(_fmt(v) for v in (theta, k, h, x, y)))
-        (out / f"snap_{index:05d}.csv").write_text("\n".join(rows) + "\n")
+        kp = snap.curvature
+        rows = np.column_stack([kp.grid.theta, kp.k, snap.support.h,
+                                geometry.reconstruct(kp).points]).tolist()
+        _write_csv(out / f"snap_{index:05d}.csv",
+                   f"# t={snap.t!r} n={kp.grid.n}\ntheta,k,h,x,y", rows)
 
     est = traj.omega_estimate
     hyp = traj.hypothesis_report
@@ -211,10 +208,8 @@ def execute_containment(spec, outer_desc, inner_desc, out_dir):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["t,min_gap,ok"]
-    for t, gap, ok in zip(report.times, report.min_gap, report.ok):
-        lines.append(f"{_fmt(t)},{_fmt(gap)},{int(ok)}")
-    (out / "containment.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "containment.csv", "t,min_gap,ok",
+               zip(report.times, report.min_gap, map(int, report.ok)))
     doc = {
         "law": spec.law, "outer": outer_desc, "inner": inner_desc, "n": spec.n,
         "tol_contain": report.tol_contain, "stop_reason": report.stop_reason,

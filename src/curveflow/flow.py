@@ -348,15 +348,14 @@ def run(config):
         arrays = dict(rows)
         k, h = arrays.get("curvature"), arrays.get("support")
         rho = dict(zip(arrays, rhos)).get("support")
-        if k is not None:
-            kp = CurvatureProfile(grid, k, t)
-            sp = SupportProfile(grid, h, t) if h is not None else geometry.support_from_curvature(kp)
-            summary = geometry.summarize(kp, scheme)
-        else:
-            sp = SupportProfile(grid, h, t)
-            kp = CurvatureProfile(grid, 1.0 / rho, t)
-            summary = geometry.summarize(sp, scheme)
-        snapshots.append(Snapshot(t=t, curvature=kp, support=sp, summary=summary))
+        kp = CurvatureProfile(grid, k if k is not None else 1.0 / rho, t)
+        sp = SupportProfile(grid, h, t) if h is not None else None
+        # a curvature row is summarized with the support solved from it, also
+        # when h evolves beside it; Snapshot.support keeps the evolved h
+        solved = geometry.support_from_curvature(kp) if k is not None else sp
+        summary = geometry.summarize(kp, solved)
+        snapshots.append(Snapshot(t=t, curvature=kp, support=solved if sp is None else sp,
+                                  summary=summary))
         if disagreement is not None:
             disagreement.append(float(np.max(np.abs(k - 1.0 / rho))))
 
@@ -491,8 +490,8 @@ def containment_run(outer, inner, config):
     Both curves are Steiner-centered first; convexity of both and the
     pointwise ordering h_outer >= h_inner at t = 0 (set containment with a
     common origin) are preconditions.  The run ends when either curve
-    reaches the configured area floor (the inner one blows up first for
-    nested initial data); the containment contract is
+    reaches the configured area floor or curvature cap (the inner one blows
+    up first for nested initial data); the containment contract is
     min(h_outer - h_inner) >= -1e-8 * L_outer(0).
     """
     if outer.grid.n != inner.grid.n:
@@ -516,17 +515,18 @@ def containment_run(outer, inner, config):
     gaps = [float(np.min(gap0))]
     march = _march(rows, rhos, grid, config.law, config.c_cfl, scheme)
     for steps, (t, _, rows, rhos) in enumerate(march, start=1):
-        floor_hit = any(
-            _area_of_support_arrays(h, grid, rho) <= config.area_floor * a0
-            for (_, h), rho, a0 in zip(rows, rhos, areas0))
-        if steps % config.snapshot_every == 0 or floor_hit:
+        stop_reason = None
+        if any(_area_of_support_arrays(h, grid, rho) <= config.area_floor * a0
+               for (_, h), rho, a0 in zip(rows, rhos, areas0)):
+            stop_reason = STOP_AREA_FLOOR
+        elif max(float(1.0 / np.min(rho)) for rho in rhos) >= config.curvature_cap:
+            stop_reason = STOP_CURVATURE_CAP
+        if steps % config.snapshot_every == 0 or stop_reason is not None:
             times.append(t)
             gaps.append(float(np.min(rows[0][1] - rows[1][1])))
-        if floor_hit:
-            stop_reason = STOP_AREA_FLOOR
-            break
-        if steps >= config.max_steps:
+        if stop_reason is None and steps >= config.max_steps:
             stop_reason = STOP_STEP_LIMIT
+        if stop_reason is not None:
             break
     else:
         stop_reason = STOP_CONVEXITY_LOSS

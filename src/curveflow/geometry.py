@@ -423,27 +423,16 @@ def normalize(sp, area):
 # snapshot summaries
 # ---------------------------------------------------------------------------
 
-def summarize(profile, scheme="fourier"):
-    """All scalar observables of one snapshot, from either representation.
+def summarize(kp, sp):
+    """All scalar observables of one snapshot, from its two forms.
 
-    The Fourier h'' + h is computed once and serves the area, the convexity
-    and contrast guard, and (for a support profile on the Fourier scheme)
-    the curvature.
+    ``kp`` and ``sp`` are the same curve in curvature and support form; the
+    caller derives one from the other.  The curvature observables (length,
+    closure, k range, total curvature) read ``kp``.  The Fourier h'' + h of
+    ``sp`` is computed once and serves the area, the convexity and contrast
+    guard, the radii and the Hausdorff distance.
     """
-    if isinstance(profile, CurvatureProfile):
-        kp = profile
-        sp = support_from_curvature(kp)
-        rho = second_derivative(sp.h, sp.grid) + sp.h
-    elif isinstance(profile, SupportProfile):
-        sp = profile
-        rho = second_derivative(sp.h, sp.grid) + sp.h
-        if scheme == "fourier":
-            kp = CurvatureProfile(sp.grid, 1.0 / _checked_radius(sp, rho), sp.t)
-        else:
-            kp = k_from_support(sp, scheme)
-    else:
-        raise TypeError(f"expected a curvature or support profile, got {type(profile)}")
-
+    rho = second_derivative(sp.h, sp.grid) + sp.h
     length = length_of(kp)
     area = 0.5 * periodic_integral(sp.h * rho, sp.grid)
     if not (0.0 < length < math.inf and 0.0 < area < math.inf):

@@ -90,7 +90,7 @@ def circle_trajectory(r0, p, times, n=256):
         kp = CurvatureProfile(grid, np.full(grid.n, 1.0 / r), t)
         sp = SupportProfile(grid, np.full(grid.n, r), t)
         snaps.append(flow.Snapshot(t=float(t), curvature=kp, support=sp,
-                                   summary=geometry.summarize(kp)))
+                                   summary=geometry.summarize(kp, sp)))
     config = flow.FlowConfig(law=power_law(p), initial=snaps[0].curvature)
     omega = sol.omega
     traj = flow.Trajectory(

@@ -171,7 +171,7 @@ def test_criterion_5_iso_ratio_monotone(circle_runs, ellipse512, ellipse_affine,
 def test_criterion_6_inequality_property_suite(profile_corpus):
     violations = 0
     for sp in profile_corpus:
-        s = geometry.summarize(sp)
+        s = geometry.summarize(geometry.k_from_support(sp), sp)
         if s.bonnesen_gap < -1e-7 * s.iso_ratio:
             violations += 1
         kp = geometry.k_from_support(sp)
@@ -246,7 +246,7 @@ def test_criterion_11_geometry_vs_brute_force():
 
     worst = 0.0
     for name, kp in bodies:
-        s = geometry.summarize(kp)
+        s = geometry.summarize(kp, geometry.support_from_curvature(kp))
         scale = math.sqrt(math.pi / s.area)
         pts = geometry.reconstruct(kp).points * scale
         # the geometry route reports the distance in the Steiner frame, so

@@ -116,6 +116,20 @@ def test_containment_subcommand(tmp_path, capsys):
     assert ok == "1"
 
 
+@pytest.mark.parametrize("args, stop_reason", [
+    # a fourier outer curve is a support profile, passed on as it is
+    (["--outer", "fourier:2:0.02,3:0.01", "--inner", "circle:0.5"], "area-floor"),
+    # the inner circle reaches k = 1.5 long before the area floor
+    (["--outer", "circle:2", "--inner", "circle:1", "--k-cap", "1.5"], "curvature-cap"),
+], ids=["fourier-outer", "k-cap"])
+def test_containment_subcommand_stops(tmp_path, args, stop_reason):
+    out = tmp_path / "pair"
+    assert run_main(["containment", "--n", "64", "--out", str(out)] + args) == 0
+    doc = json.loads((out / "containment.json").read_text())
+    assert doc["stop_reason"] == stop_reason
+    assert doc["all_ok"] is True
+
+
 def test_sweep_subcommand(tmp_path):
     out = tmp_path / "sweep"
     code = run_main(["sweep", "--law", "power:1", "--law", "power:2",

@@ -1,4 +1,4 @@
-"""Property tests of the command line: random `run` and `sweep` arguments.
+"""Property tests of the command line: random `run`, `sweep` and `containment` arguments.
 
 Whatever the flags, `main` must return an exit code in 0-3 (never raise),
 every JSON file it writes must be strict JSON, and a sweep that exits 2 must
@@ -98,3 +98,21 @@ def test_sweep_rejects_before_any_run_or_indexes_every_run(curves, k_cap):
             assert not (out / "sweep.json").exists()
         else:
             json.loads((out / "sweep.json").read_text(), parse_constant=_reject_constant)
+
+
+# circles this small fit inside most valid outer curves, so most pairs reach a run
+small_circles = st.builds("circle:{}".format, st.floats(min_value=0.01, max_value=0.04))
+
+
+@settings(max_examples=30, deadline=None)
+@given(law=laws, outer=curves, inner=mostly(small_circles, curves), k_cap=k_caps,
+       max_steps=mostly(st.integers(1, 40), st.just(0)))
+def test_containment_exits_with_a_code_and_writes_strict_json(law, outer, inner, k_cap,
+                                                              max_steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        args = ["containment", f"--law={law}", f"--outer={outer}", f"--inner={inner}",
+                "--n=32", f"--max-steps={max_steps}", f"--out={tmp}"]
+        if k_cap is not None:
+            args.append(f"--k-cap={k_cap}")
+        call_main(args)
+        assert_strict_json(tmp)

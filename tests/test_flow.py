@@ -215,6 +215,26 @@ def test_run_convexity_loss_is_a_stop_not_a_crash(monkeypatch, driver):
     assert traj.step_count == 0
 
 
+@pytest.mark.parametrize("formulation, solves", [
+    ("curvature", "per-snapshot"), ("support", "initial"), ("both", "per-snapshot")])
+def test_snapshots_solve_the_support_once(monkeypatch, formulation, solves):
+    calls = []
+    solve = geometry.support_from_curvature
+
+    def counted(kp):
+        calls.append(kp.t)
+        return solve(kp)
+
+    monkeypatch.setattr(geometry, "support_from_curvature", counted)
+    g = AngleGrid(64)
+    traj = run(FlowConfig(law=power_law(1), initial=oracle.ellipse_profile(2.0, 1.0, g),
+                          area_floor=0.2, snapshot_every=100, formulation=formulation))
+    assert len(traj.snapshots) > 2
+    # one solve for the initial profile, then one per curvature-form snapshot
+    expected = 1 + (len(traj.snapshots) if solves == "per-snapshot" else 0)
+    assert len(calls) == expected
+
+
 def test_run_rejects_bad_config():
     kp = circle_kp(1.0, n=64)
     with pytest.raises(ValueError):
@@ -293,6 +313,31 @@ def test_containment_concentric_circles():
         assert gap == pytest.approx(exact, abs=1e-6)
     # the gap grows until the inner circle disappears
     assert report.min_gap[-1] > report.min_gap[0]
+
+
+def test_containment_curvature_cap_stop():
+    g = AngleGrid(64)
+    outer = SupportProfile(g, np.full(g.n, 2.0))
+    inner = SupportProfile(g, np.full(g.n, 1.0))
+    config = FlowConfig(law=power_law(1), initial=outer, k_cap=1.5, snapshot_every=200)
+    report = containment_run(outer, inner, config)
+    assert report.stop_reason == flow.STOP_CURVATURE_CAP
+    # the inner radius sqrt(1 - 2t) reaches 1/1.5; the stop records its gap
+    t_cap = (1.0 - 1.0 / 1.5 ** 2) / 2.0
+    assert report.times[-1] == pytest.approx(t_cap, abs=1e-3)
+    exact = math.sqrt(4.0 - 2.0 * report.times[-1]) - math.sqrt(1.0 - 2.0 * report.times[-1])
+    assert report.min_gap[-1] == pytest.approx(exact, abs=1e-6)
+
+
+def test_containment_step_limit_stop():
+    g = AngleGrid(64)
+    outer = SupportProfile(g, np.full(g.n, 2.0))
+    inner = SupportProfile(g, np.full(g.n, 1.0))
+    config = FlowConfig(law=power_law(1), initial=outer, max_steps=10, snapshot_every=5)
+    report = containment_run(outer, inner, config)
+    assert report.stop_reason == flow.STOP_STEP_LIMIT
+    assert len(report.times) == 3  # t = 0 and steps 5 and 10
+    assert report.all_ok
 
 
 def test_containment_identical_curves():

@@ -271,7 +271,7 @@ def test_area_routes_converge_spectrally():
 
 def test_isoperimetric_and_bonnesen_on_corpus(profile_corpus):
     for sp in profile_corpus:
-        s = summarize(sp)
+        s = summarize(k_from_support(sp), sp)
         assert s.iso_ratio >= 4.0 * math.pi - 1e-9
         assert s.bonnesen_gap >= -1e-7 * s.iso_ratio
         # summary invariants
