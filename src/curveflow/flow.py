@@ -4,16 +4,21 @@ Curvature form (angle parametrization):  dk/dt = k^2 (Phi(k)_thth + Phi(k))
 Support form:                            dh/dt = -Phi((h'' + h)^-1)
 with Phi(k) = G(k) * k.
 
-One stepper core integrates both.  It advances a tuple of rows, each a
-("curvature", k) or ("support", h) array, with shared classical RK4 steps
-under the adaptive parabolic CFL bound (min over the rows); a step that
-loses positivity in any row is rejected and retried at half the dt.  ``run``
-passes one row (two for formulation="both"), ``containment_run`` passes its
-outer and inner support rows, and ``step``, ``stable_dt`` and the ``rhs_*``
-functions expose single pieces of the core on one profile.  The equation
-stiffens as curvature blows up, so runs stop at an area floor (or a
-curvature cap) and report a bracket for the blow-up time instead of trying
-to cross it.
+One stepper core integrates both.  It advances a (B, n) stack of rows, at
+most one curvature row k first and then support rows h, with shared
+classical RK4 steps under the adaptive parabolic CFL bound (min over the
+rows); a step that loses positivity in any row is rejected and retried at
+half the dt.  The rows are stage-synchronous: at every RK4 stage the arrays
+they differentiate, Phi(k) and h, go through one stacked second_derivative
+call, and after the step the h'' + h of all support rows through one more.
+``run`` passes one row (two for formulation="both"), ``containment_run``
+passes its outer and inner support rows, and ``step``, ``stable_dt`` and
+the ``rhs_*`` functions expose single pieces of the core on one profile.
+The equation stiffens as curvature blows up, so runs stop at an area floor
+(or a curvature cap) and report a bracket for the blow-up time instead of
+trying to cross it.  Blaschke's rolling theorem, A >= pi / k_max^2, gates
+the curvature form's area check: the exact Fourier area is computed only
+once pi / k_max^2 is down to twice the floor, so the stop step is the same.
 """
 
 from __future__ import annotations
@@ -144,116 +149,154 @@ class Trajectory:
 # the stepper core
 # ---------------------------------------------------------------------------
 
-def _rhs(form, y, grid, law, scheme):
-    """Right-hand side of one row; StepRejected when a stage leaves the domain."""
-    if form == "curvature":
-        # positivity guard is NaN-safe; law.g needs no further validation here
-        if not np.min(y) > 0.0:
-            raise StepRejected("curvature lost positivity in a stage")
-        phi = law.g(y) * y
-        return y * y * (geometry.second_derivative(phi, grid, scheme) + phi)
-    rho = geometry.second_derivative(y, grid, scheme) + y
-    if not np.min(rho) > 0.0:
-        raise StepRejected("support profile lost convexity in a stage")
-    k = 1.0 / rho
-    return -(law.g(k) * k)
+def _speed(law, k):
+    """Phi(k) = G(k) k of each row of the stack ``k``, one law.g call per row.
 
-
-def _cfl_dt(rows, rhos, grid, law, c_cfl, scheme):
-    """Parabolic CFL bound c_cfl * dtheta^2 / (2 max(k^2 Phi'(k)) * d_scheme), min over rows."""
-    cfl_base = c_cfl * grid.dtheta ** 2 / (2.0 * _SCHEME_RADIUS_FACTOR[scheme])
-    dts = []
-    for (form, y), rho in zip(rows, rhos):
-        k = y if form == "curvature" else 1.0 / rho
-        dt = cfl_base / np.max(k * k * law.phi_prime(k))  # numpy gives inf on 0, no raise
-        if not 0.0 < dt < math.inf:
-            raise SpeedLawDomainError(f"{law.label}: no finite CFL step at k_max = "
-                                      f"{np.max(k):.3e}", abscissa=float(np.max(k)))
-        dts.append(float(dt))
-    return min(dts)
-
-
-def _rk4(y, dt, f):
-    k1 = f(y)
-    k2 = f(y + (0.5 * dt) * k1)
-    k3 = f(y + (0.5 * dt) * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _rk4_rows(rows, dt, grid, law, scheme):
-    """One RK4 step of every row; returns (rows, rhos) or raises StepRejected.
-
-    A step is rejected when any stage, or the result, produces k <= 0
-    (curvature row) or h'' + h <= 0 (support row).  ``rhos`` holds the
-    result's h'' + h for each support row and None for each curvature row.
+    Calling the law per row, not once on the stack, evaluates it on each row
+    exactly as when that row is stepped alone.
     """
-    new_rows, rhos = [], []
-    for form, y in rows:
-        new = _rk4(y, dt, lambda z: _rhs(form, z, grid, law, scheme))
-        if form == "curvature":
-            rho = None
-            if not np.min(new) > 0.0:
-                raise StepRejected("curvature lost positivity over a full step")
-        else:
-            rho = geometry.second_derivative(new, grid, scheme) + new
-            if not np.min(rho) > 0.0:
-                raise StepRejected("support profile lost convexity over a full step")
-        new_rows.append((form, new))
-        rhos.append(rho)
-    return tuple(new_rows), tuple(rhos)
+    if len(k) == 1:
+        return law.g(k) * k
+    return np.stack([law.g(row) * row for row in k])
 
 
-def _march(rows, rhos, grid, law, c_cfl, scheme):
-    """Advance rows of one flow with shared RK4 steps, yielding each accepted one.
+def _rhs(y, ncurv, grid, law, scheme):
+    """Right-hand sides of all rows of the (B, n) stack ``y`` at one RK4 stage.
+
+    The first ``ncurv`` rows (0 or 1) hold curvature, the rest support
+    functions.  The arrays the rows differentiate, Phi(k) and h, go through
+    one stacked second_derivative call.  Raises StepRejected when a stage
+    leaves the domain of any row.
+    """
+    k, h = y[:ncurv], y[ncurv:]
+    if ncurv:
+        # positivity guard is NaN-safe; law.g needs no further validation here
+        if not k.min() > 0.0:
+            raise StepRejected("curvature lost positivity in a stage")
+        phi = law.g(k) * k  # one row, one law.g call
+        d2 = geometry.second_derivative(np.concatenate((phi, h)) if len(h) else phi,
+                                        grid, scheme)
+        dk = k * k
+        dk *= d2[:ncurv] + phi
+        if not len(h):
+            return dk
+    else:
+        d2 = geometry.second_derivative(h, grid, scheme)
+    rho = d2[ncurv:]
+    rho += h
+    if not rho.min() > 0.0:
+        raise StepRejected("support profile lost convexity in a stage")
+    dh = -_speed(law, 1.0 / rho)
+    return np.concatenate((dk, dh)) if ncurv else dh
+
+
+def _cfl_base(c_cfl, grid, scheme):
+    return c_cfl * grid.dtheta ** 2 / (2.0 * _SCHEME_RADIUS_FACTOR[scheme])
+
+
+def _cfl_dt(y, ncurv, rho, law, cfl_base):
+    """Parabolic CFL bound cfl_base / max(k^2 Phi'(k)), min over the rows.
+
+    ``rho`` stacks h'' + h of the support rows, None when there are none.
+    """
+    ks = list(y[:ncurv])
+    if rho is not None:
+        ks.extend(1.0 / rho)
+    dt = math.inf
+    for k in ks:
+        bound = cfl_base / (k * k * law.phi_prime(k)).max()  # numpy gives inf on 0, no raise
+        if not 0.0 < bound < math.inf:
+            raise SpeedLawDomainError(f"{law.label}: no finite CFL step at k_max = "
+                                      f"{k.max():.3e}", abscissa=float(k.max()))
+        dt = min(dt, float(bound))
+    return dt
+
+
+def _rk4(y, ncurv, dt, grid, law, scheme):
+    """One RK4 step of every row; returns (y, rho) or raises StepRejected.
+
+    A step is rejected when any stage, or the result, produces k <= 0 in the
+    curvature row or h'' + h <= 0 in a support row.  ``rho`` stacks the
+    result's h'' + h of the support rows (one second_derivative call), or is
+    None when there are none.
+    """
+    half = 0.5 * dt
+    k1 = _rhs(y, ncurv, grid, law, scheme)
+    k2 = _rhs(y + half * k1, ncurv, grid, law, scheme)
+    k3 = _rhs(y + half * k2, ncurv, grid, law, scheme)
+    k4 = _rhs(y + dt * k3, ncurv, grid, law, scheme)
+    # y + (dt/6) (k1 + 2 k2 + 2 k3 + k4), summed in that order
+    new = 2.0 * k2
+    new += k1
+    k3 *= 2.0
+    new += k3
+    new += k4
+    new *= dt / 6.0
+    new += y
+    if ncurv and not new[:ncurv].min() > 0.0:
+        raise StepRejected("curvature lost positivity over a full step")
+    h = new[ncurv:]
+    if not len(h):
+        return new, None
+    rho = geometry.second_derivative(h, grid, scheme)
+    rho += h
+    if not rho.min() > 0.0:
+        raise StepRejected("support profile lost convexity over a full step")
+    return new, rho
+
+
+def _march(y, ncurv, rho, grid, law, c_cfl, scheme):
+    """Advance the rows of one flow with shared RK4 steps, yielding each accepted one.
 
     Every step takes the CFL bound over all rows and halves it on rejection.
-    Yields (t, dt, rows, rhos) per accepted step; returns, ending the
+    Yields (t, dt, y, rho) per accepted step; returns, ending the
     iteration, once halving pushes dt below 1e-14 of the elapsed time (or
     of the first dt), which callers report as convexity loss.
     """
+    cfl_base = _cfl_base(c_cfl, grid, scheme)
     clock = _Clock()
     first_dt = None
     while True:
-        dt = _cfl_dt(rows, rhos, grid, law, c_cfl, scheme)
+        dt = _cfl_dt(y, ncurv, rho, law, cfl_base)
         if first_dt is None:
             first_dt = dt
         dt_floor = 1e-14 * max(clock.t, first_dt)
         while True:
             try:
-                rows, rhos = _rk4_rows(rows, dt, grid, law, scheme)
+                y, rho = _rk4(y, ncurv, dt, grid, law, scheme)
                 break
             except StepRejected:
                 dt *= 0.5
                 if dt < dt_floor:
                     return
         clock.advance(dt)
-        yield clock.t, dt, rows, rhos
+        yield clock.t, dt, y, rho
 
 
-def _row(profile):
+def _stack(profile):
+    """One profile as a one-row stack and its count of curvature rows."""
     if isinstance(profile, CurvatureProfile):
-        return "curvature", profile.k
+        return profile.k[None], 1
     if isinstance(profile, SupportProfile):
-        return "support", profile.h
+        return profile.h[None], 0
     raise TypeError(f"cannot step a {type(profile)}")
 
 
 def rhs_curvature(kp, law, scheme="fourier"):
     """dk/dt = k^2 (Phi'' + Phi) on the grid; raises StepRejected unless k > 0."""
-    return _rhs("curvature", kp.k, kp.grid, law, scheme)
+    return _rhs(kp.k[None], 1, kp.grid, law, scheme)[0]
 
 
 def rhs_support(sp, law, scheme="fourier"):
     """dh/dt = -Phi(k), k = (h'' + h)^-1; raises StepRejected unless h'' + h > 0."""
-    return _rhs("support", sp.h, sp.grid, law, scheme)
+    return _rhs(sp.h[None], 0, sp.grid, law, scheme)[0]
 
 
 def stable_dt(profile, law, c_cfl, scheme="fourier"):
     """Parabolic CFL bound c_cfl * dtheta^2 / (2 max(k^2 Phi'(k)) * d_scheme)."""
-    row = _row(profile)
-    rho = geometry.curvature_radius(profile, scheme) if row[0] == "support" else None
-    return _cfl_dt((row,), (rho,), profile.grid, law, c_cfl, scheme)
+    y, ncurv = _stack(profile)
+    rho = None if ncurv else geometry.curvature_radius(profile, scheme)[None]
+    return _cfl_dt(y, ncurv, rho, law, _cfl_base(c_cfl, profile.grid, scheme))
 
 
 def step(state, law, dt, scheme="fourier"):
@@ -262,8 +305,9 @@ def step(state, law, dt, scheme="fourier"):
     A step is rejected when any stage, or the result, produces k <= 0
     (curvature form) or h'' + h <= 0 (support form).
     """
-    rows, _ = _rk4_rows((_row(state),), dt, state.grid, law, scheme)
-    return type(state)(state.grid, rows[0][1], state.t + dt)
+    y, ncurv = _stack(state)
+    new, _ = _rk4(y, ncurv, dt, state.grid, law, scheme)
+    return type(state)(state.grid, new[0], state.t + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +364,17 @@ def run(config):
     grid = config.initial.grid
     scheme = config.spatial_scheme
 
-    # initial data in the forms this run evolves
+    # initial data in the forms this run evolves: the curvature row first
     kp0 = config.initial_curvature
-    sp0 = (config.initial if isinstance(config.initial, SupportProfile)
-           else geometry.support_from_curvature(kp0))
     k_max0 = float(np.max(kp0.k))
     k_min0 = float(np.min(kp0.k))
     k_cap = config.curvature_cap
+    ncurv = int(config.formulation != "support")
+    rows = [kp0.k] if ncurv else []
+    if config.formulation != "curvature":
+        sp0 = (config.initial if isinstance(config.initial, SupportProfile)
+               else geometry.support_from_curvature(kp0))
+        rows.append(sp0.h)
 
     # validate the law on the curvature range this run can visit
     hyp = check_hypotheses(law, k_min0 / 2.0, k_cap, n_probes=64)
@@ -337,18 +385,14 @@ def run(config):
             "parabolic and cannot be integrated")
     roundness = hyp.all_ok
 
-    rows = tuple((form, y) for form, y in (("curvature", kp0.k), ("support", sp0.h))
-                 if config.formulation in (form, "both"))
-
     snapshots = []
     disagreement = [] if config.formulation == "both" else None
 
-    def take_snapshot(t, rows, rhos):
-        # rhos holds the support row's h'' + h as the stepper core computed it
-        arrays = dict(rows)
-        k, h = arrays.get("curvature"), arrays.get("support")
-        rho = dict(zip(arrays, rhos)).get("support")
-        kp = CurvatureProfile(grid, k if k is not None else 1.0 / rho, t)
+    def take_snapshot(t, y, rho):
+        # rho holds the support row's h'' + h as the stepper core computed it
+        k = y[0] if ncurv else None
+        h = y[ncurv] if rho is not None else None
+        kp = CurvatureProfile(grid, k if k is not None else 1.0 / rho[0], t)
         sp = SupportProfile(grid, h, t) if h is not None else None
         # a curvature row is summarized with the support solved from it, also
         # when h evolves beside it; Snapshot.support keeps the evolved h
@@ -357,23 +401,24 @@ def run(config):
         snapshots.append(Snapshot(t=t, curvature=kp, support=solved if sp is None else sp,
                                   summary=summary))
         if disagreement is not None:
-            disagreement.append(float(np.max(np.abs(k - 1.0 / rho))))
+            disagreement.append(float(np.max(np.abs(k - 1.0 / rho[0]))))
 
-    def snapshot_failure(t, rows, rhos):
+    def snapshot_failure(t, y, rho):
         """Take a snapshot; returns the stop reason its geometry failed with, if any."""
         try:
-            take_snapshot(t, rows, rhos)
+            take_snapshot(t, y, rho)
         except (ConvexityLossError, NotClosedError):
             return STOP_CONVEXITY_LOSS
         except DegenerateProfileError:
             return STOP_DEGENERATE
         return None
 
-    rhos = tuple(None if form == "curvature"
-                 else geometry.second_derivative(y, grid, scheme) + y
-                 for form, y in rows)
-    take_snapshot(0.0, rows, rhos)
+    y = np.array(rows)
+    h = y[ncurv:]
+    rho = geometry.second_derivative(h, grid, scheme) + h if len(h) else None
+    take_snapshot(0.0, y, rho)
     area0 = snapshots[0].summary.area
+    area_floor = config.area_floor * area0
     traj = Trajectory(snapshots=snapshots, stop_reason=STOP_STEP_LIMIT,
                       config=config, hypothesis_report=hyp,
                       roundness_expected=roundness,
@@ -381,29 +426,32 @@ def run(config):
 
     t = 0.0
     steps = 0
+    dt_min, dt_max = math.inf, 0.0
     snapshot_stop = False
-    for t, dt, rows, rhos in _march(rows, rhos, grid, law, config.c_cfl, scheme):
+    for t, dt, y, rho in _march(y, ncurv, rho, grid, law, config.c_cfl, scheme):
         steps += 1
-        traj.dt_min = min(traj.dt_min, dt)
-        traj.dt_max = max(traj.dt_max, dt)
+        dt_min = min(dt_min, dt)
+        dt_max = max(dt_max, dt)
 
         # stop checks read the curvature form when both evolve (tie: area wins)
-        form, y = rows[0]
-        if form == "curvature":
-            area = _support_area_from_k(y, grid)
-            k_now = float(np.max(y))
+        if ncurv:
+            k_now = float(y[0].max())
+            # Blaschke's rolling theorem gives A >= pi / k_max^2, so the exact
+            # area is needed only once that bound fails to clear the floor by 2x
+            below = (math.pi / (k_now * k_now) <= 2.0 * area_floor
+                     and _support_area_from_k(y[0], grid) <= area_floor)
         else:
-            area = _area_of_support_arrays(y, grid, rhos[0])
-            k_now = float(1.0 / np.min(rhos[0]))
+            below = _area_of_support_arrays(y[0], grid, rho[0]) <= area_floor
+            k_now = float(1.0 / rho[0].min())
         stop = None
-        if area <= config.area_floor * area0:
+        if below:
             stop = STOP_AREA_FLOOR
         elif k_now >= k_cap:
             stop = STOP_CURVATURE_CAP
         elif steps >= config.max_steps:
             stop = STOP_STEP_LIMIT
         elif steps % config.snapshot_every == 0:
-            stop = snapshot_failure(t, rows, rhos)
+            stop = snapshot_failure(t, y, rho)
             snapshot_stop = stop is not None
         if stop is not None:
             traj.stop_reason = stop
@@ -412,10 +460,10 @@ def run(config):
         traj.stop_reason = STOP_CONVEXITY_LOSS  # halving pushed dt below its floor
 
     traj.step_count = steps
-    if traj.dt_min == float("inf"):
-        traj.dt_min = 0.0
+    traj.dt_min = dt_min if steps else 0.0
+    traj.dt_max = dt_max
     if snapshots[-1].t < t and not snapshot_stop:
-        snapshot_failure(t, rows, rhos)  # on failure the last good snapshot stays last
+        snapshot_failure(t, y, rho)  # on failure the last good snapshot stays last
 
     last = snapshots[-1].summary
     if last.k_max >= 10.0 * k_max0:
@@ -509,23 +557,25 @@ def containment_run(outer, inner, config):
             f"outer profile does not contain inner at t=0 "
             f"(min gap {np.min(gap0):.3e} after Steiner centering)")
 
-    rows = (("support", outer.h), ("support", inner.h))
-    areas0 = [_area_of_support_arrays(h, grid, rho) for (_, h), rho in zip(rows, rhos)]
+    y = np.array([outer.h, inner.h])
+    rho = np.array(rhos)
+    areas0 = [_area_of_support_arrays(h, grid, r) for h, r in zip(y, rho)]
     times = [0.0]
     gaps = [float(np.min(gap0))]
-    march = _march(rows, rhos, grid, config.law, config.c_cfl, scheme)
-    for steps, (t, _, rows, rhos) in enumerate(march, start=1):
+    march = _march(y, 0, rho, grid, config.law, config.c_cfl, scheme)
+    for steps, (t, _, y, rho) in enumerate(march, start=1):
         stop_reason = None
-        if any(_area_of_support_arrays(h, grid, rho) <= config.area_floor * a0
-               for (_, h), rho, a0 in zip(rows, rhos, areas0)):
+        if any(_area_of_support_arrays(h, grid, r) <= config.area_floor * a0
+               for h, r, a0 in zip(y, rho, areas0)):
             stop_reason = STOP_AREA_FLOOR
-        elif max(float(1.0 / np.min(rho)) for rho in rhos) >= config.curvature_cap:
+        elif float(1.0 / rho.min()) >= config.curvature_cap:
             stop_reason = STOP_CURVATURE_CAP
+        elif steps >= config.max_steps:
+            stop_reason = STOP_STEP_LIMIT
+        # the final state is recorded whatever stopped the run
         if steps % config.snapshot_every == 0 or stop_reason is not None:
             times.append(t)
-            gaps.append(float(np.min(rows[0][1] - rows[1][1])))
-        if stop_reason is None and steps >= config.max_steps:
-            stop_reason = STOP_STEP_LIMIT
+            gaps.append(float(np.min(y[0] - y[1])))
         if stop_reason is not None:
             break
     else:

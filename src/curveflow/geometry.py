@@ -85,15 +85,17 @@ def _fourier_modes(n):
 
 
 def second_derivative(values, grid, scheme="fourier"):
-    """Periodic second derivative in theta."""
+    """Periodic second derivative in theta, of each row of a stack along the last axis."""
     n = grid.n
     if scheme == "fourier":
-        return np.fft.irfft(np.fft.rfft(values) * _fourier_tables(n)[1], n=n)
+        spectrum = np.fft.rfft(values)
+        spectrum *= _fourier_tables(n)[1]
+        return np.fft.irfft(spectrum, n=n)
     if scheme == "fd4":
         f = np.asarray(values, dtype=float)
-        out = (-np.roll(f, -2) + 16.0 * np.roll(f, -1) - 30.0 * f
-               + 16.0 * np.roll(f, 1) - np.roll(f, 2)) / (12.0 * grid.dtheta ** 2)
-        return out
+        out = (-np.roll(f, -2, axis=-1) + 16.0 * np.roll(f, -1, axis=-1) - 30.0 * f
+               + 16.0 * np.roll(f, 1, axis=-1) - np.roll(f, 2, axis=-1))
+        return out / (12.0 * grid.dtheta ** 2)
     raise ValueError(f"unknown derivative scheme {scheme!r}")
 
 

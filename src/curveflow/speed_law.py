@@ -35,7 +35,7 @@ class SpeedLaw:
 
     def _check_domain(self, k):
         k = np.asarray(k, dtype=float)
-        if np.any(k <= 0.0):
+        if (k <= 0.0).any():
             bad = float(np.min(k))
             raise SpeedLawDomainError(
                 f"curvature must be positive, got {bad}", abscissa=bad)
@@ -120,7 +120,7 @@ def _pow(x, e):
     # np.power with a float exponent dominates the integrator's arithmetic
     # cost, so the small integer exponents get dedicated paths
     if e == 0.0:
-        return np.ones_like(np.asarray(x, dtype=float))
+        return np.ones(np.shape(x))
     if e == 1.0:
         return np.asarray(x, dtype=float) + 0.0
     if e == 2.0:

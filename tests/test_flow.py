@@ -131,6 +131,91 @@ def test_fd4_scheme_steps():
 
 
 # ---------------------------------------------------------------------------
+# the stacked stepper core
+# ---------------------------------------------------------------------------
+
+def _support_pair(g):
+    sp = geometry.support_from_curvature(oracle.ellipse_profile(2.0, 1.0, g))
+    # h'' + h grows by 0.5 - 0.08 cos(3 theta) > 0, so the second curve is convex too
+    other = SupportProfile(g, sp.h + 0.5 + 0.01 * np.cos(3.0 * g.theta))
+    return sp, other
+
+
+@pytest.mark.parametrize("scheme", ["fourier", "fd4"])
+def test_stacked_stage_matches_per_row_rhs(scheme):
+    g = AngleGrid(128)
+    kp = oracle.ellipse_profile(2.0, 1.0, g)
+    sp, other = _support_pair(g)
+    law = power_law(2)
+    # the per-row definitions, one second derivative per row
+    phi = law.g(kp.k) * kp.k
+    by_def_k = kp.k * kp.k * (geometry.second_derivative(phi, g, scheme) + phi)
+    rho = geometry.second_derivative(sp.h, g, scheme) + sp.h
+    by_def_h = -(law.g(1.0 / rho) * (1.0 / rho))
+
+    pair = flow._rhs(np.array([kp.k, sp.h]), 1, g, law, scheme)
+    assert np.array_equal(pair[0], rhs_curvature(kp, law, scheme))
+    assert np.array_equal(pair[0], by_def_k)
+    assert np.array_equal(pair[1], rhs_support(sp, law, scheme))
+    assert np.array_equal(pair[1], by_def_h)
+
+    two = flow._rhs(np.array([sp.h, other.h]), 0, g, law, scheme)
+    assert np.array_equal(two[0], rhs_support(sp, law, scheme))
+    assert np.array_equal(two[1], rhs_support(other, law, scheme))
+
+
+@pytest.mark.parametrize("scheme", ["fourier", "fd4"])
+def test_stacked_step_matches_per_row_steps(scheme):
+    g = AngleGrid(128)
+    kp = oracle.ellipse_profile(2.0, 1.0, g)
+    sp, other = _support_pair(g)
+    law = power_law(1)
+    dt = 0.5 * stable_dt(kp, law, 0.4, scheme)
+    y, rho = flow._rk4(np.array([kp.k, sp.h, other.h]), 1, dt, g, law, scheme)
+    assert np.array_equal(y[0], step(kp, law, dt, scheme).k)
+    for row, prof in zip(y[1:], (sp, other)):
+        assert np.array_equal(row, step(prof, law, dt, scheme).h)
+    assert np.array_equal(rho, geometry.second_derivative(y[1:], g, scheme) + y[1:])
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256, 512, 1024])
+def test_spectral_area_obeys_the_blaschke_bound(n):
+    # run skips the exact area check while pi / k_max^2 > 2 * floor, relying
+    # on Blaschke's rolling theorem A >= pi / k_max^2 for the spectral area
+    from conftest import random_convex_support
+    g = AngleGrid(n)
+    rng = np.random.default_rng(n)
+    ks = [oracle.ellipse_profile(a, 1.0, g).k for a in (1.0, 1.01, 1.5, 2.0, 4.0, 8.0, 16.0)]
+    ks += [np.full(n, 1.0 / r) for r in (0.3, 1.0, 7.0)]
+    for _ in range(30):
+        sp = random_convex_support(g, rng, rel=rng.uniform(0.02, 0.18))
+        ks.append(1.0 / geometry.curvature_radius(sp))
+    for k in ks:
+        # equality holds for circles, up to roundoff
+        bound = math.pi / float(np.max(k)) ** 2
+        assert flow._support_area_from_k(k, g) >= (1.0 - 1e-12) * bound
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_area_gate_keeps_the_stop_step(p):
+    g = AngleGrid(64)
+    kp = oracle.ellipse_profile(2.0, 1.0, g)
+    law = power_law(p)
+    config = FlowConfig(law=law, initial=kp, area_floor=1e-3, snapshot_every=10 ** 6)
+    traj = run(config)
+    assert traj.stop_reason == flow.STOP_AREA_FLOOR
+    # reference: the exact area on every step
+    floor = config.area_floor * traj.snapshots[0].summary.area
+    steps = 0
+    for t, _, y, _ in flow._march(kp.k[None], 1, None, g, law, config.c_cfl, "fourier"):
+        steps += 1
+        if flow._support_area_from_k(y[0], g) <= floor:
+            break
+    assert traj.step_count == steps
+    assert traj.last.t == t
+
+
+# ---------------------------------------------------------------------------
 # full runs
 # ---------------------------------------------------------------------------
 
@@ -230,8 +315,10 @@ def test_snapshots_solve_the_support_once(monkeypatch, formulation, solves):
     traj = run(FlowConfig(law=power_law(1), initial=oracle.ellipse_profile(2.0, 1.0, g),
                           area_floor=0.2, snapshot_every=100, formulation=formulation))
     assert len(traj.snapshots) > 2
-    # one solve for the initial profile, then one per curvature-form snapshot
-    expected = 1 + (len(traj.snapshots) if solves == "per-snapshot" else 0)
+    # one solve for the initial profile when a support row evolves, then one
+    # per curvature-form snapshot
+    expected = ((formulation != "curvature")
+                + (len(traj.snapshots) if solves == "per-snapshot" else 0))
     assert len(calls) == expected
 
 
@@ -338,6 +425,21 @@ def test_containment_step_limit_stop():
     assert report.stop_reason == flow.STOP_STEP_LIMIT
     assert len(report.times) == 3  # t = 0 and steps 5 and 10
     assert report.all_ok
+
+
+def test_containment_step_limit_off_cadence_records_the_final_gap():
+    g = AngleGrid(64)
+    outer = SupportProfile(g, np.full(g.n, 2.0))
+    inner = SupportProfile(g, np.full(g.n, 1.0))
+    every = containment_run(outer, inner, FlowConfig(law=power_law(1), initial=outer,
+                                                     max_steps=10, snapshot_every=1))
+    report = containment_run(outer, inner, FlowConfig(law=power_law(1), initial=outer,
+                                                      max_steps=10, snapshot_every=4))
+    assert report.stop_reason == every.stop_reason == flow.STOP_STEP_LIMIT
+    assert len(every.times) == 11
+    # steps 0, 4 and 8 on the cadence, then the final state at step 10
+    assert report.times == [every.times[i] for i in (0, 4, 8, 10)]
+    assert report.min_gap == [every.min_gap[i] for i in (0, 4, 8, 10)]
 
 
 def test_containment_identical_curves():

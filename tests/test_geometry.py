@@ -56,6 +56,21 @@ def test_second_derivative_on_harmonics(scheme, rtol):
     assert np.allclose(d2, -9.0 * f, atol=rtol * 9.0)
 
 
+@pytest.mark.parametrize("scheme", ["fourier", "fd4"])
+def test_stacked_second_derivative_matches_rows(scheme):
+    # the stepper differentiates all rows of a flow in one call and reduces
+    # them row by row; both must match one-row work bit for bit
+    rng = np.random.default_rng(7)
+    for n in (32, 64, 128, 256, 512, 1024):
+        g = AngleGrid(n)
+        for rows in range(1, 7):
+            stack = 1.0 + rng.random((rows, n))
+            d2 = geometry.second_derivative(stack, g, scheme)
+            for row, out in zip(stack, d2):
+                assert np.array_equal(out, geometry.second_derivative(row.copy(), g, scheme))
+                assert out.min() == np.min(out.copy()) and out.sum() == np.sum(out.copy())
+
+
 def test_fd4_orders():
     # fourth-order convergence of the fallback stencils
     errs1, errs2 = [], []
