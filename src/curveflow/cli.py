@@ -162,8 +162,8 @@ def emit_timeseries(traj, out_dir, spec=None, reports=None):
         "roundness_expected": traj.roundness_expected,
         "hypothesis_report": dataclasses.asdict(hyp) if hyp is not None else None,
         "omega": dataclasses.asdict(est) if est is not None else None,
-        "steps": {"count": traj.step_count, "dt_min": traj.dt_min,
-                  "dt_max": traj.dt_max},
+        "steps": {"count": traj.step_count, "rejected": traj.rejected_count,
+                  "dt_min": traj.dt_min, "dt_max": traj.dt_max},
         "snapshots": [dict(zip(SERIES_COLUMNS, _summary_row(s.t, s.summary)))
                       for s in traj.snapshots],
         "form_disagreement": traj.form_disagreement,
@@ -176,9 +176,15 @@ def emit_timeseries(traj, out_dir, spec=None, reports=None):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def execute_run(spec, out_dir):
-    """Shared path for `run` and for sweep workers; returns an exit code."""
-    traj = flow.run(_flow_config(spec, parse_law(spec.law), build_initial(spec)))
+def execute_run(spec, out_dir, config=None):
+    """Shared path for `run` and for sweep members; returns an exit code.
+
+    ``config`` is the run's FlowConfig when the caller has built it from
+    ``spec`` already, as a sweep does to validate its entries.
+    """
+    if config is None:
+        config = _flow_config(spec, parse_law(spec.law), build_initial(spec))
+    traj = flow.run(config)
     reports = diagnostics.run_all_monitors(traj)
     emit_timeseries(traj, out_dir, spec=spec, reports=reports)
     print(diagnostics.format_monitor_table(reports))
@@ -238,24 +244,25 @@ def execute_check_law(law_name_str, x_lo, x_hi, n_probes):
 
 
 def execute_sweep(specs, out_root, workers):
-    for spec in specs:  # a bad entry is a usage error before any run starts
-        _flow_config(spec, parse_law(spec.law), build_initial(spec))
+    # a bad entry is a usage error before any run starts
+    configs = [_flow_config(spec, parse_law(spec.law), build_initial(spec))
+               for spec in specs]
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
     names = [f"run_{i:03d}_" + f"{s.law}_{s.curve}".replace(":", "").replace(",", "x")
              for i, s in enumerate(specs)]
 
-    def worker(pair):
+    def worker(member):
         """(exit code, error message or None) of one member run."""
-        spec, name = pair
+        spec, config, name = member
         try:
-            return execute_run(spec, out_root / name), None
+            return execute_run(spec, out_root / name, config), None
         except CurveFlowError as exc:
             print(f"{name}: {exc}", file=sys.stderr)
             return EXIT_RUNTIME, str(exc)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(worker, zip(specs, names)))
+        results = list(pool.map(worker, zip(specs, configs, names)))
     index = {"runs": [{"name": n, "spec": s.to_dict(), "exit": c, "error": e}
                       for n, s, (c, e) in zip(names, specs, results)]}
     _write_json(out_root / "sweep.json", index)
@@ -284,8 +291,14 @@ def _add_run_flags(p, multi=False):
                    help="absolute curvature cap (default 1e6 * k_max(0))")
     p.add_argument("--max-steps", type=int, default=RunSpec.max_steps)
     p.add_argument("--cadence", type=int, default=RunSpec.cadence,
-                   help="snapshot every this many accepted steps")
-    p.add_argument("--cfl", type=float, default=RunSpec.cfl, help="CFL safety factor")
+                   help="snapshot every this many CFL units; a step of dt counts "
+                        "dt / (c_cfl dtheta^2 / (2 max k^2 Phi'(k))), so one unit is "
+                        "one RK4 step at its CFL bound")
+    p.add_argument("--cfl", type=float, default=RunSpec.cfl,
+                   help="step factor c_cfl in (0, 1]: a full ETDRK4 step has dt max "
+                        f"k^2 Phi'(k) = c_cfl / {flow.ETD_K:.4g}, or c_cfl dtheta^2 / 2 "
+                        "where that is larger; the error control halves it where "
+                        "needed")
     p.add_argument("--scheme", choices=flow.FORMULATIONS, default=RunSpec.scheme,
                    help="evolved formulation")
     p.add_argument("--spatial", choices=flow.SPATIAL_SCHEMES, default=RunSpec.spatial,

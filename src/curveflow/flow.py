@@ -5,15 +5,28 @@ Support form:                            dh/dt = -Phi((h'' + h)^-1)
 with Phi(k) = G(k) * k.
 
 One stepper core integrates both.  It advances a (B, n) stack of rows, at
-most one curvature row k first and then support rows h, with shared
-classical RK4 steps under the adaptive parabolic CFL bound (min over the
-rows); a step that loses positivity in any row is rejected and retried at
-half the dt.  The rows are stage-synchronous: at every RK4 stage the arrays
-they differentiate, Phi(k) and h, go through one stacked second_derivative
-call, and after the step the h'' + h of all support rows through one more.
+most one curvature row k first and then support rows h, with shared ETDRK4
+steps (Cox & Matthews 2002, in the form of Kassam & Trefethen 2005).  The
+diffusion rate k^2 Phi'(k) blows up with the curvature, so the stiff part
+L = -S sigma(m), with S = max k^2 Phi'(k) over the rows and sigma the
+symbol of -d^2/dtheta^2, is integrated exactly in Fourier space, and
+N = rhs - L y is built on the right-hand side ``_rhs``.  A full step has
+dt S = c_cfl / ETD_K (0.0015 at the default c_cfl), so the step count does
+not grow with n; on grids of n <= 64 the RK4 bound c_cfl dtheta^2 / 2 is the
+longer step and is taken instead.  Where k^2 Phi'(k) falls far below S
+over much of the curve, the part of the diffusion that L leaves in N is
+stiff, and a full step can be inaccurate: every step carries an embedded
+error estimate, and a step whose estimate exceeds ETD_TOLERANCE, or that
+loses positivity in any row, is rejected and retried at half the dt.  The
+rows are stage-synchronous: at every stage the arrays they differentiate,
+Phi(k) and h, go through one stacked second_derivative call.  Snapshots
+follow the CFL clock, which counts CFL units, dt S / (c_cfl dtheta^2 / 2)
+per step (one unit is one RK4 step at its stability bound); a step is
+clipped to land on each cadence mark.
 ``run`` passes one row (two for formulation="both"), ``containment_run``
-passes its outer and inner support rows, and ``step``, ``stable_dt`` and
-the ``rhs_*`` functions expose single pieces of the core on one profile.
+passes its outer and inner support rows.  Classical RK4 remains as the
+one-step reference: ``step``, ``stable_dt`` and the ``rhs_*`` functions
+expose it and the right-hand sides on one profile.
 The equation stiffens as curvature blows up, so runs stop at an area floor
 (or a curvature cap) and report a bracket for the blow-up time instead of
 trying to cross it.  Blaschke's rolling theorem, A >= pi / k_max^2, gates
@@ -24,6 +37,7 @@ once pi / k_max^2 is down to twice the floor, so the stop step is the same.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import List, Optional, Union
 
@@ -57,6 +71,25 @@ FORMULATIONS = ("curvature", "support", "both")
 _SCHEME_RADIUS_FACTOR = {"fourier": 1.0, "fd4": 16.0 / (3.0 * math.pi ** 2)}
 SPATIAL_SCHEMES = tuple(_SCHEME_RADIUS_FACTOR)
 
+# A full ETDRK4 step takes dt = eps / S with eps = c_cfl / ETD_K (0.0015 at
+# the default c_cfl = 0.4) and S = max k^2 Phi'(k), or the RK4 step
+# c_cfl dtheta^2 / (2 S) where that is longer (n <= 64, whatever c_cfl).
+ETD_K = 800.0 / 3.0
+# Largest accepted local error estimate of a step, relative to each row's
+# largest value.  On the p = 4 ellipse, the stiffest law and curve the
+# tests run, 1e-5 lets the evolution identities drift past their 1% bound
+# (1.1%), while 1e-6 and 1e-7 give the same 0.75%: the run's figures have
+# converged at 1e-6.
+ETD_TOLERANCE = 1e-6
+_ETD_CONTOUR_POINTS = 32
+# The upper half of that circle around 0, for the radii 1 and 2 (rows),
+# with e^w and e^(w/2): for real z the lower half holds the complex
+# conjugates, so a mean over the circle is the real part of the mean over
+# these points.
+_CONTOUR = np.outer((1.0, 2.0), np.exp(1j * np.pi * (
+    np.arange(_ETD_CONTOUR_POINTS // 2) + 0.5) / (_ETD_CONTOUR_POINTS // 2)))
+_CONTOUR_EXP = (np.exp(_CONTOUR), np.exp(0.5 * _CONTOUR))
+
 
 @dataclasses.dataclass(frozen=True)
 class FlowConfig:
@@ -65,9 +98,13 @@ class FlowConfig:
     ``area_floor`` is the fraction of the initial area at which the run
     stops; ``k_cap`` is an absolute curvature cap (default 1e6 times the
     initial maximum), checked against the initial k_max when the config is
-    built.  ``snapshot_every`` counts accepted steps.  Building the config
-    also sets ``initial_curvature``, the initial profile in curvature form,
-    and ``curvature_cap``, the cap in force.
+    built.  ``snapshot_every`` counts CFL units: a step of dt counts
+    dt S / (c_cfl dtheta^2 / 2), S = max k^2 Phi'(k), so one unit is one
+    RK4 step at its CFL bound.  Steps are clipped to land on its multiples,
+    where snapshots are taken, so the snapshot times do not depend on the
+    step count.  Building the config also sets ``initial_curvature``, the
+    initial profile in curvature form, and ``curvature_cap``, the cap in
+    force.
     """
 
     law: object
@@ -130,6 +167,7 @@ class Trajectory:
     roundness_expected: bool
     omega_estimate: Optional[BlowUpEstimate] = None
     step_count: int = 0
+    rejected_count: int = 0
     dt_min: float = float("inf")
     dt_max: float = 0.0
     form_disagreement: Optional[List[float]] = None
@@ -161,7 +199,7 @@ def _speed(law, k):
 
 
 def _rhs(y, ncurv, grid, law, scheme):
-    """Right-hand sides of all rows of the (B, n) stack ``y`` at one RK4 stage.
+    """Right-hand sides of all rows of the (B, n) stack ``y`` at one stage.
 
     The first ``ncurv`` rows (0 or 1) hold curvature, the rest support
     functions.  The arrays the rows differentiate, Phi(k) and h, go through
@@ -194,22 +232,35 @@ def _cfl_base(c_cfl, grid, scheme):
     return c_cfl * grid.dtheta ** 2 / (2.0 * _SCHEME_RADIUS_FACTOR[scheme])
 
 
-def _cfl_dt(y, ncurv, rho, law, cfl_base):
-    """Parabolic CFL bound cfl_base / max(k^2 Phi'(k)), min over the rows.
+def _step_scale(c_cfl, grid, scheme):
+    """dt * S of a full ETDRK4 step: c_cfl / ETD_K, or the RK4 bound if longer.
+
+    The RK4 bound is longer on grids of n <= 64 only.  There the explicit
+    part of the step stays within the stability bound an RK4 step obeys,
+    every mode has dt S sigma(m) <= c_cfl pi^2 / 2, and the error estimate
+    rejects the step where it is not accurate; a run then takes one step
+    per CFL unit, as RK4 did.
+    """
+    return max(c_cfl / ETD_K, _cfl_base(c_cfl, grid, scheme))
+
+
+def _stiffness(y, ncurv, rho, law, scale):
+    """S = max(k^2 Phi'(k)) over the rows, the diffusion rate that sets the step.
 
     ``rho`` stacks h'' + h of the support rows, None when there are none.
+    Raises SpeedLawDomainError unless ``scale`` / S is a finite positive step.
     """
     ks = list(y[:ncurv])
     if rho is not None:
         ks.extend(1.0 / rho)
-    dt = math.inf
+    stiffness = 0.0
     for k in ks:
-        bound = cfl_base / (k * k * law.phi_prime(k)).max()  # numpy gives inf on 0, no raise
-        if not 0.0 < bound < math.inf:
-            raise SpeedLawDomainError(f"{law.label}: no finite CFL step at k_max = "
+        rate = (k * k * law.phi_prime(k)).max()
+        if not 0.0 < scale / rate < math.inf:  # numpy gives inf on 0, no raise
+            raise SpeedLawDomainError(f"{law.label}: no finite step at k_max = "
                                       f"{k.max():.3e}", abscissa=float(k.max()))
-        dt = min(dt, float(bound))
-    return dt
+        stiffness = max(stiffness, float(rate))
+    return stiffness
 
 
 def _rk4(y, ncurv, dt, grid, law, scheme):
@@ -233,44 +284,170 @@ def _rk4(y, ncurv, dt, grid, law, scheme):
     new += k4
     new *= dt / 6.0
     new += y
+    return _checked(new, ncurv, grid, scheme)
+
+
+def _checked(new, ncurv, grid, scheme, rho=None):
+    """(new, rho) of a full step, or raises StepRejected.
+
+    A step is rejected when its result has k <= 0 in the curvature row or
+    h'' + h <= 0 in a support row.  ``rho``, the result's h'' + h of the
+    support rows, is computed here unless the caller passes it.
+    """
     if ncurv and not new[:ncurv].min() > 0.0:
         raise StepRejected("curvature lost positivity over a full step")
     h = new[ncurv:]
     if not len(h):
         return new, None
-    rho = geometry.second_derivative(h, grid, scheme)
-    rho += h
+    if rho is None:
+        rho = geometry.second_derivative(h, grid, scheme)
+        rho += h
     if not rho.min() > 0.0:
         raise StepRejected("support profile lost convexity over a full step")
     return new, rho
 
 
-def _march(y, ncurv, rho, grid, law, c_cfl, scheme):
-    """Advance the rows of one flow with shared RK4 steps, yielding each accepted one.
+def _phi_functions(z):
+    """Q, phi_1, phi_2, phi_3 of the real array ``z`` <= 0, by contour means.
 
-    Every step takes the CFL bound over all rows and halves it on rejection.
-    Yields (t, dt, y, rho) per accepted step; returns, ending the
-    iteration, once halving pushes dt below 1e-14 of the elapsed time (or
-    of the first dt), which callers report as convexity loss.
+    Q(z) = (e^(z/2) - 1) / z and phi_j(z) = (e^z - sum_(i<j) z^i / i!) / z^j
+    are each the mean of their own formula over _ETD_CONTOUR_POINTS points of
+    a circle around z (Kassam & Trefethen), which avoids the cancellation of
+    the formulas at z itself near z = 0.  The circle has radius 1, or 2 where
+    a unit circle would pass within 1/2 of the origin, where the formulas
+    cancel in turn.
+    """
+    wide = (np.abs(z + 1.0) < 0.5).astype(np.intp)  # |z| near 1, as z <= 0
+    inv = 1.0 / (z[:, None] + _CONTOUR[wide])
+    exp_w, exp_half_w = (table[wide] for table in _CONTOUR_EXP)
+    q = np.exp(0.5 * z)[:, None] * exp_half_w
+    q -= 1.0
+    q *= inv
+    phi1 = np.exp(z)[:, None] * exp_w
+    phi1 -= 1.0
+    phi1 *= inv
+    phi2 = (phi1 - 1.0) * inv
+    phi3 = (phi2 - 0.5) * inv
+    return tuple(np.mean(f, axis=1).real for f in (q, phi1, phi2, phi3))
+
+
+@functools.lru_cache(maxsize=16)
+def _etd_coefficients(n, scheme, scale):
+    """ETDRK4 tables of a step with dt * S = ``scale`` on an n-point grid.
+
+    With z = dt L = -scale * sigma per bin: e^z, e^(z/2), Q = (e^(z/2) - 1)/z
+    and Cox & Matthews' f1, f2, f3 divided by dt, plus scale * sigma (dt times
+    the linear part moved into N) and 1 - sigma (the symbol of h'' + h).
+    They depend on (n, scheme, scale) only; a run reuses the full step's and
+    builds one per halving and per step clipped to the snapshot cadence.
+    """
+    sigma = geometry.second_derivative_symbol(n, scheme)
+    z = -scale * sigma
+    q, phi1, phi2, phi3 = _phi_functions(z)
+    tables = (np.exp(z), np.exp(0.5 * z), q,
+              phi1 - 3.0 * phi2 + 4.0 * phi3, phi2 - 2.0 * phi3, 4.0 * phi3 - phi2,
+              scale * sigma, 1.0 - sigma)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _etd(y, y_hat, r_hat, ncurv, dt, coefficients, grid, law, scheme):
+    """One ETDRK4 step of every row, with its local error estimate.
+
+    ``y_hat`` is rfft(y), ``r_hat`` rfft(_rhs(y)) (None to compute it here)
+    and ``coefficients`` the step's _etd_coefficients.  The linear part
+    L = -S sigma is integrated exactly; N = rhs - L y is built on _rhs, so a
+    stage that leaves the domain of a row is rejected there, and the result
+    is checked as an RK4 step's is.  Returns (y, rho, y_hat, r_hat, error) of the result, or
+    raises StepRejected; ``rho`` stacks the result's h'' + h of the support
+    rows, or is None when there are none.  ``error`` is the largest over the
+    rows of |f3 (N(y_new) - N(c))| relative to the row's largest |y_new|,
+    where c is the last stage, at the same time as y_new: swapping N(c) for
+    N(y_new) in the last weight gives a third-order step (the embedded pair
+    of classical RK4 with its first-same-as-last stage), so ``error`` is
+    O(dt^4) where N is smooth and grows with the stiff part that L leaves
+    in N.  N(y_new) is the next step's first stage, so the estimate costs
+    no extra right-hand side on an accepted step.
+    """
+    e, e_half, q, f1, f2, f3, linear, helmholtz = coefficients
+    n = grid.n
+
+    def transformed_rhs(values):
+        return np.fft.rfft(_rhs(values, ncurv, grid, law, scheme))
+
+    def nonlinear(stage_hat, stage_r_hat):
+        # dt times the transform of N at the stage: dt rhs + scale sigma v
+        out = stage_r_hat * dt
+        out += linear * stage_hat
+        return out
+
+    if r_hat is None:
+        r_hat = transformed_rhs(y)
+    nv = nonlinear(y_hat, r_hat)
+    e_half_v = e_half * y_hat
+    a_hat = e_half_v + q * nv
+    na = nonlinear(a_hat, transformed_rhs(np.fft.irfft(a_hat, n)))
+    b_hat = e_half_v + q * na
+    nb = nonlinear(b_hat, transformed_rhs(np.fft.irfft(b_hat, n)))
+    c_hat = e_half * a_hat + q * (2.0 * nb - nv)
+    nc = nonlinear(c_hat, transformed_rhs(np.fft.irfft(c_hat, n)))
+    new_hat = e * y_hat + f1 * nv + f2 * (2.0 * (na + nb)) + f3 * nc
+    if len(y) == ncurv:
+        new, rho = _checked(np.fft.irfft(new_hat, n), ncurv, grid, scheme)
+    else:  # the support rows' h'' + h comes out of the same inverse transform
+        out = np.fft.irfft(np.concatenate((new_hat, helmholtz * new_hat[ncurv:])), n)
+        new, rho = _checked(out[:len(y)], ncurv, grid, scheme, rho=out[len(y):])
+    new_r_hat = transformed_rhs(new)
+    estimate = np.fft.irfft(f3 * (nonlinear(new_hat, new_r_hat) - nc), n)
+    error = float((np.abs(estimate).max(axis=1) / np.abs(new).max(axis=1)).max())
+    return new, rho, new_hat, new_r_hat, error
+
+
+def _march(y, ncurv, rho, grid, law, c_cfl, scheme, clock):
+    """Advance the rows of one flow with shared ETDRK4 steps, yielding each accepted one.
+
+    A full step has dt * S = _step_scale(c_cfl), S the stiffness over all
+    rows.  A step is rejected, and retried at half the dt, when a row leaves
+    its domain or the step's error estimate exceeds ETD_TOLERANCE; after a
+    full-length step whose estimate is below ETD_TOLERANCE / 32 the next
+    step is twice as long again, up to the full step.  ``clock`` keeps the
+    run time and the CFL clock, and a step that would pass the clock's next
+    cadence mark is clipped to land on it.  Yields (t, dt, y, rho,
+    on_cadence) per accepted step; returns, ending the iteration, once
+    halving pushes dt below 1e-14 of the elapsed time (or of the first dt),
+    which callers report as convexity loss.
     """
     cfl_base = _cfl_base(c_cfl, grid, scheme)
-    clock = _Clock()
+    full = _step_scale(c_cfl, grid, scheme)
+    y_hat = np.fft.rfft(y)
+    r_hat = None
     first_dt = None
+    level = 0  # the step is full / 2^level
     while True:
-        dt = _cfl_dt(y, ncurv, rho, law, cfl_base)
-        if first_dt is None:
-            first_dt = dt
-        dt_floor = 1e-14 * max(clock.t, first_dt)
+        stiffness = _stiffness(y, ncurv, rho, law, full)
         while True:
+            units, on_cadence = clock.plan(full / 2 ** level / cfl_base)
+            scale = units * cfl_base
+            dt = scale / stiffness
+            if first_dt is None:
+                first_dt = dt
             try:
-                y, rho = _rk4(y, ncurv, dt, grid, law, scheme)
-                break
+                result = _etd(y, y_hat, r_hat, ncurv, dt,
+                              _etd_coefficients(grid.n, scheme, scale), grid, law, scheme)
+                if result[-1] <= ETD_TOLERANCE:
+                    break
             except StepRejected:
-                dt *= 0.5
-                if dt < dt_floor:
-                    return
-        clock.advance(dt)
-        yield clock.t, dt, y, rho
+                pass
+            clock.rejected += 1
+            level += 1
+            if 0.5 * dt < 1e-14 * max(clock.t, first_dt):
+                return
+        y, rho, y_hat, r_hat, error = result
+        if level and not on_cadence and error < ETD_TOLERANCE / 32.0:
+            level -= 1
+        clock.advance(dt, units, on_cadence)
+        yield clock.t, dt, y, rho, on_cadence
 
 
 def _stack(profile):
@@ -296,7 +473,8 @@ def stable_dt(profile, law, c_cfl, scheme="fourier"):
     """Parabolic CFL bound c_cfl * dtheta^2 / (2 max(k^2 Phi'(k)) * d_scheme)."""
     y, ncurv = _stack(profile)
     rho = None if ncurv else geometry.curvature_radius(profile, scheme)[None]
-    return _cfl_dt(y, ncurv, rho, law, _cfl_base(c_cfl, profile.grid, scheme))
+    cfl_base = _cfl_base(c_cfl, profile.grid, scheme)
+    return cfl_base / _stiffness(y, ncurv, rho, law, cfl_base)
 
 
 def step(state, law, dt, scheme="fourier"):
@@ -335,24 +513,42 @@ def _area_of_support_arrays(h, grid, rho):
 
 
 class _Clock:
-    """Compensated (Kahan) accumulation of the run time."""
+    """The run time t (Kahan-compensated) and the CFL clock of a march.
 
-    def __init__(self):
+    The CFL clock counts CFL units, dt S / cfl_base per step: one unit is one
+    RK4 step at the CFL bound c_cfl dtheta^2 / (2 S).  A step that would pass
+    the next multiple of ``every`` is clipped to end on it, where a snapshot
+    falls; ``since`` counts the units after the last one.  ``rejected``
+    counts rejected step attempts.
+    """
+
+    def __init__(self, every=math.inf):
+        self.every = every
         self.t = 0.0
         self._c = 0.0
+        self.since = 0.0
+        self.rejected = 0
 
-    def advance(self, dt):
+    def plan(self, units):
+        """(units, on_cadence) of a step of ``units``, clipped to the next mark."""
+        rest = self.every - self.since
+        if units < rest * (1.0 - 1e-9):
+            return units, False
+        return rest, True
+
+    def advance(self, dt, units, on_cadence):
         y = dt - self._c
         s = self.t + y
         self._c = (s - self.t) - y
         self.t = s
+        self.since = 0.0 if on_cadence else self.since + units
 
 
 def run(config):
     """Advance the flow until a stop criterion fires and return the trajectory.
 
     Snapshots (with full geometry summaries) are recorded every
-    ``snapshot_every`` accepted steps and at the final state.  Stop reasons,
+    ``snapshot_every`` CFL units and at the final state.  Stop reasons,
     in tie-break order: area-floor, curvature-cap, step-limit.  Loss of
     convexity ends the run with reason "convexity-loss", and a snapshot too
     distorted to summarize with "degenerate", rather than raising; the
@@ -428,7 +624,9 @@ def run(config):
     steps = 0
     dt_min, dt_max = math.inf, 0.0
     snapshot_stop = False
-    for t, dt, y, rho in _march(y, ncurv, rho, grid, law, config.c_cfl, scheme):
+    clock = _Clock(config.snapshot_every)
+    march = _march(y, ncurv, rho, grid, law, config.c_cfl, scheme, clock)
+    for t, dt, y, rho, on_cadence in march:
         steps += 1
         dt_min = min(dt_min, dt)
         dt_max = max(dt_max, dt)
@@ -450,7 +648,7 @@ def run(config):
             stop = STOP_CURVATURE_CAP
         elif steps >= config.max_steps:
             stop = STOP_STEP_LIMIT
-        elif steps % config.snapshot_every == 0:
+        elif on_cadence:
             stop = snapshot_failure(t, y, rho)
             snapshot_stop = stop is not None
         if stop is not None:
@@ -460,6 +658,7 @@ def run(config):
         traj.stop_reason = STOP_CONVEXITY_LOSS  # halving pushed dt below its floor
 
     traj.step_count = steps
+    traj.rejected_count = clock.rejected
     traj.dt_min = dt_min if steps else 0.0
     traj.dt_max = dt_max
     if snapshots[-1].t < t and not snapshot_stop:
@@ -485,7 +684,12 @@ def estimate_blowup(traj):
     carries numerical error, so the bracket is widened by an allowance for
     the integrator's accumulated bias, O((lambda dt)^4) per unit of
     log-curvature growth with lambda the smooth-mode linearization rate,
-    plus a 1e-11 relative floor for floating-point accumulation in t.
+    plus a 1e-11 relative floor for floating-point accumulation in t.  The
+    step is the run's full ETDRK4 step, dt S = _step_scale, the longest any
+    of its steps took; on the mean mode, where sigma = 0, ETDRK4 is
+    classical RK4, so lambda dt = dt S (1 + 2 Phi / (k Phi')) as for an RK4
+    step of that size.  Under fd4 at n <= 64 the full step is the fd4 RK4
+    bound, which exceeds the Fourier one by 3 pi^2 / 16.
     """
     law = traj.config.law
     last = traj.snapshots[-1]
@@ -499,7 +703,8 @@ def estimate_blowup(traj):
     hi_raw = t_last + law.tail_mass(last.summary.k_min)
 
     k_last = last.summary.k_max
-    lam_dt = (traj.config.c_cfl * last.curvature.grid.dtheta ** 2 / 2.0
+    config = traj.config
+    lam_dt = (_step_scale(config.c_cfl, last.curvature.grid, config.spatial_scheme)
               * (1.0 + 2.0 * law.phi(k_last) / (k_last * law.phi_prime(k_last))))
     bias = 2.0 * lam_dt ** 4 * math.log(max(k_last / k_max0, math.e)) \
         * (hi_raw - t_last)
@@ -562,8 +767,9 @@ def containment_run(outer, inner, config):
     areas0 = [_area_of_support_arrays(h, grid, r) for h, r in zip(y, rho)]
     times = [0.0]
     gaps = [float(np.min(gap0))]
-    march = _march(y, 0, rho, grid, config.law, config.c_cfl, scheme)
-    for steps, (t, _, y, rho) in enumerate(march, start=1):
+    march = _march(y, 0, rho, grid, config.law, config.c_cfl, scheme,
+                   _Clock(config.snapshot_every))
+    for steps, (t, _, y, rho, on_cadence) in enumerate(march, start=1):
         stop_reason = None
         if any(_area_of_support_arrays(h, grid, r) <= config.area_floor * a0
                for h, r, a0 in zip(y, rho, areas0)):
@@ -573,7 +779,7 @@ def containment_run(outer, inner, config):
         elif steps >= config.max_steps:
             stop_reason = STOP_STEP_LIMIT
         # the final state is recorded whatever stopped the run
-        if steps % config.snapshot_every == 0 or stop_reason is not None:
+        if on_cadence or stop_reason is not None:
             times.append(t)
             gaps.append(float(np.min(y[0] - y[1])))
         if stop_reason is not None:

@@ -99,6 +99,23 @@ def second_derivative(values, grid, scheme="fourier"):
     raise ValueError(f"unknown derivative scheme {scheme!r}")
 
 
+def second_derivative_symbol(n, scheme="fourier"):
+    """sigma(m) >= 0 on the rfft bins m = 0..n/2: ``second_derivative`` maps e^{i m theta} to -sigma(m) e^{i m theta}.
+
+    m^2 for the Fourier scheme; for fd4, the five-point stencil above
+    applied to e^{i m theta}, (30 - 32 cos(m dtheta) + 2 cos(2 m dtheta)) /
+    (12 dtheta^2).  h'' + h has the symbol 1 - sigma(m).
+    """
+    if scheme == "fourier":
+        return -_fourier_tables(n)[1]
+    if scheme == "fd4":
+        dtheta = 2.0 * math.pi / n
+        m_dtheta = _fourier_modes(n) * dtheta
+        return (30.0 - 32.0 * np.cos(m_dtheta) + 2.0 * np.cos(2.0 * m_dtheta)) \
+            / (12.0 * dtheta * dtheta)
+    raise ValueError(f"unknown derivative scheme {scheme!r}")
+
+
 def first_derivative(values, grid, scheme="fourier"):
     """Periodic first derivative in theta."""
     n = grid.n
@@ -435,8 +452,9 @@ def summarize(kp, sp):
     guard, the radii and the Hausdorff distance.
     """
     rho = second_derivative(sp.h, sp.grid) + sp.h
-    length = length_of(kp)
-    area = 0.5 * periodic_integral(sp.h * rho, sp.grid)
+    with np.errstate(over="ignore"):  # an overflow is judged degenerate below
+        length = length_of(kp)
+        area = 0.5 * periodic_integral(sp.h * rho, sp.grid)
     if not (0.0 < length < math.inf and 0.0 < area < math.inf):
         raise DegenerateProfileError(f"length {length} or area {area} not finite and positive")
     c, s = closure_residual(kp)

@@ -177,11 +177,16 @@ def check_hypotheses(law, x_lo, x_hi, n_probes=64):
         raise ValueError(f"need at least 16 probes, got {n_probes}")
 
     xs = np.geomspace(x_lo, x_hi, n_probes)
-    g = np.asarray(law.g(xs), dtype=float)
+    # far from x = 1 the probes may overflow: non-finite values are judged
+    # below rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.asarray(law.g(xs), dtype=float)
+        gp = np.asarray(law.g_prime(xs), dtype=float)
+        gxx2_ddot = law.phi_double_prime(xs) * xs + 2.0 * law.phi_prime(xs)
+        gxx2 = g * xs * xs
     if not np.all(np.isfinite(g)):
         bad = float(xs[~np.isfinite(g)][0])
         raise SpeedLawDomainError(f"G non-finite at probe x={bad}", abscissa=bad)
-    gp = np.asarray(law.g_prime(xs), dtype=float)
 
     worst = 0.0
     witness = None
@@ -193,8 +198,7 @@ def check_hypotheses(law, x_lo, x_hi, n_probes=64):
         worst, witness = float(h1_viol[j]), float(xs[j])
 
     # (G x^2)'' via Phi; tolerance absorbs roundoff in the probe values
-    gxx2_ddot = law.phi_double_prime(xs) * xs + 2.0 * law.phi_prime(xs)
-    conv_tol = 1e-10 * float(np.max(np.abs(g * xs * xs)))
+    conv_tol = 1e-10 * float(np.max(np.abs(gxx2)))
     conv_viol = np.maximum(-(gxx2_ddot + conv_tol), 0.0)
     h2_convexity_ok = bool(np.all(conv_viol == 0.0))
     if not h2_convexity_ok:

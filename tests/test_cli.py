@@ -211,6 +211,51 @@ def test_unrepresentable_inputs_end_with_an_exit_code(tmp_path, args, expected):
         assert "area inf" in index["runs"][1]["error"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [
+    # G = x^2 overflows on the upper probes
+    ["check-law", "--law", "power:3", "--range", "1e-200,1e200"],
+    # the law's probes and the member's area overflow
+    ["sweep", "--curve", "circle:1", "--curve", "circle:1.3407807929942596e+154",
+     "--n", "64"],
+], ids=["check-law", "sweep"])
+def test_overflowing_probes_exit_3_without_warnings(tmp_path, args):
+    out = [] if args[0] == "check-law" else ["--out", str(tmp_path / "sweep")]
+    assert run_main(args + out) == 3
+
+
+@pytest.mark.parametrize("args", [
+    # k^2 Phi'(k) spans a factor 8^5 over the ellipse, so a full ETDRK4 step
+    # leaves most of the diffusion in N; without error control the evolution
+    # identities failed at 1.33% against their 1% bound
+    ["--law", "power:4", "--curve", "ellipse:2,1"],
+    # k spans 0.60 - 3.51 and its spectrum still reaches the Nyquist mode;
+    # without error control the first step moved the closure residual past
+    # the snapshot gate and the run stopped at convexity-loss
+    ["--law", "power:2", "--curve", "fourier:10:-0.0011,11:0.0024,4:0.0239",
+     "--n", "128", "--area-floor", "0.65"],
+], ids=["p4-ellipse", "sharp-fourier"])
+def test_error_control_keeps_stiff_runs_accurate(tmp_path, args):
+    assert run_main(["run"] + args + ["--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["stop_reason"] == "area-floor"
+    assert summary["steps"]["rejected"] >= 1  # the estimate did halve the step
+
+
+def test_sweep_builds_each_entry_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec.curve)
+        return build_initial(spec)
+
+    monkeypatch.setattr(cli, "build_initial", counted)
+    assert run_main(["sweep", "--curve", "circle:1", "--curve", "circle:2",
+                     "--n", "64", "--area-floor", "0.5",
+                     "--out", str(tmp_path / "sweep")]) == 0
+    assert calls == ["circle:1", "circle:2"]
+
+
 def test_usage_errors():
     assert run_main(["run", "--no-such-flag"]) == 2
     assert run_main(["run", "--curve", "heptagon:3", "--n", "64"]) == 2
@@ -281,10 +326,10 @@ def test_json_outputs_are_strict(tmp_path, monkeypatch):
     # run's entry keeps a null error
     execute_run = cli.execute_run
 
-    def fail_ellipse(spec, out_dir):
+    def fail_ellipse(spec, out_dir, config=None):
         if spec.curve.startswith("ellipse"):
             raise DegenerateProfileError("forced")
-        return execute_run(spec, out_dir)
+        return execute_run(spec, out_dir, config)
 
     monkeypatch.setattr(cli, "execute_run", fail_ellipse)
     code = run_main(["sweep", "--curve", "circle:1", "--curve", "ellipse:2,1",

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from curveflow import flow, geometry, oracle
+from curveflow import cli, flow, geometry, oracle
 from curveflow.errors import (
     HypothesisViolationError,
     InsufficientDataError,
@@ -179,6 +180,140 @@ def test_stacked_step_matches_per_row_steps(scheme):
 
 
 @pytest.mark.parametrize("n", [32, 64, 128, 256, 512, 1024])
+def test_etd_contour_means_match_series_and_closed_forms(n):
+    g = AngleGrid(n)
+    full = flow._step_scale(0.4, g, "fourier")
+    for level in range(3):  # the full step and two halvings
+        scale = full / 2 ** level
+        z = -scale * geometry.second_derivative_symbol(n, "fourier")
+        contour = flow._phi_functions(z)
+        small, large = np.abs(z) < 1e-3, np.abs(z) > 1.0
+        assert small.any() and (n <= 64 or large.any())
+        zs, zl = z[small], z[large]
+        # phi_j(z) = sum_i z^i / (i + j)!, and Q(z) = phi_1(z / 2) / 2
+        series = [sum(zs ** i / math.factorial(i + j) for i in range(8)) for j in (1, 2, 3)]
+        series.insert(0, 0.5 * sum((0.5 * zs) ** i / math.factorial(i + 1) for i in range(8)))
+        em1 = np.expm1(zl)
+        closed = (np.expm1(0.5 * zl) / zl, em1 / zl, (em1 - zl) / zl ** 2,
+                  (em1 - zl - 0.5 * zl ** 2) / zl ** 3)
+        for phi, by_series, by_closed in zip(contour, series, closed):
+            assert np.max(np.abs(phi[small] / by_series - 1.0)) <= 1e-13
+            if large.any():
+                assert np.max(np.abs(phi[large] / by_closed - 1.0)) <= 1e-13
+        # the mean mode has z = 0, where ETDRK4 is classical RK4
+        e, e_half, q, f1, f2, f3, _, _ = flow._etd_coefficients(n, "fourier", scale)
+        assert e[0] == e_half[0] == 1.0
+        assert q[0] == pytest.approx(0.5, rel=1e-15)
+        for f in (f1, f2, f3):
+            assert f[0] == pytest.approx(1.0 / 6.0, rel=1e-14)
+
+
+def _etd_to(y, ncurv, grid, law, eps, t_end):
+    """ETDRK4 steps with dt S = eps from t = 0, the last one clipped to land on t_end."""
+    h = y[ncurv:]
+    rho = geometry.second_derivative(h, grid) + h if len(h) else None
+    y_hat = np.fft.rfft(y)
+    r_hat = np.fft.rfft(flow._rhs(y, ncurv, grid, law, "fourier"))
+    t = 0.0
+    while t < t_end:
+        stiffness = flow._stiffness(y, ncurv, rho, law, eps)
+        dt, scale = eps / stiffness, eps
+        if t + dt >= t_end:
+            dt = t_end - t
+            scale = dt * stiffness
+        coefficients = flow._etd_coefficients(grid.n, "fourier", scale)
+        y, rho, y_hat, r_hat, _ = flow._etd(y, y_hat, r_hat, ncurv, dt, coefficients,
+                                            grid, law, "fourier")
+        t = t_end if t + dt >= t_end else t + dt
+    return y[0]
+
+
+def test_etd_error_estimate_is_fourth_order():
+    # the estimate is the gap to a third-order step: O(dt^4), 16x per halving
+    g = AngleGrid(128)
+    law = power_law(1)
+    y = oracle.ellipse_profile(2.0, 1.0, g).k[None]
+    stiffness = flow._stiffness(y, 1, None, law, 1.0)
+    errors = []
+    for level in range(4):
+        scale = 0.4 / flow.ETD_K / 2 ** level
+        coefficients = flow._etd_coefficients(g.n, "fourier", scale)
+        errors.append(flow._etd(y, np.fft.rfft(y), None, 1, scale / stiffness,
+                                coefficients, g, law, "fourier")[-1])
+    assert errors[0] < flow.ETD_TOLERANCE  # the full step is accepted here
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 14.0 <= coarse / fine <= 17.0
+
+
+@pytest.mark.parametrize("p, formulation, t_end, min_slope, max_slope", [
+    (1, "curvature", 0.5, 3.7, 4.3), (1, "support", 0.5, 3.7, 4.3),
+    (2, "curvature", 0.3, 3.3, math.inf)])
+def test_etd_convergence_order(p, formulation, t_end, min_slope, max_slope):
+    # modelled on criterion 2: the run's eps, then eps/2 and eps/4, to a fixed t
+    g = AngleGrid(128)
+    kp = oracle.ellipse_profile(2.0, 1.0, g)
+    y0 = kp.k[None] if formulation == "curvature" else \
+        geometry.support_from_curvature(kp).h[None]
+    ncurv = int(formulation == "curvature")
+    eps = 0.4 / flow.ETD_K
+    finals = [_etd_to(y0, ncurv, g, power_law(p), eps / 2 ** i, t_end) for i in range(3)]
+    coarse = np.max(np.abs(finals[0] - finals[1]))
+    fine = np.max(np.abs(finals[1] - finals[2]))
+    slope = math.log2(coarse / fine)
+    assert min_slope <= slope <= max_slope
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_snapshots_land_on_the_cfl_clock(monkeypatch, n):
+    ticks = []
+    advance = flow._Clock.advance
+
+    def recording(clock, dt, units, on_cadence):
+        advance(clock, dt, units, on_cadence)
+        ticks.append((clock.t, units, on_cadence))
+
+    monkeypatch.setattr(flow._Clock, "advance", recording)
+    g = AngleGrid(n)
+    config = FlowConfig(law=power_law(1), initial=oracle.ellipse_profile(2.0, 1.0, g),
+                        area_floor=0.2, snapshot_every=50)
+    traj = run(config)
+    interior = traj.times()[1:-1]
+    assert len(interior) >= 5
+    # the interior snapshots are the steps that ended on a cadence mark ...
+    assert interior == [t for t, _, on_cadence in ticks if on_cadence]
+    # ... after exactly 50 CFL units each, the last step clipped to land there
+    spans, units_since = [], 0.0
+    for _, units, on_cadence in ticks:
+        units_since += units
+        if on_cadence:
+            spans.append(units_since)
+            units_since = 0.0
+    assert spans == pytest.approx([50.0] * len(interior), rel=1e-12, abs=0.0)
+    assert units_since < 50.0
+    if n == 64:  # a full step is one CFL unit here, as an RK4 step is
+        assert all(units == 1.0 for _, units, _ in ticks)
+    else:  # fewer than half the steps an RK4 run takes on the same clock
+        assert len(ticks) < 0.5 * 50.0 * (len(interior) + 1)
+
+
+def test_rejected_steps_are_counted(monkeypatch, tmp_path):
+    rhs = flow._rhs
+    calls = []
+
+    def reject_once(*args):
+        calls.append(None)
+        if len(calls) == 2:  # the second stage of the first step
+            raise StepRejected("forced")
+        return rhs(*args)
+
+    monkeypatch.setattr(flow, "_rhs", reject_once)
+    assert cli.execute_run(cli.RunSpec(curve="circle:1", n=64, area_floor=0.5),
+                           tmp_path) == 0
+    steps = json.loads((tmp_path / "summary.json").read_text())["steps"]
+    assert steps["rejected"] == 1
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256, 512, 1024])
 def test_spectral_area_obeys_the_blaschke_bound(n):
     # run skips the exact area check while pi / k_max^2 > 2 * floor, relying
     # on Blaschke's rolling theorem A >= pi / k_max^2 for the spectral area
@@ -207,7 +342,9 @@ def test_area_gate_keeps_the_stop_step(p):
     # reference: the exact area on every step
     floor = config.area_floor * traj.snapshots[0].summary.area
     steps = 0
-    for t, _, y, _ in flow._march(kp.k[None], 1, None, g, law, config.c_cfl, "fourier"):
+    clock = flow._Clock(config.snapshot_every)
+    for t, _, y, _, _ in flow._march(kp.k[None], 1, None, g, law, config.c_cfl, "fourier",
+                                     clock):
         steps += 1
         if flow._support_area_from_k(y[0], g) <= floor:
             break

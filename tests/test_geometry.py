@@ -71,6 +71,20 @@ def test_stacked_second_derivative_matches_rows(scheme):
                 assert out.min() == np.min(out.copy()) and out.sum() == np.sum(out.copy())
 
 
+@pytest.mark.parametrize("scheme", ["fourier", "fd4"])
+def test_second_derivative_symbol_is_the_schemes(scheme):
+    # the exponential stepper integrates -sigma(m) exactly; it must be the
+    # operator second_derivative applies, mode by mode
+    for n in (32, 64, 256):
+        g = AngleGrid(n)
+        sigma = geometry.second_derivative_symbol(n, scheme)
+        assert sigma.shape == (n // 2 + 1,) and sigma.min() >= 0.0
+        for m in range(n // 2 + 1):
+            wave = np.cos(m * g.theta)
+            d2 = geometry.second_derivative(wave, g, scheme)
+            assert np.max(np.abs(d2 + sigma[m] * wave)) <= 1e-10 * max(1.0, sigma[m])
+
+
 def test_fd4_orders():
     # fourth-order convergence of the fallback stencils
     errs1, errs2 = [], []
