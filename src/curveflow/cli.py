@@ -13,7 +13,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -45,8 +44,12 @@ class RunSpec:
     cadence: int = flow.FlowConfig.snapshot_every
     cfl: float = flow.FlowConfig.c_cfl
     scheme: str = flow.FlowConfig.formulation
-    spatial: str = flow.FlowConfig.spatial_scheme
     seed: int = 0
+
+    @property
+    def spatial(self):
+        # read by perfbench/worker.py until ROADMAP item 1 changes the benchmark
+        return "fourier"
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -101,7 +104,7 @@ def _flow_config(spec, law, initial):
     return flow.FlowConfig(
         law=law, initial=initial, c_cfl=spec.cfl, area_floor=spec.area_floor,
         k_cap=spec.k_cap, max_steps=spec.max_steps, snapshot_every=spec.cadence,
-        formulation=spec.scheme, spatial_scheme=spec.spatial)
+        formulation=spec.scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +246,9 @@ def execute_check_law(law_name_str, x_lo, x_hi, n_probes):
     return EXIT_OK if report.all_ok else EXIT_MONITOR_FAIL
 
 
-def execute_sweep(specs, out_root, workers):
+def execute_sweep(specs, out_root, workers=None):
+    """Run the members one after another, in spec order; returns the worst exit code."""
+    # ``workers`` is ignored; perfbench/worker.py passes one until ROADMAP item 1
     # a bad entry is a usage error before any run starts
     configs = [_flow_config(spec, parse_law(spec.law), build_initial(spec))
                for spec in specs]
@@ -251,18 +256,13 @@ def execute_sweep(specs, out_root, workers):
     out_root.mkdir(parents=True, exist_ok=True)
     names = [f"run_{i:03d}_" + f"{s.law}_{s.curve}".replace(":", "").replace(",", "x")
              for i, s in enumerate(specs)]
-
-    def worker(member):
-        """(exit code, error message or None) of one member run."""
-        spec, config, name = member
+    results = []  # (exit code, error message or None) per member
+    for spec, config, name in zip(specs, configs, names):
         try:
-            return execute_run(spec, out_root / name, config), None
+            results.append((execute_run(spec, out_root / name, config), None))
         except CurveFlowError as exc:
             print(f"{name}: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME, str(exc)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(worker, zip(specs, configs, names)))
+            results.append((EXIT_RUNTIME, str(exc)))
     index = {"runs": [{"name": n, "spec": s.to_dict(), "exit": c, "error": e}
                       for n, s, (c, e) in zip(names, specs, results)]}
     _write_json(out_root / "sweep.json", index)
@@ -301,8 +301,6 @@ def _add_run_flags(p, multi=False):
                         "needed")
     p.add_argument("--scheme", choices=flow.FORMULATIONS, default=RunSpec.scheme,
                    help="evolved formulation")
-    p.add_argument("--spatial", choices=flow.SPATIAL_SCHEMES, default=RunSpec.spatial,
-                   help="spatial derivative scheme")
     p.add_argument("--seed", type=int, default=RunSpec.seed,
                    help="seed for fourier phase randomization")
     p.add_argument("--out", default="out", help="output directory")
@@ -322,9 +320,8 @@ def build_parser():
     cont_p.add_argument("--outer", required=True, help="outer curve descriptor")
     cont_p.add_argument("--inner", required=True, help="inner curve descriptor")
 
-    sweep_p = sub.add_parser("sweep", help="run a law x curve product concurrently")
+    sweep_p = sub.add_parser("sweep", help="run a law x curve product, one run after another")
     _add_run_flags(sweep_p, multi=True)
-    sweep_p.add_argument("--workers", type=int, default=4)
 
     check_p = sub.add_parser("check-law", help="probe (H1)/(H2) for a law")
     check_p.add_argument("--law", required=True)
@@ -350,7 +347,7 @@ def main(argv=None):
             specs = [RunSpec.from_dict(dict(vars(args), law=law, curve=curve))
                      for law in args.law or [RunSpec.law]
                      for curve in args.curve or [RunSpec.curve]]
-            return execute_sweep(specs, args.out, args.workers)
+            return execute_sweep(specs, args.out)
         if args.subcommand == "check-law":
             lo, hi = map(float, args.range.split(","))
             return execute_check_law(args.law, lo, hi, args.probes)

@@ -133,18 +133,17 @@ def monitor_gradient_estimate(traj):
     """max |dPhi/dtheta|^2 <= max(2 max_(s<=t) Phi^2, initial Phi_theta^2 + 2 Phi^2)."""
     _need_snapshots(traj, 1)
     law = traj.config.law
-    scheme = traj.config.spatial_scheme
     times = traj.times()
     lhs, phimax2 = [], []
     for snap in traj.snapshots:
         kp = snap.curvature
         phi = law.phi(kp.k)
-        dphi = geometry.first_derivative(phi, kp.grid, scheme)
+        dphi = geometry.first_derivative(phi, kp.grid)
         lhs.append(float(np.max(dphi * dphi)))
         phimax2.append(float(np.max(phi * phi)))
     kp0 = traj.snapshots[0].curvature
     phi0 = law.phi(kp0.k)
-    dphi0 = geometry.first_derivative(phi0, kp0.grid, scheme)
+    dphi0 = geometry.first_derivative(phi0, kp0.grid)
     initial_bound = float(np.max(dphi0 * dphi0 + 2.0 * phi0 * phi0))
     running = np.maximum.accumulate(phimax2)
     bounds = np.maximum(2.0 * running, initial_bound)

@@ -24,9 +24,10 @@ follow the CFL clock, which counts CFL units, dt S / (c_cfl dtheta^2 / 2)
 per step (one unit is one RK4 step at its stability bound); a step is
 clipped to land on each cadence mark.
 ``run`` passes one row (two for formulation="both"), ``containment_run``
-passes its outer and inner support rows.  Classical RK4 remains as the
-one-step reference: ``step``, ``stable_dt`` and the ``rhs_*`` functions
-expose it and the right-hand sides on one profile.
+passes its outer and inner support rows.  ``step`` takes one ETDRK4 step of
+a profile at a dt of the caller's choosing, ``stable_dt`` gives the length
+of one CFL unit, and the ``rhs_*`` functions give the right-hand sides of
+one profile.
 The equation stiffens as curvature blows up, so runs stop at an area floor
 (or a curvature cap) and report a bracket for the blow-up time instead of
 trying to cross it.  Blaschke's rolling theorem, A >= pi / k_max^2, gates
@@ -64,12 +65,6 @@ STOP_DEGENERATE = "degenerate"
 STOP_ANALYTIC = "analytic"  # used by exact reference trajectories only
 
 FORMULATIONS = ("curvature", "support", "both")
-
-# Spectral radius of the discrete second derivative, normalized to the
-# Fourier value pi^2/dtheta^2; the CFL bound then gives the same
-# lambda_max * dt = c_cfl * pi^2 / 2 for every scheme (RK4 wants c <~ 0.56).
-_SCHEME_RADIUS_FACTOR = {"fourier": 1.0, "fd4": 16.0 / (3.0 * math.pi ** 2)}
-SPATIAL_SCHEMES = tuple(_SCHEME_RADIUS_FACTOR)
 
 # A full ETDRK4 step takes dt = eps / S with eps = c_cfl / ETD_K (0.0015 at
 # the default c_cfl = 0.4) and S = max k^2 Phi'(k), or the RK4 step
@@ -115,7 +110,6 @@ class FlowConfig:
     max_steps: int = 100_000_000
     snapshot_every: int = 500
     formulation: str = "curvature"
-    spatial_scheme: str = "fourier"
 
     def __post_init__(self):
         if not (0.0 < self.c_cfl <= 1.0):
@@ -124,12 +118,10 @@ class FlowConfig:
             raise ValueError(f"area_floor must be in (0, 1), got {self.area_floor}")
         if self.formulation not in FORMULATIONS:
             raise ValueError(f"formulation must be one of {FORMULATIONS}")
-        if self.spatial_scheme not in SPATIAL_SCHEMES:
-            raise ValueError(f"spatial_scheme must be one of {SPATIAL_SCHEMES}")
         if self.max_steps < 1 or self.snapshot_every < 1:
             raise ValueError("max_steps and snapshot_every must be >= 1")
         kp0 = (self.initial if isinstance(self.initial, CurvatureProfile)
-               else geometry.k_from_support(self.initial, self.spatial_scheme))
+               else geometry.k_from_support(self.initial))
         k_max0 = float(np.max(kp0.k))
         k_cap = self.k_cap if self.k_cap is not None else 1e6 * k_max0
         if not k_cap > k_max0:
@@ -198,7 +190,7 @@ def _speed(law, k):
     return np.stack([law.g(row) * row for row in k])
 
 
-def _rhs(y, ncurv, grid, law, scheme):
+def _rhs(y, ncurv, grid, law):
     """Right-hand sides of all rows of the (B, n) stack ``y`` at one stage.
 
     The first ``ncurv`` rows (0 or 1) hold curvature, the rest support
@@ -212,14 +204,13 @@ def _rhs(y, ncurv, grid, law, scheme):
         if not k.min() > 0.0:
             raise StepRejected("curvature lost positivity in a stage")
         phi = law.g(k) * k  # one row, one law.g call
-        d2 = geometry.second_derivative(np.concatenate((phi, h)) if len(h) else phi,
-                                        grid, scheme)
+        d2 = geometry.second_derivative(np.concatenate((phi, h)) if len(h) else phi, grid)
         dk = k * k
         dk *= d2[:ncurv] + phi
         if not len(h):
             return dk
     else:
-        d2 = geometry.second_derivative(h, grid, scheme)
+        d2 = geometry.second_derivative(h, grid)
     rho = d2[ncurv:]
     rho += h
     if not rho.min() > 0.0:
@@ -228,11 +219,12 @@ def _rhs(y, ncurv, grid, law, scheme):
     return np.concatenate((dk, dh)) if ncurv else dh
 
 
-def _cfl_base(c_cfl, grid, scheme):
-    return c_cfl * grid.dtheta ** 2 / (2.0 * _SCHEME_RADIUS_FACTOR[scheme])
+def _cfl_base(c_cfl, grid):
+    """dt * S of one CFL unit: the RK4 stability bound c_cfl dtheta^2 / 2."""
+    return c_cfl * grid.dtheta ** 2 / 2.0
 
 
-def _step_scale(c_cfl, grid, scheme):
+def _step_scale(c_cfl, grid):
     """dt * S of a full ETDRK4 step: c_cfl / ETD_K, or the RK4 bound if longer.
 
     The RK4 bound is longer on grids of n <= 64 only.  There the explicit
@@ -241,7 +233,7 @@ def _step_scale(c_cfl, grid, scheme):
     rejects the step where it is not accurate; a run then takes one step
     per CFL unit, as RK4 did.
     """
-    return max(c_cfl / ETD_K, _cfl_base(c_cfl, grid, scheme))
+    return max(c_cfl / ETD_K, _cfl_base(c_cfl, grid))
 
 
 def _stiffness(y, ncurv, rho, law, scale):
@@ -261,50 +253,6 @@ def _stiffness(y, ncurv, rho, law, scale):
                                       f"{k.max():.3e}", abscissa=float(k.max()))
         stiffness = max(stiffness, float(rate))
     return stiffness
-
-
-def _rk4(y, ncurv, dt, grid, law, scheme):
-    """One RK4 step of every row; returns (y, rho) or raises StepRejected.
-
-    A step is rejected when any stage, or the result, produces k <= 0 in the
-    curvature row or h'' + h <= 0 in a support row.  ``rho`` stacks the
-    result's h'' + h of the support rows (one second_derivative call), or is
-    None when there are none.
-    """
-    half = 0.5 * dt
-    k1 = _rhs(y, ncurv, grid, law, scheme)
-    k2 = _rhs(y + half * k1, ncurv, grid, law, scheme)
-    k3 = _rhs(y + half * k2, ncurv, grid, law, scheme)
-    k4 = _rhs(y + dt * k3, ncurv, grid, law, scheme)
-    # y + (dt/6) (k1 + 2 k2 + 2 k3 + k4), summed in that order
-    new = 2.0 * k2
-    new += k1
-    k3 *= 2.0
-    new += k3
-    new += k4
-    new *= dt / 6.0
-    new += y
-    return _checked(new, ncurv, grid, scheme)
-
-
-def _checked(new, ncurv, grid, scheme, rho=None):
-    """(new, rho) of a full step, or raises StepRejected.
-
-    A step is rejected when its result has k <= 0 in the curvature row or
-    h'' + h <= 0 in a support row.  ``rho``, the result's h'' + h of the
-    support rows, is computed here unless the caller passes it.
-    """
-    if ncurv and not new[:ncurv].min() > 0.0:
-        raise StepRejected("curvature lost positivity over a full step")
-    h = new[ncurv:]
-    if not len(h):
-        return new, None
-    if rho is None:
-        rho = geometry.second_derivative(h, grid, scheme)
-        rho += h
-    if not rho.min() > 0.0:
-        raise StepRejected("support profile lost convexity over a full step")
-    return new, rho
 
 
 def _phi_functions(z):
@@ -332,16 +280,16 @@ def _phi_functions(z):
 
 
 @functools.lru_cache(maxsize=16)
-def _etd_coefficients(n, scheme, scale):
+def _etd_coefficients(n, scale):
     """ETDRK4 tables of a step with dt * S = ``scale`` on an n-point grid.
 
     With z = dt L = -scale * sigma per bin: e^z, e^(z/2), Q = (e^(z/2) - 1)/z
     and Cox & Matthews' f1, f2, f3 divided by dt, plus scale * sigma (dt times
     the linear part moved into N) and 1 - sigma (the symbol of h'' + h).
-    They depend on (n, scheme, scale) only; a run reuses the full step's and
+    They depend on (n, scale) only; a run reuses the full step's and
     builds one per halving and per step clipped to the snapshot cadence.
     """
-    sigma = geometry.second_derivative_symbol(n, scheme)
+    sigma = geometry.second_derivative_symbol(n)
     z = -scale * sigma
     q, phi1, phi2, phi3 = _phi_functions(z)
     tables = (np.exp(z), np.exp(0.5 * z), q,
@@ -352,16 +300,16 @@ def _etd_coefficients(n, scheme, scale):
     return tables
 
 
-def _etd(y, y_hat, r_hat, ncurv, dt, coefficients, grid, law, scheme):
+def _etd(y, y_hat, r_hat, ncurv, dt, coefficients, grid, law):
     """One ETDRK4 step of every row, with its local error estimate.
 
     ``y_hat`` is rfft(y), ``r_hat`` rfft(_rhs(y)) (None to compute it here)
     and ``coefficients`` the step's _etd_coefficients.  The linear part
     L = -S sigma is integrated exactly; N = rhs - L y is built on _rhs, so a
-    stage that leaves the domain of a row is rejected there, and the result
-    is checked as an RK4 step's is.  Returns (y, rho, y_hat, r_hat, error) of the result, or
-    raises StepRejected; ``rho`` stacks the result's h'' + h of the support
-    rows, or is None when there are none.  ``error`` is the largest over the
+    stage that leaves the domain of a row is rejected there, as is a result
+    with k <= 0 or h'' + h <= 0 in any row.  Returns (y, rho, y_hat, r_hat,
+    error) of the result, or raises StepRejected; ``rho`` stacks the result's
+    h'' + h of the support rows, or is None when there are none.  ``error`` is the largest over the
     rows of |f3 (N(y_new) - N(c))| relative to the row's largest |y_new|,
     where c is the last stage, at the same time as y_new: swapping N(c) for
     N(y_new) in the last weight gives a third-order step (the embedded pair
@@ -374,7 +322,7 @@ def _etd(y, y_hat, r_hat, ncurv, dt, coefficients, grid, law, scheme):
     n = grid.n
 
     def transformed_rhs(values):
-        return np.fft.rfft(_rhs(values, ncurv, grid, law, scheme))
+        return np.fft.rfft(_rhs(values, ncurv, grid, law))
 
     def nonlinear(stage_hat, stage_r_hat):
         # dt times the transform of N at the stage: dt rhs + scale sigma v
@@ -394,17 +342,21 @@ def _etd(y, y_hat, r_hat, ncurv, dt, coefficients, grid, law, scheme):
     nc = nonlinear(c_hat, transformed_rhs(np.fft.irfft(c_hat, n)))
     new_hat = e * y_hat + f1 * nv + f2 * (2.0 * (na + nb)) + f3 * nc
     if len(y) == ncurv:
-        new, rho = _checked(np.fft.irfft(new_hat, n), ncurv, grid, scheme)
+        new, rho = np.fft.irfft(new_hat, n), None
     else:  # the support rows' h'' + h comes out of the same inverse transform
         out = np.fft.irfft(np.concatenate((new_hat, helmholtz * new_hat[ncurv:])), n)
-        new, rho = _checked(out[:len(y)], ncurv, grid, scheme, rho=out[len(y):])
+        new, rho = out[:len(y)], out[len(y):]
+    if ncurv and not new[:ncurv].min() > 0.0:
+        raise StepRejected("curvature lost positivity over a full step")
+    if rho is not None and not rho.min() > 0.0:
+        raise StepRejected("support profile lost convexity over a full step")
     new_r_hat = transformed_rhs(new)
     estimate = np.fft.irfft(f3 * (nonlinear(new_hat, new_r_hat) - nc), n)
     error = float((np.abs(estimate).max(axis=1) / np.abs(new).max(axis=1)).max())
     return new, rho, new_hat, new_r_hat, error
 
 
-def _march(y, ncurv, rho, grid, law, c_cfl, scheme, clock):
+def _march(y, ncurv, rho, grid, law, c_cfl, clock):
     """Advance the rows of one flow with shared ETDRK4 steps, yielding each accepted one.
 
     A full step has dt * S = _step_scale(c_cfl), S the stiffness over all
@@ -418,8 +370,8 @@ def _march(y, ncurv, rho, grid, law, c_cfl, scheme, clock):
     halving pushes dt below 1e-14 of the elapsed time (or of the first dt),
     which callers report as convexity loss.
     """
-    cfl_base = _cfl_base(c_cfl, grid, scheme)
-    full = _step_scale(c_cfl, grid, scheme)
+    cfl_base = _cfl_base(c_cfl, grid)
+    full = _step_scale(c_cfl, grid)
     y_hat = np.fft.rfft(y)
     r_hat = None
     first_dt = None
@@ -434,7 +386,7 @@ def _march(y, ncurv, rho, grid, law, c_cfl, scheme, clock):
                 first_dt = dt
             try:
                 result = _etd(y, y_hat, r_hat, ncurv, dt,
-                              _etd_coefficients(grid.n, scheme, scale), grid, law, scheme)
+                              _etd_coefficients(grid.n, scale), grid, law)
                 if result[-1] <= ETD_TOLERANCE:
                     break
             except StepRejected:
@@ -459,32 +411,45 @@ def _stack(profile):
     raise TypeError(f"cannot step a {type(profile)}")
 
 
-def rhs_curvature(kp, law, scheme="fourier"):
+def rhs_curvature(kp, law):
     """dk/dt = k^2 (Phi'' + Phi) on the grid; raises StepRejected unless k > 0."""
-    return _rhs(kp.k[None], 1, kp.grid, law, scheme)[0]
+    return _rhs(kp.k[None], 1, kp.grid, law)[0]
 
 
-def rhs_support(sp, law, scheme="fourier"):
+def rhs_support(sp, law):
     """dh/dt = -Phi(k), k = (h'' + h)^-1; raises StepRejected unless h'' + h > 0."""
-    return _rhs(sp.h[None], 0, sp.grid, law, scheme)[0]
+    return _rhs(sp.h[None], 0, sp.grid, law)[0]
 
 
-def stable_dt(profile, law, c_cfl, scheme="fourier"):
-    """Parabolic CFL bound c_cfl * dtheta^2 / (2 max(k^2 Phi'(k)) * d_scheme)."""
+def stable_dt(profile, law, c_cfl):
+    """The length of one CFL unit, c_cfl dtheta^2 / (2 max(k^2 Phi'(k))).
+
+    That is the classical RK4 stability bound of the profile, and the unit
+    in which ``snapshot_every`` counts.
+    """
     y, ncurv = _stack(profile)
-    rho = None if ncurv else geometry.curvature_radius(profile, scheme)[None]
-    cfl_base = _cfl_base(c_cfl, profile.grid, scheme)
+    rho = None if ncurv else geometry.curvature_radius(profile)[None]
+    cfl_base = _cfl_base(c_cfl, profile.grid)
     return cfl_base / _stiffness(y, ncurv, rho, law, cfl_base)
 
 
-def step(state, law, dt, scheme="fourier"):
-    """One classical RK4 step; raises StepRejected instead of mutating anything.
+def step(state, law, dt):
+    """One ETDRK4 step of size ``dt``; raises StepRejected instead of mutating anything.
 
-    A step is rejected when any stage, or the result, produces k <= 0
-    (curvature form) or h'' + h <= 0 (support form).
+    This is a run's step, with S = max k^2 Phi'(k) of ``state`` and the
+    tables of dt S, but without error control: the caller picks dt.  A step
+    is rejected when any stage, or the result, produces k <= 0 (curvature
+    form) or h'' + h <= 0 (support form).
     """
     y, ncurv = _stack(state)
-    new, _ = _rk4(y, ncurv, dt, state.grid, law, scheme)
+    rho = None
+    if not ncurv:
+        rho = geometry.second_derivative(y, state.grid) + y
+        if not rho.min() > 0.0:
+            raise StepRejected("support profile is not convex")
+    scale = dt * _stiffness(y, ncurv, rho, law, dt)
+    new = _etd(y, np.fft.rfft(y), None, ncurv, dt, _etd_coefficients(state.grid.n, scale),
+               state.grid, law)[0]
     return type(state)(state.grid, new[0], state.t + dt)
 
 
@@ -558,7 +523,6 @@ def run(config):
     """
     law = config.law
     grid = config.initial.grid
-    scheme = config.spatial_scheme
 
     # initial data in the forms this run evolves: the curvature row first
     kp0 = config.initial_curvature
@@ -611,7 +575,7 @@ def run(config):
 
     y = np.array(rows)
     h = y[ncurv:]
-    rho = geometry.second_derivative(h, grid, scheme) + h if len(h) else None
+    rho = geometry.second_derivative(h, grid) + h if len(h) else None
     take_snapshot(0.0, y, rho)
     area0 = snapshots[0].summary.area
     area_floor = config.area_floor * area0
@@ -625,7 +589,7 @@ def run(config):
     dt_min, dt_max = math.inf, 0.0
     snapshot_stop = False
     clock = _Clock(config.snapshot_every)
-    march = _march(y, ncurv, rho, grid, law, config.c_cfl, scheme, clock)
+    march = _march(y, ncurv, rho, grid, law, config.c_cfl, clock)
     for t, dt, y, rho, on_cadence in march:
         steps += 1
         dt_min = min(dt_min, dt)
@@ -688,8 +652,7 @@ def estimate_blowup(traj):
     step is the run's full ETDRK4 step, dt S = _step_scale, the longest any
     of its steps took; on the mean mode, where sigma = 0, ETDRK4 is
     classical RK4, so lambda dt = dt S (1 + 2 Phi / (k Phi')) as for an RK4
-    step of that size.  Under fd4 at n <= 64 the full step is the fd4 RK4
-    bound, which exceeds the Fourier one by 3 pi^2 / 16.
+    step of that size.
     """
     law = traj.config.law
     last = traj.snapshots[-1]
@@ -704,7 +667,7 @@ def estimate_blowup(traj):
 
     k_last = last.summary.k_max
     config = traj.config
-    lam_dt = (_step_scale(config.c_cfl, last.curvature.grid, config.spatial_scheme)
+    lam_dt = (_step_scale(config.c_cfl, last.curvature.grid)
               * (1.0 + 2.0 * law.phi(k_last) / (k_last * law.phi_prime(k_last))))
     bias = 2.0 * lam_dt ** 4 * math.log(max(k_last / k_max0, math.e)) \
         * (hi_raw - t_last)
@@ -750,11 +713,9 @@ def containment_run(outer, inner, config):
     if outer.grid.n != inner.grid.n:
         raise ValueError("outer and inner profiles must share a grid")
     grid = outer.grid
-    scheme = config.spatial_scheme
     outer = _steiner_centered(outer)
     inner = _steiner_centered(inner)
-    rhos = (geometry.curvature_radius(outer, scheme),
-            geometry.curvature_radius(inner, scheme))
+    rhos = (geometry.curvature_radius(outer), geometry.curvature_radius(inner))
     gap0 = outer.h - inner.h
     tol = 1e-8 * geometry.periodic_integral(rhos[0], grid)
     if np.min(gap0) < -tol:
@@ -767,8 +728,7 @@ def containment_run(outer, inner, config):
     areas0 = [_area_of_support_arrays(h, grid, r) for h, r in zip(y, rho)]
     times = [0.0]
     gaps = [float(np.min(gap0))]
-    march = _march(y, 0, rho, grid, config.law, config.c_cfl, scheme,
-                   _Clock(config.snapshot_every))
+    march = _march(y, 0, rho, grid, config.law, config.c_cfl, _Clock(config.snapshot_every))
     for steps, (t, _, y, rho, on_cadence) in enumerate(march, start=1):
         stop_reason = None
         if any(_area_of_support_arrays(h, grid, r) <= config.area_floor * a0

@@ -80,52 +80,25 @@ def _fourier_tables(n):
     return m, d2, d1, helmholtz
 
 
-def _fourier_modes(n):
-    return _fourier_tables(n)[0]
-
-
-def second_derivative(values, grid, scheme="fourier"):
+def second_derivative(values, grid):
     """Periodic second derivative in theta, of each row of a stack along the last axis."""
-    n = grid.n
-    if scheme == "fourier":
-        spectrum = np.fft.rfft(values)
-        spectrum *= _fourier_tables(n)[1]
-        return np.fft.irfft(spectrum, n=n)
-    if scheme == "fd4":
-        f = np.asarray(values, dtype=float)
-        out = (-np.roll(f, -2, axis=-1) + 16.0 * np.roll(f, -1, axis=-1) - 30.0 * f
-               + 16.0 * np.roll(f, 1, axis=-1) - np.roll(f, 2, axis=-1))
-        return out / (12.0 * grid.dtheta ** 2)
-    raise ValueError(f"unknown derivative scheme {scheme!r}")
+    spectrum = np.fft.rfft(values)
+    spectrum *= _fourier_tables(grid.n)[1]
+    return np.fft.irfft(spectrum, n=grid.n)
 
 
-def second_derivative_symbol(n, scheme="fourier"):
-    """sigma(m) >= 0 on the rfft bins m = 0..n/2: ``second_derivative`` maps e^{i m theta} to -sigma(m) e^{i m theta}.
+def second_derivative_symbol(n):
+    """sigma(m) = m^2 on the rfft bins m = 0..n/2.
 
-    m^2 for the Fourier scheme; for fd4, the five-point stencil above
-    applied to e^{i m theta}, (30 - 32 cos(m dtheta) + 2 cos(2 m dtheta)) /
-    (12 dtheta^2).  h'' + h has the symbol 1 - sigma(m).
+    ``second_derivative`` maps e^{i m theta} to -sigma(m) e^{i m theta}, and
+    h'' + h has the symbol 1 - sigma(m).
     """
-    if scheme == "fourier":
-        return -_fourier_tables(n)[1]
-    if scheme == "fd4":
-        dtheta = 2.0 * math.pi / n
-        m_dtheta = _fourier_modes(n) * dtheta
-        return (30.0 - 32.0 * np.cos(m_dtheta) + 2.0 * np.cos(2.0 * m_dtheta)) \
-            / (12.0 * dtheta * dtheta)
-    raise ValueError(f"unknown derivative scheme {scheme!r}")
+    return -_fourier_tables(n)[1]
 
 
-def first_derivative(values, grid, scheme="fourier"):
+def first_derivative(values, grid):
     """Periodic first derivative in theta."""
-    n = grid.n
-    if scheme == "fourier":
-        return np.fft.irfft(np.fft.rfft(values) * _fourier_tables(n)[2], n=n)
-    if scheme == "fd4":
-        f = np.asarray(values, dtype=float)
-        return (-np.roll(f, -2) + 8.0 * np.roll(f, -1)
-                - 8.0 * np.roll(f, 1) + np.roll(f, 2)) / (12.0 * grid.dtheta)
-    raise ValueError(f"unknown derivative scheme {scheme!r}")
+    return np.fft.irfft(np.fft.rfft(values) * _fourier_tables(grid.n)[2], n=grid.n)
 
 
 def periodic_antiderivative(values, grid):
@@ -138,7 +111,7 @@ def periodic_antiderivative(values, grid):
     n = grid.n
     fh = np.fft.rfft(values)
     mean = fh[0].real / n
-    m = _fourier_modes(n)
+    m = _fourier_tables(n)[0]
     div = np.zeros_like(fh)
     div[1:-1] = fh[1:-1] / (1j * m[1:-1])
     # Nyquist antiderivative samples to zero on the grid, div[-1] stays 0
@@ -302,9 +275,9 @@ def support_from_curvature(kp):
     return SupportProfile(kp.grid, h, kp.t)
 
 
-def curvature_radius(sp, scheme="fourier"):
+def curvature_radius(sp):
     """h'' + h, the curvature radius; raises naming the first non-convex node."""
-    return _checked_radius(sp, second_derivative(sp.h, sp.grid, scheme) + sp.h)
+    return _checked_radius(sp, second_derivative(sp.h, sp.grid) + sp.h)
 
 
 def _checked_radius(sp, rho):
@@ -318,7 +291,10 @@ def _checked_radius(sp, rho):
 
 def k_from_support(sp, scheme="fourier"):
     """Pointwise reciprocal of h'' + h on the grid."""
-    return CurvatureProfile(sp.grid, 1.0 / curvature_radius(sp, scheme), sp.t)
+    # ``scheme`` stays only while perfbench/worker.py passes one (ROADMAP item 1)
+    if scheme != "fourier":
+        raise ValueError(f"unknown derivative scheme {scheme!r}")
+    return CurvatureProfile(sp.grid, 1.0 / curvature_radius(sp), sp.t)
 
 
 def _degenerate_guard(rho):

@@ -206,7 +206,7 @@ def check_hypotheses(law, x_lo, x_hi, n_probes=64):
         if conv_viol[j] > worst:
             worst, witness = float(conv_viol[j]), float(xs[j])
 
-    upper = xs >= np.sqrt(x_lo * x_hi)
+    upper = xs >= np.sqrt(x_lo) * np.sqrt(x_hi)  # x_lo * x_hi may overflow
     ratio = gp[upper] * xs[upper] / g[upper]
     h2_growth_ok = bool(np.all(np.isfinite(ratio)))
     witness_c0 = float(max(0.0, np.max(ratio))) if h2_growth_ok else float("inf")

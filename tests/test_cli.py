@@ -69,9 +69,10 @@ def test_run_determinism_and_echo_closure(tmp_path):
     assert bytes1 == (out2 / "series.csv").read_bytes()
 
     # feeding the config echo back reproduces the run byte for byte; keys
-    # that older versions wrote (the removed "dealias") are ignored
+    # that older versions wrote (the removed "dealias" and "spatial") are ignored
     echo = json.loads((out1 / "summary.json").read_text())["config"]
-    spec = RunSpec.from_dict(dict(echo, dealias=False))
+    assert "spatial" not in echo
+    spec = RunSpec.from_dict(dict(echo, dealias=False, spatial="fourier"))
     assert cli.execute_run(spec, out3) == 0
     assert bytes1 == (out3 / "series.csv").read_bytes()
 
@@ -134,13 +135,33 @@ def test_sweep_subcommand(tmp_path):
     out = tmp_path / "sweep"
     code = run_main(["sweep", "--law", "power:1", "--law", "power:2",
                      "--curve", "circle:1", "--n", "64", "--area-floor", "1e-2",
-                     "--cadence", "400", "--workers", "2", "--out", str(out)])
+                     "--cadence", "400", "--out", str(out)])
     assert code == 0
     index = json.loads((out / "sweep.json").read_text())
     assert len(index["runs"]) == 2
     for entry in index["runs"]:
         assert entry["exit"] == 0
         assert (out / entry["name"] / "series.csv").exists()
+
+
+def test_sweep_prints_each_member_in_spec_order(tmp_path, capsys):
+    flags = ["--curve", "circle:1", "--n", "64", "--area-floor", "1e-2", "--cadence", "400"]
+    laws = ("power:1", "power:2")
+    printed = []
+    for out in ("a", "b"):
+        assert run_main(["sweep", "--law", laws[0], "--law", laws[1], *flags,
+                         "--out", str(tmp_path / out)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    # each member's monitor table whole, in spec order, then one exit line per member
+    members = []
+    for law in laws:
+        spec = RunSpec(law=law, curve="circle:1", n=64, area_floor=1e-2, cadence=400)
+        assert cli.execute_run(spec, tmp_path / law.replace(":", "")) == 0
+        members.append(capsys.readouterr().out)
+    index = json.loads((tmp_path / "a" / "sweep.json").read_text())
+    exits = "".join(f"{entry['name']}: exit 0\n" for entry in index["runs"])
+    assert printed[0] == "".join(members) + exits
 
 
 @pytest.mark.parametrize("bad_entry", [

@@ -84,11 +84,12 @@ def test_run_exits_with_a_code_and_writes_strict_json(law, curve, n, cadence, cf
 @given(curves=st.lists(curves, min_size=1, max_size=3), k_cap=k_caps)
 # a k_cap between the two curves' initial k_max: valid for the first only
 @example(curves=["circle:1", "circle:0.1"], k_cap=5.0)
+# a curvature range whose endpoint product overflows, once raised mid-sweep
+@example(curves=["circle:1.0", "circle:1.3138184244495028e-254"], k_cap=None)
 def test_sweep_rejects_before_any_run_or_indexes_every_run(curves, k_cap):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "sweep"
-        args = ["sweep", "--n", "32", "--workers", "2", "--max-steps", "20",
-                "--out", str(out)]
+        args = ["sweep", "--n", "32", "--max-steps", "20", "--out", str(out)]
         args += [f"--curve={curve}" for curve in curves]
         if k_cap is not None:
             args.append(f"--k-cap={k_cap}")

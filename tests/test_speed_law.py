@@ -108,6 +108,12 @@ def test_check_hypotheses_validates_arguments():
         check_hypotheses(power_law(1), 0.1, 10.0, n_probes=8)
 
 
+def test_check_hypotheses_range_whose_product_overflows():
+    # 1e200 * 1e260 overflows; the upper half of the probes must still be found
+    rep = check_hypotheses(power_law(1), 1e200, 1e260, 64)
+    assert rep.all_ok and rep.witness_c0 == pytest.approx(0.0, abs=1e-12)
+
+
 def test_check_hypotheses_nonfinite_probe_carries_abscissa():
     law = SpeedLaw(g=lambda x: np.sqrt(50.0 - x), g_prime=lambda x: x * 0.0,
                    g_double_prime=lambda x: x * 0.0, label="broken")
