@@ -31,6 +31,10 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
+# options older summary.json echoes hold, with the one value every run now uses
+_RETIRED_KEYS = {"dealias": False, "spatial": "fourier", "cfl": 0.4}
+
+
 @dataclasses.dataclass(frozen=True)
 class RunSpec:
     """Everything needed to reproduce one run; echoed into summary.json."""
@@ -42,7 +46,6 @@ class RunSpec:
     k_cap: Optional[float] = flow.FlowConfig.k_cap
     max_steps: int = flow.FlowConfig.max_steps
     cadence: int = flow.FlowConfig.snapshot_every
-    cfl: float = flow.FlowConfig.c_cfl
     scheme: str = flow.FlowConfig.formulation
     seed: int = 0
 
@@ -56,6 +59,9 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data):
+        for key, value in _RETIRED_KEYS.items():
+            if key in data and data[key] != value:
+                raise ValueError(f"{key}={data[key]!r} is retired: every run uses {value!r}")
         fields = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in fields})
 
@@ -102,7 +108,7 @@ def build_initial(spec):
 
 def _flow_config(spec, law, initial):
     return flow.FlowConfig(
-        law=law, initial=initial, c_cfl=spec.cfl, area_floor=spec.area_floor,
+        law=law, initial=initial, area_floor=spec.area_floor,
         k_cap=spec.k_cap, max_steps=spec.max_steps, snapshot_every=spec.cadence,
         formulation=spec.scheme)
 
@@ -292,13 +298,8 @@ def _add_run_flags(p, multi=False):
     p.add_argument("--max-steps", type=int, default=RunSpec.max_steps)
     p.add_argument("--cadence", type=int, default=RunSpec.cadence,
                    help="snapshot every this many CFL units; a step of dt counts "
-                        "dt / (c_cfl dtheta^2 / (2 max k^2 Phi'(k))), so one unit is "
+                        "dt / (0.4 dtheta^2 / (2 max k^2 Phi'(k))), so one unit is "
                         "one RK4 step at its CFL bound")
-    p.add_argument("--cfl", type=float, default=RunSpec.cfl,
-                   help="step factor c_cfl in (0, 1]: a full ETDRK4 step has dt max "
-                        f"k^2 Phi'(k) = c_cfl / {flow.ETD_K:.4g}, or c_cfl dtheta^2 / 2 "
-                        "where that is larger; the error control halves it where "
-                        "needed")
     p.add_argument("--scheme", choices=flow.FORMULATIONS, default=RunSpec.scheme,
                    help="evolved formulation")
     p.add_argument("--seed", type=int, default=RunSpec.seed,

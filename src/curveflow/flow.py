@@ -11,16 +11,16 @@ diffusion rate k^2 Phi'(k) blows up with the curvature, so the stiff part
 L = -S sigma(m), with S = max k^2 Phi'(k) over the rows and sigma the
 symbol of -d^2/dtheta^2, is integrated exactly in Fourier space, and
 N = rhs - L y is built on the right-hand side ``_rhs``.  A full step has
-dt S = c_cfl / ETD_K (0.0015 at the default c_cfl), so the step count does
-not grow with n; on grids of n <= 64 the RK4 bound c_cfl dtheta^2 / 2 is the
-longer step and is taken instead.  Where k^2 Phi'(k) falls far below S
+dt S = ETD_STEP = 0.0015, so the step count does not grow with n; on grids
+of n <= 64 the RK4 bound 0.4 dtheta^2 / 2 is the longer step and is taken
+instead.  Where k^2 Phi'(k) falls far below S
 over much of the curve, the part of the diffusion that L leaves in N is
 stiff, and a full step can be inaccurate: every step carries an embedded
 error estimate, and a step whose estimate exceeds ETD_TOLERANCE, or that
 loses positivity in any row, is rejected and retried at half the dt.  The
 rows are stage-synchronous: at every stage the arrays they differentiate,
 Phi(k) and h, go through one stacked second_derivative call.  Snapshots
-follow the CFL clock, which counts CFL units, dt S / (c_cfl dtheta^2 / 2)
+follow the CFL clock, which counts CFL units, dt S / (0.4 dtheta^2 / 2)
 per step (one unit is one RK4 step at its stability bound); a step is
 clipped to land on each cadence mark.
 ``run`` passes one row (two for formulation="both"), ``containment_run``
@@ -66,10 +66,10 @@ STOP_ANALYTIC = "analytic"  # used by exact reference trajectories only
 
 FORMULATIONS = ("curvature", "support", "both")
 
-# A full ETDRK4 step takes dt = eps / S with eps = c_cfl / ETD_K (0.0015 at
-# the default c_cfl = 0.4) and S = max k^2 Phi'(k), or the RK4 step
-# c_cfl dtheta^2 / (2 S) where that is longer (n <= 64, whatever c_cfl).
-ETD_K = 800.0 / 3.0
+# A full ETDRK4 step takes dt = ETD_STEP / S with S = max k^2 Phi'(k), or
+# one CFL unit, the RK4 step 0.4 dtheta^2 / (2 S), where that is longer
+# (n <= 64).
+ETD_STEP = 0.0015
 # Largest accepted local error estimate of a step, relative to each row's
 # largest value.  On the p = 4 ellipse, the stiffest law and curve the
 # tests run, 1e-5 lets the evolution identities drift past their 1% bound
@@ -94,7 +94,7 @@ class FlowConfig:
     stops; ``k_cap`` is an absolute curvature cap (default 1e6 times the
     initial maximum), checked against the initial k_max when the config is
     built.  ``snapshot_every`` counts CFL units: a step of dt counts
-    dt S / (c_cfl dtheta^2 / 2), S = max k^2 Phi'(k), so one unit is one
+    dt S / (0.4 dtheta^2 / 2), S = max k^2 Phi'(k), so one unit is one
     RK4 step at its CFL bound.  Steps are clipped to land on its multiples,
     where snapshots are taken, so the snapshot times do not depend on the
     step count.  Building the config also sets ``initial_curvature``, the
@@ -104,7 +104,6 @@ class FlowConfig:
 
     law: object
     initial: Union[CurvatureProfile, SupportProfile]
-    c_cfl: float = 0.4
     area_floor: float = 1e-3
     k_cap: Optional[float] = None
     max_steps: int = 100_000_000
@@ -112,8 +111,6 @@ class FlowConfig:
     formulation: str = "curvature"
 
     def __post_init__(self):
-        if not (0.0 < self.c_cfl <= 1.0):
-            raise ValueError(f"c_cfl must be in (0, 1], got {self.c_cfl}")
         if not (0.0 < self.area_floor < 1.0):
             raise ValueError(f"area_floor must be in (0, 1), got {self.area_floor}")
         if self.formulation not in FORMULATIONS:
@@ -219,21 +216,21 @@ def _rhs(y, ncurv, grid, law):
     return np.concatenate((dk, dh)) if ncurv else dh
 
 
-def _cfl_base(c_cfl, grid):
-    """dt * S of one CFL unit: the RK4 stability bound c_cfl dtheta^2 / 2."""
-    return c_cfl * grid.dtheta ** 2 / 2.0
+def _cfl_base(grid):
+    """dt * S of one CFL unit: the RK4 stability bound 0.4 dtheta^2 / 2."""
+    return 0.4 * grid.dtheta ** 2 / 2.0
 
 
-def _step_scale(c_cfl, grid):
-    """dt * S of a full ETDRK4 step: c_cfl / ETD_K, or the RK4 bound if longer.
+def _step_scale(grid):
+    """dt * S of a full ETDRK4 step: ETD_STEP, or the RK4 bound if longer.
 
     The RK4 bound is longer on grids of n <= 64 only.  There the explicit
     part of the step stays within the stability bound an RK4 step obeys,
-    every mode has dt S sigma(m) <= c_cfl pi^2 / 2, and the error estimate
+    every mode has dt S sigma(m) <= 0.4 pi^2 / 2, and the error estimate
     rejects the step where it is not accurate; a run then takes one step
     per CFL unit, as RK4 did.
     """
-    return max(c_cfl / ETD_K, _cfl_base(c_cfl, grid))
+    return max(ETD_STEP, _cfl_base(grid))
 
 
 def _stiffness(y, ncurv, rho, law, scale):
@@ -356,22 +353,22 @@ def _etd(y, y_hat, r_hat, ncurv, dt, coefficients, grid, law):
     return new, rho, new_hat, new_r_hat, error
 
 
-def _march(y, ncurv, rho, grid, law, c_cfl, clock):
+def _march(y, ncurv, rho, grid, law, clock):
     """Advance the rows of one flow with shared ETDRK4 steps, yielding each accepted one.
 
-    A full step has dt * S = _step_scale(c_cfl), S the stiffness over all
+    A full step has dt * S = _step_scale(grid), S the stiffness over all
     rows.  A step is rejected, and retried at half the dt, when a row leaves
     its domain or the step's error estimate exceeds ETD_TOLERANCE; after a
     full-length step whose estimate is below ETD_TOLERANCE / 32 the next
     step is twice as long again, up to the full step.  ``clock`` keeps the
-    run time and the CFL clock, and a step that would pass the clock's next
-    cadence mark is clipped to land on it.  Yields (t, dt, y, rho,
-    on_cadence) per accepted step; returns, ending the iteration, once
-    halving pushes dt below 1e-14 of the elapsed time (or of the first dt),
-    which callers report as convexity loss.
+    run time, the CFL clock and the step counters, and a step that would
+    pass the clock's next cadence mark is clipped to land on it.  Yields
+    (t, y, rho, on_cadence) per accepted step; returns, ending the
+    iteration, once halving pushes dt below 1e-14 of the elapsed time (or of
+    the first dt), which callers report as convexity loss.
     """
-    cfl_base = _cfl_base(c_cfl, grid)
-    full = _step_scale(c_cfl, grid)
+    cfl_base = _cfl_base(grid)
+    full = _step_scale(grid)
     y_hat = np.fft.rfft(y)
     r_hat = None
     first_dt = None
@@ -399,7 +396,7 @@ def _march(y, ncurv, rho, grid, law, c_cfl, clock):
         if level and not on_cadence and error < ETD_TOLERANCE / 32.0:
             level -= 1
         clock.advance(dt, units, on_cadence)
-        yield clock.t, dt, y, rho, on_cadence
+        yield clock.t, y, rho, on_cadence
 
 
 def _stack(profile):
@@ -421,15 +418,15 @@ def rhs_support(sp, law):
     return _rhs(sp.h[None], 0, sp.grid, law)[0]
 
 
-def stable_dt(profile, law, c_cfl):
-    """The length of one CFL unit, c_cfl dtheta^2 / (2 max(k^2 Phi'(k))).
+def stable_dt(profile, law):
+    """The length of one CFL unit, 0.4 dtheta^2 / (2 max(k^2 Phi'(k))).
 
     That is the classical RK4 stability bound of the profile, and the unit
     in which ``snapshot_every`` counts.
     """
     y, ncurv = _stack(profile)
     rho = None if ncurv else geometry.curvature_radius(profile)[None]
-    cfl_base = _cfl_base(c_cfl, profile.grid)
+    cfl_base = _cfl_base(profile.grid)
     return cfl_base / _stiffness(y, ncurv, rho, law, cfl_base)
 
 
@@ -478,13 +475,14 @@ def _area_of_support_arrays(h, grid, rho):
 
 
 class _Clock:
-    """The run time t (Kahan-compensated) and the CFL clock of a march.
+    """The run time t (Kahan-compensated), the CFL clock and the step counters of a march.
 
     The CFL clock counts CFL units, dt S / cfl_base per step: one unit is one
-    RK4 step at the CFL bound c_cfl dtheta^2 / (2 S).  A step that would pass
+    RK4 step at the CFL bound 0.4 dtheta^2 / (2 S).  A step that would pass
     the next multiple of ``every`` is clipped to end on it, where a snapshot
-    falls; ``since`` counts the units after the last one.  ``rejected``
-    counts rejected step attempts.
+    falls; ``since`` counts the units after the last one.  ``steps`` counts
+    accepted steps, ``dt_min`` and ``dt_max`` bound their lengths, and
+    ``rejected`` counts rejected step attempts.
     """
 
     def __init__(self, every=math.inf):
@@ -492,7 +490,10 @@ class _Clock:
         self.t = 0.0
         self._c = 0.0
         self.since = 0.0
+        self.steps = 0
         self.rejected = 0
+        self.dt_min = math.inf
+        self.dt_max = 0.0
 
     def plan(self, units):
         """(units, on_cadence) of a step of ``units``, clipped to the next mark."""
@@ -507,6 +508,20 @@ class _Clock:
         self._c = (s - self.t) - y
         self.t = s
         self.since = 0.0 if on_cadence else self.since + units
+        self.steps += 1
+        self.dt_min = min(self.dt_min, dt)
+        self.dt_max = max(self.dt_max, dt)
+
+
+def _stop_reason(below, k_now, config, clock):
+    """area-floor, curvature-cap or step-limit after a step, in that tie-break order."""
+    if below:
+        return STOP_AREA_FLOOR
+    if k_now >= config.curvature_cap:
+        return STOP_CURVATURE_CAP
+    if clock.steps >= config.max_steps:
+        return STOP_STEP_LIMIT
+    return None
 
 
 def run(config):
@@ -528,7 +543,6 @@ def run(config):
     kp0 = config.initial_curvature
     k_max0 = float(np.max(kp0.k))
     k_min0 = float(np.min(kp0.k))
-    k_cap = config.curvature_cap
     ncurv = int(config.formulation != "support")
     rows = [kp0.k] if ncurv else []
     if config.formulation != "curvature":
@@ -537,8 +551,8 @@ def run(config):
         rows.append(sp0.h)
 
     # validate the law on the curvature range this run can visit
-    hyp = check_hypotheses(law, k_min0 / 2.0, k_cap, n_probes=64)
-    probes = np.geomspace(k_min0 / 2.0, k_cap, 64)
+    hyp = check_hypotheses(law, k_min0 / 2.0, config.curvature_cap, n_probes=64)
+    probes = np.geomspace(k_min0 / 2.0, config.curvature_cap, 64)
     if np.min(law.phi_prime(probes)) <= 0.0:
         raise HypothesisViolationError(
             f"{law.label}: Phi'(k) <= 0 on the working range; the flow is not "
@@ -584,17 +598,9 @@ def run(config):
                       roundness_expected=roundness,
                       form_disagreement=disagreement)
 
-    t = 0.0
-    steps = 0
-    dt_min, dt_max = math.inf, 0.0
     snapshot_stop = False
     clock = _Clock(config.snapshot_every)
-    march = _march(y, ncurv, rho, grid, law, config.c_cfl, clock)
-    for t, dt, y, rho, on_cadence in march:
-        steps += 1
-        dt_min = min(dt_min, dt)
-        dt_max = max(dt_max, dt)
-
+    for t, y, rho, on_cadence in _march(y, ncurv, rho, grid, law, clock):
         # stop checks read the curvature form when both evolve (tie: area wins)
         if ncurv:
             k_now = float(y[0].max())
@@ -605,14 +611,8 @@ def run(config):
         else:
             below = _area_of_support_arrays(y[0], grid, rho[0]) <= area_floor
             k_now = float(1.0 / rho[0].min())
-        stop = None
-        if below:
-            stop = STOP_AREA_FLOOR
-        elif k_now >= k_cap:
-            stop = STOP_CURVATURE_CAP
-        elif steps >= config.max_steps:
-            stop = STOP_STEP_LIMIT
-        elif on_cadence:
+        stop = _stop_reason(below, k_now, config, clock)
+        if stop is None and on_cadence:
             stop = snapshot_failure(t, y, rho)
             snapshot_stop = stop is not None
         if stop is not None:
@@ -621,12 +621,12 @@ def run(config):
     else:
         traj.stop_reason = STOP_CONVEXITY_LOSS  # halving pushed dt below its floor
 
-    traj.step_count = steps
+    traj.step_count = clock.steps
     traj.rejected_count = clock.rejected
-    traj.dt_min = dt_min if steps else 0.0
-    traj.dt_max = dt_max
-    if snapshots[-1].t < t and not snapshot_stop:
-        snapshot_failure(t, y, rho)  # on failure the last good snapshot stays last
+    traj.dt_min = clock.dt_min if clock.steps else 0.0
+    traj.dt_max = clock.dt_max
+    if snapshots[-1].t < clock.t and not snapshot_stop:
+        snapshot_failure(clock.t, y, rho)  # on failure the last good snapshot stays last
 
     last = snapshots[-1].summary
     if last.k_max >= 10.0 * k_max0:
@@ -666,8 +666,7 @@ def estimate_blowup(traj):
     hi_raw = t_last + law.tail_mass(last.summary.k_min)
 
     k_last = last.summary.k_max
-    config = traj.config
-    lam_dt = (_step_scale(config.c_cfl, last.curvature.grid)
+    lam_dt = (_step_scale(last.curvature.grid)
               * (1.0 + 2.0 * law.phi(k_last) / (k_last * law.phi_prime(k_last))))
     bias = 2.0 * lam_dt ** 4 * math.log(max(k_last / k_max0, math.e)) \
         * (hi_raw - t_last)
@@ -728,16 +727,11 @@ def containment_run(outer, inner, config):
     areas0 = [_area_of_support_arrays(h, grid, r) for h, r in zip(y, rho)]
     times = [0.0]
     gaps = [float(np.min(gap0))]
-    march = _march(y, 0, rho, grid, config.law, config.c_cfl, _Clock(config.snapshot_every))
-    for steps, (t, _, y, rho, on_cadence) in enumerate(march, start=1):
-        stop_reason = None
-        if any(_area_of_support_arrays(h, grid, r) <= config.area_floor * a0
-               for h, r, a0 in zip(y, rho, areas0)):
-            stop_reason = STOP_AREA_FLOOR
-        elif float(1.0 / rho.min()) >= config.curvature_cap:
-            stop_reason = STOP_CURVATURE_CAP
-        elif steps >= config.max_steps:
-            stop_reason = STOP_STEP_LIMIT
+    clock = _Clock(config.snapshot_every)
+    for t, y, rho, on_cadence in _march(y, 0, rho, grid, config.law, clock):
+        below = any(_area_of_support_arrays(h, grid, r) <= config.area_floor * a0
+                    for h, r, a0 in zip(y, rho, areas0))
+        stop_reason = _stop_reason(below, float(1.0 / rho.min()), config, clock)
         # the final state is recorded whatever stopped the run
         if on_cadence or stop_reason is not None:
             times.append(t)

@@ -1,9 +1,10 @@
 """The names the benchmark harness in perfbench/ calls must keep working.
 
 perfbench/worker.py reads ``RunSpec.spatial``, passes it to
-``geometry.k_from_support`` and calls ``cli.execute_sweep`` with a worker
-count by position.  These tests fail if any of those is dropped before the
-harness stops using it.
+``geometry.k_from_support``, calls ``cli.execute_sweep`` with a worker
+count by position, and its tracer wraps named functions of each layer.
+These tests fail if any of those is dropped before the harness stops using
+it.
 """
 
 import json
@@ -30,6 +31,14 @@ def test_worker_setup_only_pass(tmp_path, workload):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(result.read_text())["setup_s"] > 0.0
+
+
+def test_tracer_finds_every_name_it_wraps():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import worker; "
+            "worker._install_tracer(*worker._import_curveflow())")
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sweep_takes_a_worker_count_by_position(tmp_path):

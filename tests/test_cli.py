@@ -69,12 +69,20 @@ def test_run_determinism_and_echo_closure(tmp_path):
     assert bytes1 == (out2 / "series.csv").read_bytes()
 
     # feeding the config echo back reproduces the run byte for byte; keys
-    # that older versions wrote (the removed "dealias" and "spatial") are ignored
+    # that older versions wrote (the retired "dealias", "spatial" and "cfl")
+    # are accepted at the one value every run now uses
     echo = json.loads((out1 / "summary.json").read_text())["config"]
-    assert "spatial" not in echo
-    spec = RunSpec.from_dict(dict(echo, dealias=False, spatial="fourier"))
+    assert "spatial" not in echo and "cfl" not in echo
+    spec = RunSpec.from_dict(dict(echo, dealias=False, spatial="fourier", cfl=0.4))
     assert cli.execute_run(spec, out3) == 0
     assert bytes1 == (out3 / "series.csv").read_bytes()
+
+
+@pytest.mark.parametrize("retired", [{"spatial": "fd4"}, {"dealias": True}, {"cfl": 0.2}])
+def test_echo_with_a_retired_option_changed_is_rejected(retired):
+    # such an echo describes a run that can no longer be reproduced
+    with pytest.raises(ValueError, match=next(iter(retired))):
+        RunSpec.from_dict(dict(RunSpec().to_dict(), **retired))
 
 
 def test_run_ellipse_monotone_iso(tmp_path):
@@ -206,16 +214,16 @@ def test_degenerate_snapshot_is_a_stop_not_a_crash(tmp_path, monkeypatch):
 @pytest.mark.parametrize("args, expected", [
     # area pi R^2 overflows: the initial snapshot is degenerate
     (["run", "--curve", "circle:1.3407807929942596e+154"], 3),
-    # k^2 Phi'(k) underflows to 0: no finite CFL step
+    # k^2 Phi'(k) underflows to 0: no finite step
     (["run", "--curve", "circle:6.748370691814794e+161"], 3),
     # h = R overflows in the Fourier support solve
     (["run", "--curve", "circle:5.617791046444737e+306"], 3),
     # Phi'(k) overflows; the step halving used to loop forever on dt = 0
     (["containment", "--law", "power:1.4571529819837308e+16",
       "--outer", "circle:0.05", "--inner", "circle:0.01"], 3),
-    # snapshot spacing ~1e-196 underflows the evolution-identity stencil
-    (["run", "--law", "power:6", "--curve", "circle:6", "--cfl", "6e-200",
-      "--area-floor", "6e-200", "--scheme", "support", "--k-cap", "6",
+    # p = 6 shrinks R = 1e-30 to a point by t = R^7 / 7: the snapshot spacing
+    # underflows the evolution-identity stencil
+    (["run", "--law", "power:6", "--curve", "circle:1e-30", "--scheme", "support",
       "--cadence", "5"], 0),
     # a member run that fails at run time is recorded, not lost
     (["sweep", "--curve", "circle:1", "--curve", "circle:1.3407807929942596e+154"], 3),

@@ -52,6 +52,17 @@ def assert_strict_json(root):
         json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
+def run_args(out, law, curve, n, cadence, area_floor, k_cap, scheme, max_steps):
+    """The `run` argument vector of one example."""
+    # --flag=value keeps values such as "-inf" or "-x" from reading as flags
+    args = ["run", f"--law={law}", f"--curve={curve}", f"--n={n}",
+            f"--cadence={cadence}", f"--area-floor={area_floor}",
+            f"--scheme={scheme}", f"--max-steps={max_steps}", f"--out={out}"]
+    if k_cap is not None:
+        args.append(f"--k-cap={k_cap}")
+    return args
+
+
 def call_main(args):
     with np.errstate(all="ignore"):  # overflowing inputs are the point here
         code = main(args)
@@ -62,22 +73,24 @@ def call_main(args):
 @settings(max_examples=40, deadline=None)
 @given(law=laws, curve=curves, n=mostly(st.sampled_from([32, 64]), st.just(16)),
        cadence=mostly(st.integers(1, 20), st.integers(-1, 0)),
-       cfl=mostly(st.floats(min_value=0.05, max_value=1.0), numbers),
        area_floor=mostly(st.floats(min_value=1e-3, max_value=0.9), numbers),
        k_cap=k_caps, scheme=st.sampled_from(flow.FORMULATIONS),
        max_steps=mostly(st.integers(1, 40), st.just(0)))
-def test_run_exits_with_a_code_and_writes_strict_json(law, curve, n, cadence, cfl,
+def test_run_exits_with_a_code_and_writes_strict_json(law, curve, n, cadence,
                                                       area_floor, k_cap, scheme,
                                                       max_steps):
     with tempfile.TemporaryDirectory() as tmp:
-        # --flag=value keeps values such as "-inf" or "-x" from reading as flags
-        args = ["run", f"--law={law}", f"--curve={curve}", f"--n={n}",
-                f"--cadence={cadence}", f"--cfl={cfl}", f"--area-floor={area_floor}",
-                f"--scheme={scheme}", f"--max-steps={max_steps}", f"--out={tmp}"]
-        if k_cap is not None:
-            args.append(f"--k-cap={k_cap}")
-        call_main(args)
+        call_main(run_args(tmp, law, curve, n, cadence, area_floor, k_cap, scheme,
+                           max_steps))
         assert_strict_json(tmp)
+
+
+def test_run_args_of_valid_values_complete_a_run(tmp_path):
+    # the argument vector the property test draws from parses and runs
+    args = run_args(tmp_path, "power:2", "fourier:3:0.02", 32, 5, 0.5, 50.0, "both", 40)
+    assert call_main(args) == 0
+    assert_strict_json(tmp_path)
+    assert (tmp_path / "summary.json").is_file()
 
 
 @settings(max_examples=25, deadline=None)

@@ -85,12 +85,12 @@ def test_step_rejects_oversized_dt_without_mutation():
     k = 1.0 + 0.9 * np.cos(16.0 * g.theta)  # stiff high-mode profile
     kp = CurvatureProfile(g, k)
     law = power_law(1)
-    dt = 1000.0 * stable_dt(kp, law, 1.0)
+    dt = 2500.0 * stable_dt(kp, law)
     with pytest.raises(StepRejected):
         step(kp, law, dt)
     assert np.array_equal(kp.k, k)
     # the stable dt itself is accepted
-    accepted = step(kp, law, stable_dt(kp, law, 0.4))
+    accepted = step(kp, law, stable_dt(kp, law))
     assert np.min(accepted.k) > 0.0
 
 
@@ -99,7 +99,7 @@ def test_step_preserves_closure():
     kp = oracle.ellipse_profile(2.0, 1.0, g)
     law = power_law(1)
     c0, s0 = geometry.closure_residual(kp)
-    new = step(kp, law, stable_dt(kp, law, 0.4))
+    new = step(kp, law, stable_dt(kp, law))
     c1, s1 = geometry.closure_residual(new)
     drift = math.hypot(c1 - c0, s1 - s0)
     assert drift <= 1e-12 * geometry.length_of(kp)
@@ -107,18 +107,18 @@ def test_step_preserves_closure():
 
 def test_stable_dt_scalings():
     law = power_law(1)
-    dt_n = stable_dt(circle_kp(1.0, n=128), law, 0.5)
-    dt_2n = stable_dt(circle_kp(1.0, n=256), law, 0.5)
+    dt_n = stable_dt(circle_kp(1.0, n=128), law)
+    dt_2n = stable_dt(circle_kp(1.0, n=256), law)
     assert dt_n / dt_2n == pytest.approx(4.0, rel=1e-12)
     # doubling curvature quarters the step for p = 1
-    assert stable_dt(circle_kp(0.5, n=128), law, 0.5) == pytest.approx(dt_n / 4.0)
+    assert stable_dt(circle_kp(0.5, n=128), law) == pytest.approx(dt_n / 4.0)
     # p = 3 at k = 2: diffusion coefficient k^2 Phi' = 4 * 12 = 48
-    dt_p3 = stable_dt(circle_kp(0.5, n=128), power_law(3), 0.5)
+    dt_p3 = stable_dt(circle_kp(0.5, n=128), power_law(3))
     assert dt_n / dt_p3 == pytest.approx(48.0, rel=1e-12)
     # support and curvature forms see the same bound
     g = AngleGrid(128)
     sp = SupportProfile(g, np.ones(g.n))
-    assert stable_dt(sp, law, 0.5) == pytest.approx(stable_dt(circle_kp(1.0, n=128), law, 0.5))
+    assert stable_dt(sp, law) == pytest.approx(stable_dt(circle_kp(1.0, n=128), law))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def test_stacked_step_matches_per_row_steps(scheme):
     law = power_law(1)
     stack = np.array([kp.k, sp.h, other.h])
     # a run's full step of the stack, S taken over all three rows
-    scale = flow._step_scale(0.4, g)
+    scale = flow._step_scale(g)
     dt = scale / flow._stiffness(stack, 1, geometry.second_derivative(stack[1:], g) + stack[1:],
                                  law, scale)
     coefficients = flow._etd_coefficients(g.n, scale)
@@ -187,7 +187,7 @@ def test_stacked_step_matches_per_row_steps(scheme):
 @pytest.mark.parametrize("n", [32, 64, 128, 256, 512, 1024])
 def test_etd_contour_means_match_series_and_closed_forms(n):
     g = AngleGrid(n)
-    full = flow._step_scale(0.4, g)
+    full = flow._step_scale(g)
     for level in range(3):  # the full step and two halvings
         scale = full / 2 ** level
         z = -scale * geometry.second_derivative_symbol(n)
@@ -241,7 +241,7 @@ def test_etd_error_estimate_is_fourth_order():
     stiffness = flow._stiffness(y, 1, None, law, 1.0)
     errors = []
     for level in range(4):
-        scale = 0.4 / flow.ETD_K / 2 ** level
+        scale = flow.ETD_STEP / 2 ** level
         coefficients = flow._etd_coefficients(g.n, scale)
         errors.append(flow._etd(y, np.fft.rfft(y), None, 1, scale / stiffness,
                                 coefficients, g, law)[-1])
@@ -260,7 +260,7 @@ def test_etd_convergence_order(p, formulation, t_end, min_slope, max_slope):
     y0 = kp.k[None] if formulation == "curvature" else \
         geometry.support_from_curvature(kp).h[None]
     ncurv = int(formulation == "curvature")
-    eps = 0.4 / flow.ETD_K
+    eps = flow.ETD_STEP
     finals = [_etd_to(y0, ncurv, g, power_law(p), eps / 2 ** i, t_end) for i in range(3)]
     coarse = np.max(np.abs(finals[0] - finals[1]))
     fine = np.max(np.abs(finals[1] - finals[2]))
@@ -348,7 +348,7 @@ def test_area_gate_keeps_the_stop_step(p):
     floor = config.area_floor * traj.snapshots[0].summary.area
     steps = 0
     clock = flow._Clock(config.snapshot_every)
-    for t, _, y, _, _ in flow._march(kp.k[None], 1, None, g, law, config.c_cfl, clock):
+    for t, y, _, _ in flow._march(kp.k[None], 1, None, g, law, clock):
         steps += 1
         if flow._support_area_from_k(y[0], g) <= floor:
             break
@@ -389,8 +389,16 @@ def test_run_ellipse_kmin_nondecreasing():
 def test_stable_dt_formula_value():
     # k = 1, p = 1: diffusion coefficient 1, Fourier radius factor 1
     kp = circle_kp(1.0, n=256)
-    dt = stable_dt(kp, power_law(1), 0.5)
-    assert dt == pytest.approx(0.5 * kp.grid.dtheta ** 2 / 2.0, rel=1e-15)
+    dt = stable_dt(kp, power_law(1))
+    assert dt == pytest.approx(0.4 * kp.grid.dtheta ** 2 / 2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 4096])
+def test_full_step_is_the_longer_of_etd_step_and_one_cfl_unit(n):
+    g = AngleGrid(n)
+    unit = 0.4 * g.dtheta ** 2 / 2.0
+    assert flow._cfl_base(g) == unit
+    assert flow._step_scale(g) == (unit if n <= 64 else 0.0015)
 
 
 def test_run_circle_affine_exponent():
@@ -465,8 +473,6 @@ def test_snapshots_solve_the_support_once(monkeypatch, formulation, solves):
 
 def test_run_rejects_bad_config():
     kp = circle_kp(1.0, n=64)
-    with pytest.raises(ValueError):
-        FlowConfig(law=power_law(1), initial=kp, c_cfl=1.5)
     with pytest.raises(ValueError):
         FlowConfig(law=power_law(1), initial=kp, area_floor=1.0)
     with pytest.raises(ValueError):
