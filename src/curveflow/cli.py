@@ -59,10 +59,15 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data):
-        for key, value in _RETIRED_KEYS.items():
-            if key in data and data[key] != value:
-                raise ValueError(f"{key}={data[key]!r} is retired: every run uses {value!r}")
+        """The spec of an echo; a retired key must hold its one value, and an
+        unknown key is refused."""
         fields = {f.name for f in dataclasses.fields(cls)}
+        for key, value in data.items():
+            if key in _RETIRED_KEYS and value != _RETIRED_KEYS[key]:
+                raise ValueError(f"{key}={value!r} is retired: every run uses "
+                                 f"{_RETIRED_KEYS[key]!r}")
+            if key not in fields and key not in _RETIRED_KEYS:
+                raise ValueError(f"unknown run setting {key!r}")
         return cls(**{k: v for k, v in data.items() if k in fields})
 
 
@@ -338,14 +343,18 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
+    # the RunSpec fields; the subcommand, output directory and containment
+    # curves are passed on separately
+    settings = {k: v for k, v in vars(args).items()
+                if k not in ("subcommand", "out", "outer", "inner")}
     try:
         if args.subcommand == "run":
-            return execute_run(RunSpec.from_dict(vars(args)), args.out)
+            return execute_run(RunSpec.from_dict(settings), args.out)
         if args.subcommand == "containment":
-            spec = RunSpec.from_dict(dict(vars(args), curve=args.outer))
+            spec = RunSpec.from_dict(dict(settings, curve=args.outer))
             return execute_containment(spec, args.outer, args.inner, args.out)
         if args.subcommand == "sweep":
-            specs = [RunSpec.from_dict(dict(vars(args), law=law, curve=curve))
+            specs = [RunSpec.from_dict(dict(settings, law=law, curve=curve))
                      for law in args.law or [RunSpec.law]
                      for curve in args.curve or [RunSpec.curve]]
             return execute_sweep(specs, args.out)

@@ -4,7 +4,10 @@ Monitors are pure functions of a trajectory; they never mutate it and never
 abort a run.  Each returns a MonitorReport whose status is "pass", "fail",
 or "inconclusive" (the last for trajectories that stopped before the regime
 a monitor needs, or for speed laws outside the validated hypotheses, where
-the roundness theory makes no promise).
+the roundness theory makes no promise).  The evolution identities are judged
+in integrated form, against the flux integrals that ``flow.run`` accumulates
+over its steps and records in every snapshot, so no monitor differentiates
+the snapshot series in time.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from .errors import InsufficientDataError
 
 RATIO_TOL = 0.05          # roundness target for k_min/k_max and r_in/r_out
 BLOWUP_RHO_TOL = 0.05     # target for |rho - 1| of the blow-up integral
-EVOLUTION_TOL = 0.01      # relative mismatch allowed in dL/dt, dA/dt
-RESOLUTION_GATE = 0.1     # one-sided slope disagreement that skips a snapshot pair
+EVOLUTION_TOL = 0.01      # relative mismatch allowed in the integrated dL/dt, dA/dt
 ISO_SLACK = 1e-8          # relative slack for monotonicity of L^2/A
 BONNESEN_TOL = 1e-7       # relative tolerance for the Bonnesen gap
 GAGE_TOL = 1e-9           # roundoff allowance for 0 <= F < 1
@@ -241,65 +243,26 @@ def monitor_blowup_integral(traj):
 # evolution identities
 # ---------------------------------------------------------------------------
 
-def _central_derivative(ts, ys, i):
-    # second-order three-point derivative on a nonuniform stencil
-    hm = ts[i] - ts[i - 1]
-    hp = ts[i + 1] - ts[i]
-    return (hm * hm * ys[i + 1] - hp * hp * ys[i - 1]
-            + (hp * hp - hm * hm) * ys[i]) / (hm * hp * (hm + hp))
-
-
-def _resolution_q(ts, ys, i):
-    # one-sided slopes disagreeing means the stencil under-resolves the series
-    hm = ts[i] - ts[i - 1]
-    hp = ts[i + 1] - ts[i]
-    if hm * hp * (hm + hp) == 0.0:  # spacing too fine for the stencil to represent
-        return math.inf
-    fwd = (ys[i + 1] - ys[i]) / hp
-    bwd = (ys[i] - ys[i - 1]) / hm
-    central = _central_derivative(ts, ys, i)
-    return abs(fwd - bwd) / max(abs(central), 1e-300)
-
-
 def monitor_evolution_identities(traj):
-    """dL/dt = -oint G(k) k dtheta and dA/dt = -oint G(k) dtheta along snapshots.
+    """dL/dt = -oint G(k) k dtheta and dA/dt = -oint G(k) dtheta, integrated.
 
-    Central differences of the recorded L and A series against the exact
-    right-hand sides, judged at 1% relative mismatch.  Only temporally
-    resolved snapshot pairs count: where the forward and backward slopes of
-    either series disagree by more than ``RESOLUTION_GATE`` of the central
-    value, the sampling itself cannot support the check and the pair is
-    skipped.  Inconclusive when no pair survives the gate.
+    Between consecutive snapshots, L and A must lose what the run's flux
+    integrals (``Snapshot.flux``, accumulated over every accepted step)
+    gained: each interval is judged by
+    max(|dL + dI_Phi| / |dI_Phi|, |dA + dI_G| / |dI_G|) at 1% relative
+    mismatch.
     """
-    _need_snapshots(traj, 3)
-    law = traj.config.law
-    ts = traj.times()
-    lengths = [s.length for s in traj.summaries()]
-    areas = [s.area for s in traj.summaries()]
-    mismatches, times = [], []
-    skipped = 0
-    for i in range(1, len(ts) - 1):
-        if max(_resolution_q(ts, lengths, i),
-               _resolution_q(ts, areas, i)) > RESOLUTION_GATE:
-            skipped += 1
-            continue
-        kp = traj.snapshots[i].curvature
-        rhs_length = -geometry.periodic_integral(law.phi(kp.k), kp.grid)
-        rhs_area = -geometry.periodic_integral(law.g(kp.k), kp.grid)
-        dl = _central_derivative(ts, lengths, i)
-        da = _central_derivative(ts, areas, i)
-        mismatches.append(max(abs(dl - rhs_length) / abs(rhs_length),
-                              abs(da - rhs_area) / abs(rhs_area)))
-        times.append(ts[i])
-    if not mismatches:
-        return _inconclusive(
-            "evolution-identities", ts, [],
-            "no snapshot pair is temporally resolved; lower the snapshot "
-            "cadence to check the evolution identities")
+    _need_snapshots(traj, 2)
+    snaps = traj.snapshots
+    mismatches = []
+    for a, b in zip(snaps, snaps[1:]):
+        d_phi, d_g = (fb - fa for fa, fb in zip(a.flux, b.flux))
+        mismatches.append(max(
+            abs(b.summary.length - a.summary.length + d_phi) / abs(d_phi),
+            abs(b.summary.area - a.summary.area + d_g) / abs(d_g)))
     margins = [EVOLUTION_TOL - m for m in mismatches]
-    return _conclusive("evolution-identities", times, mismatches, margins, 0.0,
-                       extras={"worst_mismatch": max(mismatches),
-                               "skipped_unresolved": skipped})
+    return _conclusive("evolution-identities", traj.times()[1:], mismatches, margins, 0.0,
+                       extras={"worst_mismatch": max(mismatches)})
 
 
 # ---------------------------------------------------------------------------

@@ -139,10 +139,15 @@ class BlowUpEstimate:
 
 @dataclasses.dataclass(frozen=True)
 class Snapshot:
+    """The state at time t; ``flux`` holds the time integrals from 0 to t of
+    oint Phi dtheta and oint G dtheta, which L and A lose by the evolution
+    identities dL/dt = -oint Phi dtheta and dA/dt = -oint G dtheta."""
+
     t: float
     curvature: CurvatureProfile
     support: SupportProfile
     summary: geometry.GeometrySummary
+    flux: tuple
 
 
 @dataclasses.dataclass
@@ -561,6 +566,14 @@ def run(config):
 
     snapshots = []
     disagreement = [] if config.formulation == "both" else None
+    flux = [0.0, 0.0]  # integrated by the trapezoid rule over the accepted steps
+
+    def flux_rates(y, rho):
+        # oint Phi dtheta and oint G dtheta of the curvature row, k = 1/rho in
+        # a support-only run
+        k = y[0] if ncurv else 1.0 / rho[0]
+        g = law.g(k)
+        return float(g @ k) * grid.dtheta, float(g.sum()) * grid.dtheta
 
     def take_snapshot(t, y, rho):
         # rho holds the support row's h'' + h as the stepper core computed it
@@ -573,7 +586,7 @@ def run(config):
         solved = geometry.support_from_curvature(kp) if k is not None else sp
         summary = geometry.summarize(kp, solved)
         snapshots.append(Snapshot(t=t, curvature=kp, support=solved if sp is None else sp,
-                                  summary=summary))
+                                  summary=summary, flux=tuple(flux)))
         if disagreement is not None:
             disagreement.append(float(np.max(np.abs(k - 1.0 / rho[0]))))
 
@@ -600,7 +613,11 @@ def run(config):
 
     snapshot_stop = False
     clock = _Clock(config.snapshot_every)
+    t_prev, rates = 0.0, flux_rates(y, rho)
     for t, y, rho, on_cadence in _march(y, ncurv, rho, grid, law, clock):
+        new_rates = flux_rates(y, rho)
+        flux = [f + 0.5 * (t - t_prev) * (a + b) for f, a, b in zip(flux, rates, new_rates)]
+        t_prev, rates = t, new_rates
         # stop checks read the curvature form when both evolve (tie: area wins)
         if ncurv:
             k_now = float(y[0].max())

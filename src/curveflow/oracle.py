@@ -80,7 +80,8 @@ def circle_trajectory(r0, p, times, n=256):
     """Analytically generated circle trajectory (no time stepping involved).
 
     Useful as an exact fixture for the diagnostics: every monitor must sit at
-    its equality case on it.
+    its equality case on it.  The fluxes are exact too: L and A lose
+    2 pi (R0 - R) and pi (R0^2 - R^2) by time t.
     """
     sol = CircleSolution(r0, p)
     grid = AngleGrid(n)
@@ -90,7 +91,8 @@ def circle_trajectory(r0, p, times, n=256):
         kp = CurvatureProfile(grid, np.full(grid.n, 1.0 / r), t)
         sp = SupportProfile(grid, np.full(grid.n, r), t)
         snaps.append(flow.Snapshot(t=float(t), curvature=kp, support=sp,
-                                   summary=geometry.summarize(kp, sp)))
+                                   summary=geometry.summarize(kp, sp),
+                                   flux=(2.0 * math.pi * (r0 - r), math.pi * (r0 * r0 - r * r))))
     config = flow.FlowConfig(law=power_law(p), initial=snaps[0].curvature)
     omega = sol.omega
     traj = flow.Trajectory(

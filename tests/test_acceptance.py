@@ -277,5 +277,5 @@ def test_criterion_12_evolution_identities(circle_runs, ellipse512, ellipse_affi
         else:
             worst = max(worst, report.extras["worst_mismatch"])
     ok = not failures and worst <= 0.01
-    verdict(12, ok, f"dL/dt and dA/dt identities within {worst:.2%} on all "
+    verdict(12, ok, f"dL/dt and dA/dt identities within {worst:.2e} on all "
                     "shipped runs" if ok else f"failures: {failures}")

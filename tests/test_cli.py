@@ -78,6 +78,12 @@ def test_run_determinism_and_echo_closure(tmp_path):
     assert bytes1 == (out3 / "series.csv").read_bytes()
 
 
+def test_echo_with_an_unknown_key_is_rejected():
+    # a misspelt field must not rerun silently at that field's default
+    with pytest.raises(ValueError, match="cadance"):
+        RunSpec.from_dict({"cadance": 5, "law": "power:2"})
+
+
 @pytest.mark.parametrize("retired", [{"spatial": "fd4"}, {"dealias": True}, {"cfl": 0.2}])
 def test_echo_with_a_retired_option_changed_is_rejected(retired):
     # such an echo describes a run that can no longer be reproduced
@@ -221,8 +227,9 @@ def test_degenerate_snapshot_is_a_stop_not_a_crash(tmp_path, monkeypatch):
     # Phi'(k) overflows; the step halving used to loop forever on dt = 0
     (["containment", "--law", "power:1.4571529819837308e+16",
       "--outer", "circle:0.05", "--inner", "circle:0.01"], 3),
-    # p = 6 shrinks R = 1e-30 to a point by t = R^7 / 7: the snapshot spacing
-    # underflows the evolution-identity stencil
+    # p = 6 shrinks R = 1e-30 to a point by t = R^7 / 7: snapshots about
+    # 6e-213 apart, whose cubed spacing underflows, are still judged by the
+    # evolution identities through flux integrals of that scale
     (["run", "--law", "power:6", "--curve", "circle:1e-30", "--scheme", "support",
       "--cadence", "5"], 0),
     # a member run that fails at run time is recorded, not lost
@@ -238,6 +245,17 @@ def test_unrepresentable_inputs_end_with_an_exit_code(tmp_path, args, expected):
         index = json.loads((out / "sweep.json").read_text())
         assert [run["exit"] for run in index["runs"]] == [0, 3]
         assert "area inf" in index["runs"][1]["error"]
+
+
+def test_coarse_cadence_passes_the_evolution_identities(tmp_path):
+    # 682 steps at the default cadence of 500 give three snapshots; judged
+    # over such long intervals, the identities must still hold
+    assert run_main(["run", "--curve", "ellipse:2,1", "--n", "64", "--area-floor", "0.5",
+                     "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert len(summary["snapshots"]) == 3
+    monitors = {m["name"]: m for m in summary["monitors"]}
+    assert monitors["evolution-identities"]["extras"]["worst_mismatch"] < 1e-5
 
 
 @pytest.mark.filterwarnings("error")

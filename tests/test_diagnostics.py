@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curveflow import oracle
+from curveflow import flow, oracle
 from curveflow.diagnostics import (
     format_monitor_table,
     monitor_blowup_integral,
@@ -31,9 +31,7 @@ def exact_circle():
 
 @pytest.fixture(scope="module")
 def ellipse_run():
-    # deep enough that k_max grows 10x (blow-up bracket available); cadence
-    # keeps the snapshot spacing well under the remaining time, so the
-    # finite-difference identity checks stay in their resolved regime
+    # deep enough that k_max grows 10x (blow-up bracket available)
     g = AngleGrid(128)
     config = FlowConfig(law=power_law(1), initial=oracle.ellipse_profile(2.0, 1.0, g),
                         area_floor=1e-3, snapshot_every=150)
@@ -149,10 +147,32 @@ def test_affine_ellipse_is_out_of_hypothesis():
     assert iso.status == "pass"  # L^2/A constant for self-similar shrinking
 
 
-def test_evolution_identities_need_three_snapshots():
-    traj = oracle.circle_trajectory(1.0, 1.0, [0.0, 0.2], n=64)
+def test_evolution_identities_need_two_snapshots():
     with pytest.raises(InsufficientDataError):
-        monitor_evolution_identities(traj)
+        monitor_evolution_identities(oracle.circle_trajectory(1.0, 1.0, [0.0], n=64))
+    # one interval of the exact circle is judged, against its exact fluxes
+    report = monitor_evolution_identities(oracle.circle_trajectory(1.0, 1.0, [0.0, 0.2], n=64))
+    assert report.passed
+    assert report.times == [0.2]
+    assert report.extras["worst_mismatch"] < 1e-12
+
+
+@pytest.mark.parametrize("formulation", ["curvature", "support"])
+def test_evolution_identities_catch_a_scaled_rhs(monkeypatch, formulation):
+    # the fluxes are integrated from the law, the state from the stepper's
+    # right-hand side: a 2% error in the latter must show
+    g = AngleGrid(64)
+    config = FlowConfig(law=power_law(1), initial=oracle.ellipse_profile(2.0, 1.0, g),
+                        area_floor=0.5, formulation=formulation)
+    report = monitor_evolution_identities(run(config))
+    assert report.passed
+    assert report.extras["worst_mismatch"] < 1e-5
+
+    rhs = flow._rhs
+    monkeypatch.setattr(flow, "_rhs", lambda *args: 1.02 * rhs(*args))
+    report = monitor_evolution_identities(run(config))
+    assert report.status == "fail"
+    assert report.extras["worst_mismatch"] > 0.01
 
 
 def test_run_all_monitors_swallows_insufficient_data():
