@@ -223,7 +223,7 @@ def execute_containment(spec, outer_desc, inner_desc, out_dir):
     law = parse_law(spec.law)
     outer, inner = (build_initial(dataclasses.replace(spec, curve=descriptor))
                     for descriptor in (outer_desc, inner_desc))
-    config = _flow_config(spec, law, outer)  # k_cap is checked against the outer curve
+    config = _flow_config(spec, law, outer)  # containment_run checks k_cap against both
     report = flow.containment_run(_as_support(outer), _as_support(inner), config)
 
     out = Path(out_dir)

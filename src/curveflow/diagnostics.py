@@ -4,10 +4,12 @@ Monitors are pure functions of a trajectory; they never mutate it and never
 abort a run.  Each returns a MonitorReport whose status is "pass", "fail",
 or "inconclusive" (the last for trajectories that stopped before the regime
 a monitor needs, or for speed laws outside the validated hypotheses, where
-the roundness theory makes no promise).  The evolution identities are judged
-in integrated form, against the flux integrals that ``flow.run`` accumulates
-over its steps and records in every snapshot, so no monitor differentiates
-the snapshot series in time.
+the roundness theory makes no promise).  Every pass or fail comes from one
+rule, ``_conclusive``: a monitor's margins judge the trailing snapshot times,
+and a margin that is not >= -tolerance, NaN included, is a violation.  The
+evolution identities are judged in integrated form, against the flux
+integrals that ``flow.run`` accumulates over its steps and records in every
+snapshot, so no monitor differentiates the snapshot series in time.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ GRADIENT_TOL = 1e-8       # relative allowance in the gradient estimate
 class MonitorReport:
     """Outcome of one monitor over a trajectory.
 
-    ``values`` is the per-snapshot series the monitor judges; for conclusive
-    reports the pass flag is equivalent to worst_margin >= -tolerance.
+    ``values`` is the series the monitor judges, one per entry of ``times``;
+    its margins judge the trailing times (the asymptotic laws only the
+    last), and for conclusive reports the pass flag is equivalent to
+    worst_margin >= -tolerance, which a NaN margin fails.
     """
 
     name: str
@@ -53,12 +57,24 @@ class MonitorReport:
         return self.status == "pass"
 
 
-def _conclusive(name, times, values, margins, tolerance, note="", extras=None):
+def _conclusive(name, times, values, margins, tolerance, extras=None, traj=None,
+                claim=None):
+    """The one verdict rule: the margins judge the last ``len(margins)`` of
+    ``times``, and a margin is a violation unless margin >= -tolerance, so a
+    NaN margin fails.  Given ``traj`` and ``claim``, a failure outside
+    (H1)/(H2) is inconclusive instead: there the roundness theory promises
+    nothing, so a failed check is expected behavior, not a defect."""
     margins = np.asarray(margins, dtype=float)
     worst = float(np.min(margins)) if margins.size else 0.0
-    bad = np.nonzero(margins < -tolerance)[0]
-    first_violation = float(times[int(bad[0])]) if bad.size else None
+    bad = np.nonzero(~(margins >= -tolerance))[0]
+    first_violation = (float(times[len(times) - margins.size + int(bad[0])])
+                       if bad.size else None)
     status = "pass" if first_violation is None else "fail"
+    note = ""
+    if status == "fail" and traj is not None and not traj.roundness_expected:
+        status = "inconclusive"
+        note = (f"{claim} is not asserted for {traj.config.law.label}: "
+                "the structural hypotheses fail on the probed range")
     return MonitorReport(name=name, times=list(times), values=list(values),
                          worst_margin=worst, tolerance=tolerance, status=status,
                          first_violation_time=first_violation, note=note,
@@ -69,17 +85,6 @@ def _inconclusive(name, times, values, note, extras=None):
     return MonitorReport(name=name, times=list(times), values=list(values),
                          worst_margin=float("nan"), tolerance=0.0,
                          status="inconclusive", note=note, extras=extras or {})
-
-
-def _downgrade_out_of_hypothesis(report, traj, claim):
-    """Outside (H1)/(H2) the roundness theory promises nothing: a failed
-    check is expected behavior there, not a defect."""
-    if report.status == "fail" and not traj.roundness_expected:
-        return dataclasses.replace(
-            report, status="inconclusive",
-            note=f"{claim} is not asserted for {traj.config.law.label}: "
-                 "the structural hypotheses fail on the probed range")
-    return report
 
 
 def _need_snapshots(traj, count):
@@ -96,21 +101,19 @@ def _need_snapshots(traj, count):
 def monitor_iso_ratio(traj):
     """L^2/A must be non-increasing snapshot to snapshot (relative slack)."""
     _need_snapshots(traj, 2)
-    times = traj.times()
     ratios = [s.iso_ratio for s in traj.summaries()]
     margins = [(ratios[i] - ratios[i + 1]) / ratios[i] for i in range(len(ratios) - 1)]
-    report = _conclusive("iso-ratio-monotone", times[1:], ratios, margins, ISO_SLACK,
-                         extras={"initial": ratios[0], "final": ratios[-1]})
-    return _downgrade_out_of_hypothesis(report, traj, "monotonicity of L^2/A")
+    return _conclusive("iso-ratio-monotone", traj.times(), ratios, margins, ISO_SLACK,
+                       extras={"initial": ratios[0], "final": ratios[-1]},
+                       traj=traj, claim="monotonicity of L^2/A")
 
 
 def monitor_bonnesen(traj):
     """L^2/A - 4 pi >= pi^2 (r_out - r_in)^2 / A at every snapshot."""
     _need_snapshots(traj, 1)
-    times = traj.times()
     gaps = [s.bonnesen_gap for s in traj.summaries()]
     margins = [g / s.iso_ratio for g, s in zip(gaps, traj.summaries())]
-    return _conclusive("bonnesen", times, gaps, margins, BONNESEN_TOL)
+    return _conclusive("bonnesen", traj.times(), gaps, margins, BONNESEN_TOL)
 
 
 def monitor_gage(traj):
@@ -132,27 +135,31 @@ def monitor_gage(traj):
 
 
 def monitor_gradient_estimate(traj):
-    """max |dPhi/dtheta|^2 <= max(2 max_(s<=t) Phi^2, initial Phi_theta^2 + 2 Phi^2)."""
+    """max |dPhi/dtheta|^2 <= max(2 max_(s<=t) Phi^2, initial Phi_theta^2 + 2 Phi^2).
+
+    Judged on Phi 2^-e, e the binary exponent of the largest |Phi| over the
+    snapshots: the scaling is exact, so the margins keep their bits and
+    Phi^2 cannot overflow.  Values and bounds are scaled back for the
+    report, where one beyond the float range reads inf.
+    """
     _need_snapshots(traj, 1)
     law = traj.config.law
-    times = traj.times()
+    phis = [law.phi(snap.curvature.k) for snap in traj.snapshots]
+    e = math.frexp(max(float(np.max(np.abs(phi))) for phi in phis))[1]
     lhs, phimax2 = [], []
-    for snap in traj.snapshots:
-        kp = snap.curvature
-        phi = law.phi(kp.k)
-        dphi = geometry.first_derivative(phi, kp.grid)
+    for snap, phi in zip(traj.snapshots, phis):
+        phi = np.ldexp(phi, -e)
+        dphi = geometry.first_derivative(phi, snap.curvature.grid)
         lhs.append(float(np.max(dphi * dphi)))
         phimax2.append(float(np.max(phi * phi)))
-    kp0 = traj.snapshots[0].curvature
-    phi0 = law.phi(kp0.k)
-    dphi0 = geometry.first_derivative(phi0, kp0.grid)
-    initial_bound = float(np.max(dphi0 * dphi0 + 2.0 * phi0 * phi0))
-    running = np.maximum.accumulate(phimax2)
-    bounds = np.maximum(2.0 * running, initial_bound)
+        if len(lhs) == 1:  # the initial snapshot
+            initial_bound = float(np.max(dphi * dphi + 2.0 * phi * phi))
+    bounds = np.maximum(2.0 * np.maximum.accumulate(phimax2), initial_bound)
     margins = [(b - v) / b for b, v in zip(bounds, lhs)]
-    report = _conclusive("gradient-estimate", times, lhs, margins, GRADIENT_TOL,
-                         extras={"bounds": list(map(float, bounds))})
-    return _downgrade_out_of_hypothesis(report, traj, "the gradient estimate")
+    with np.errstate(over="ignore"):
+        lhs, bounds = (np.ldexp(x, 2 * e).tolist() for x in (lhs, bounds))
+    return _conclusive("gradient-estimate", traj.times(), lhs, margins, GRADIENT_TOL,
+                       extras={"bounds": bounds}, traj=traj, claim="the gradient estimate")
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +187,8 @@ def monitor_ratio_asymptotics(traj):
         return _inconclusive(
             "ratio-asymptotics", times, values,
             "trajectory stopped before reaching 1% of the initial area", extras)
-    margin = values[-1] - (1.0 - RATIO_TOL)
-    report = MonitorReport(
-        name="ratio-asymptotics", times=times, values=values,
-        worst_margin=margin, tolerance=0.0,
-        status="pass" if margin >= 0.0 else "fail",
-        first_violation_time=None if margin >= 0.0 else times[-1],
-        extras=extras)
-    return _downgrade_out_of_hypothesis(report, traj, "roundness of the ratios")
+    return _conclusive("ratio-asymptotics", times, values, [values[-1] - (1.0 - RATIO_TOL)],
+                       0.0, extras=extras, traj=traj, claim="roundness of the ratios")
 
 
 def monitor_blowup_integral(traj):
@@ -229,14 +230,9 @@ def monitor_blowup_integral(traj):
             if tag == "mid":
                 late_times.append(snap.t)
                 values.append(max(abs(rho_lo - 1.0), abs(rho_hi - 1.0)))
-    margin = BLOWUP_RHO_TOL - values[-1]
-    report = MonitorReport(
-        name="blowup-integral", times=late_times, values=values,
-        worst_margin=margin, tolerance=0.0,
-        status="pass" if margin >= 0.0 else "fail",
-        first_violation_time=None if margin >= 0.0 else late_times[-1],
-        extras={"rho_ranges": rho_ranges, "omega": dataclasses.asdict(est)})
-    return _downgrade_out_of_hypothesis(report, traj, "the blow-up integral law")
+    return _conclusive("blowup-integral", late_times, values, [BLOWUP_RHO_TOL - values[-1]],
+                       0.0, extras={"rho_ranges": rho_ranges, "omega": dataclasses.asdict(est)},
+                       traj=traj, claim="the blow-up integral law")
 
 
 # ---------------------------------------------------------------------------

@@ -405,11 +405,12 @@ def _march(y, ncurv, rho, grid, law, clock):
 
 
 def _stack(profile):
-    """One profile as a one-row stack and its count of curvature rows."""
+    """(y, ncurv, rho): one profile as a one-row stack, its count of curvature
+    rows, and a support row's h'' + h (raises ConvexityLossError unless > 0)."""
     if isinstance(profile, CurvatureProfile):
-        return profile.k[None], 1
+        return profile.k[None], 1, None
     if isinstance(profile, SupportProfile):
-        return profile.h[None], 0
+        return profile.h[None], 0, geometry.curvature_radius(profile)[None]
     raise TypeError(f"cannot step a {type(profile)}")
 
 
@@ -429,8 +430,7 @@ def stable_dt(profile, law):
     That is the classical RK4 stability bound of the profile, and the unit
     in which ``snapshot_every`` counts.
     """
-    y, ncurv = _stack(profile)
-    rho = None if ncurv else geometry.curvature_radius(profile)[None]
+    y, ncurv, rho = _stack(profile)
     cfl_base = _cfl_base(profile.grid)
     return cfl_base / _stiffness(y, ncurv, rho, law, cfl_base)
 
@@ -441,14 +441,10 @@ def step(state, law, dt):
     This is a run's step, with S = max k^2 Phi'(k) of ``state`` and the
     tables of dt S, but without error control: the caller picks dt.  A step
     is rejected when any stage, or the result, produces k <= 0 (curvature
-    form) or h'' + h <= 0 (support form).
+    form) or h'' + h <= 0 (support form); a non-convex support ``state``
+    raises ConvexityLossError.
     """
-    y, ncurv = _stack(state)
-    rho = None
-    if not ncurv:
-        rho = geometry.second_derivative(y, state.grid) + y
-        if not rho.min() > 0.0:
-            raise StepRejected("support profile is not convex")
+    y, ncurv, rho = _stack(state)
     scale = dt * _stiffness(y, ncurv, rho, law, dt)
     new = _etd(y, np.fft.rfft(y), None, ncurv, dt, _etd_coefficients(state.grid.n, scale),
                state.grid, law)[0]
@@ -721,9 +717,10 @@ def containment_run(outer, inner, config):
 
     Both curves are Steiner-centered first; convexity of both and the
     pointwise ordering h_outer >= h_inner at t = 0 (set containment with a
-    common origin) are preconditions.  The run ends when either curve
-    reaches the configured area floor or curvature cap (the inner one blows
-    up first for nested initial data); the containment contract is
+    common origin) are preconditions, and so is a curvature cap above both
+    initial k_max.  The run ends when either curve reaches the configured
+    area floor or curvature cap (the inner one blows up first for nested
+    initial data); the containment contract is
     min(h_outer - h_inner) >= -1e-8 * L_outer(0).
     """
     if outer.grid.n != inner.grid.n:
@@ -732,6 +729,10 @@ def containment_run(outer, inner, config):
     outer = _steiner_centered(outer)
     inner = _steiner_centered(inner)
     rhos = (geometry.curvature_radius(outer), geometry.curvature_radius(inner))
+    k_max0 = 1.0 / min(r.min() for r in rhos)
+    if not config.curvature_cap > k_max0:
+        raise ValueError(f"k_cap {config.curvature_cap} must exceed the larger "
+                         f"initial k_max {k_max0}")
     gap0 = outer.h - inner.h
     tol = 1e-8 * geometry.periodic_integral(rhos[0], grid)
     if np.min(gap0) < -tol:

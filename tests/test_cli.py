@@ -11,7 +11,7 @@ import pytest
 
 from curveflow import cli, flow, geometry
 from curveflow.cli import RunSpec, build_initial, emit_timeseries, main
-from curveflow.errors import DegenerateProfileError
+from curveflow.errors import DegenerateProfileError, NotClosedError
 from curveflow.flow import FlowConfig, run
 from curveflow.geometry import AngleGrid, SupportProfile
 from curveflow.oracle import circle_profile
@@ -145,6 +145,14 @@ def test_containment_subcommand_stops(tmp_path, args, stop_reason):
     assert doc["all_ok"] is True
 
 
+def test_containment_k_cap_must_exceed_both_curves(tmp_path):
+    # 0.7 is above the outer circle's k = 0.5 but not the inner circle's k = 1
+    out = tmp_path / "pair"
+    assert run_main(["containment", "--outer", "circle:2", "--inner", "circle:1",
+                     "--k-cap", "0.7", "--n", "64", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_sweep_subcommand(tmp_path):
     out = tmp_path / "sweep"
     code = run_main(["sweep", "--law", "power:1", "--law", "power:2",
@@ -194,27 +202,30 @@ def test_sweep_rejects_bad_entry_before_any_run(tmp_path, bad_entry):
 
 def test_degenerate_snapshot_is_a_stop_not_a_crash(tmp_path, monkeypatch):
     summarize = geometry.summarize
-    calls = []
+    # a snapshot whose curve does not close has lost convexity
+    for error, stop_reason in ((DegenerateProfileError, flow.STOP_DEGENERATE),
+                               (NotClosedError, flow.STOP_CONVEXITY_LOSS)):
+        calls = []
 
-    def fail_third(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 3:
-            raise DegenerateProfileError("forced")
-        return summarize(*args, **kwargs)
+        def fail_third(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise error("forced")
+            return summarize(*args, **kwargs)
 
-    monkeypatch.setattr(geometry, "summarize", fail_third)
-    out = tmp_path / "degenerate"
-    spec = RunSpec(curve="circle:1", n=64, area_floor=1e-2, cadence=5)
-    assert cli.execute_run(spec, out) == cli.EXIT_RUNTIME
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["stop_reason"] == flow.STOP_DEGENERATE
-    assert summary["steps"]["count"] == 10
-    # the state whose snapshot failed is not summarized a second time
-    assert len(calls) == 3
-    # the snapshots before the failing one are kept, in order
-    times = [s["t"] for s in summary["snapshots"]]
-    assert len(times) >= 2 and times[0] == 0.0 and times[1] > 0.0
-    assert times == sorted(times)
+        monkeypatch.setattr(geometry, "summarize", fail_third)
+        out = tmp_path / error.__name__
+        spec = RunSpec(curve="circle:1", n=64, area_floor=1e-2, cadence=5)
+        assert cli.execute_run(spec, out) == cli.EXIT_RUNTIME
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stop_reason"] == stop_reason
+        assert summary["steps"]["count"] == 10
+        # the state whose snapshot failed is not summarized a second time
+        assert len(calls) == 3
+        # the snapshots before the failing one are kept, in order
+        times = [s["t"] for s in summary["snapshots"]]
+        assert len(times) >= 2 and times[0] == 0.0 and times[1] > 0.0
+        assert times == sorted(times)
 
 
 @pytest.mark.parametrize("args, expected", [
@@ -227,9 +238,11 @@ def test_degenerate_snapshot_is_a_stop_not_a_crash(tmp_path, monkeypatch):
     # Phi'(k) overflows; the step halving used to loop forever on dt = 0
     (["containment", "--law", "power:1.4571529819837308e+16",
       "--outer", "circle:0.05", "--inner", "circle:0.01"], 3),
-    # p = 6 shrinks R = 1e-30 to a point by t = R^7 / 7: snapshots about
-    # 6e-213 apart, whose cubed spacing underflows, are still judged by the
-    # evolution identities through flux integrals of that scale
+    # p = 6 shrinks R = 1e-30 to a point by t = R^7 / 7: Phi = k^6 is about
+    # 1e180, so the gradient estimate's Phi^2 would overflow to an inf bound
+    # and a NaN margin, which fails, had it not scaled Phi by a power of two;
+    # snapshots about 6e-213 apart are judged by the evolution identities
+    # through flux integrals of that scale
     (["run", "--law", "power:6", "--curve", "circle:1e-30", "--scheme", "support",
       "--cadence", "5"], 0),
     # a member run that fails at run time is recorded, not lost
@@ -269,6 +282,30 @@ def test_coarse_cadence_passes_the_evolution_identities(tmp_path):
 def test_overflowing_probes_exit_3_without_warnings(tmp_path, args):
     out = [] if args[0] == "check-law" else ["--out", str(tmp_path / "sweep")]
     assert run_main(args + out) == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_gradient_estimate_of_a_phi_whose_square_overflows(tmp_path):
+    # Phi is about 1e180 on this circle: Phi^2 is beyond the float range
+    assert run_main(["run", "--law", "power:6", "--curve", "circle:1e-30", "--scheme",
+                     "support", "--cadence", "5", "--n", "32", "--max-steps", "20",
+                     "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    grad = {m["name"]: m for m in summary["monitors"]}["gradient-estimate"]
+    assert grad["status"] == "pass"
+    # strict JSON writes a non-finite margin as null
+    assert grad["worst_margin"] is not None and grad["worst_margin"] >= 0.0
+
+
+def test_a_failed_monitor_exits_1_and_still_writes(tmp_path, monkeypatch):
+    # a 2% error in the stepper's right-hand side breaks the evolution identities
+    rhs = flow._rhs
+    monkeypatch.setattr(flow, "_rhs", lambda *args: 1.02 * rhs(*args))
+    spec = RunSpec(curve="ellipse:2,1", n=64, area_floor=0.5)
+    assert cli.execute_run(spec, tmp_path) == cli.EXIT_MONITOR_FAIL
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    statuses = {m["name"]: m["status"] for m in summary["monitors"]}
+    assert statuses["evolution-identities"] == "fail"
 
 
 @pytest.mark.parametrize("args", [

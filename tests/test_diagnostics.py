@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curveflow import flow, oracle
+from curveflow import diagnostics, flow, oracle
 from curveflow.diagnostics import (
     format_monitor_table,
     monitor_blowup_integral,
@@ -82,6 +82,21 @@ def test_iso_ratio_flags_increase():
     report = monitor_iso_ratio(traj)
     assert report.status == "fail"
     assert report.first_violation_time is not None
+
+
+def test_a_nan_margin_is_a_violation():
+    # two margins judge the last two of three times; NaN >= -tol is false
+    report = diagnostics._conclusive("probe", [0.0, 0.1, 0.2], [1.0, 1.0, 1.0],
+                                     [0.5, math.nan], 1e-8)
+    assert report.status == "fail"
+    assert report.first_violation_time == 0.2
+
+
+def test_conclusive_reports_pair_times_with_values(ellipse_run):
+    reports = [r for r in run_all_monitors(ellipse_run) if r.status != "inconclusive"]
+    assert len(reports) == 7
+    for r in reports:
+        assert len(r.times) == len(r.values), r.name
 
 
 def test_ellipse_run_monitors(ellipse_run):

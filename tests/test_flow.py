@@ -6,6 +6,7 @@ import pytest
 
 from curveflow import cli, flow, geometry, oracle
 from curveflow.errors import (
+    ConvexityLossError,
     HypothesisViolationError,
     InsufficientDataError,
     StepRejected,
@@ -78,6 +79,17 @@ def test_step_circle_matches_exact_solution():
     # forward Euler would sit ~1e-8 away; make sure we discriminate
     euler = 1.0 + dt * 1.0
     assert abs(exact - euler) > 1e-9
+
+
+def test_step_on_a_support_circle():
+    # h = R with R^2 = 1 - 2t under p = 1
+    g = AngleGrid(64)
+    dt = 1e-4
+    new = step(SupportProfile(g, np.ones(g.n)), power_law(1), dt)
+    assert np.max(np.abs(new.h - math.sqrt(1.0 - 2.0 * dt))) < 1e-13
+    # h'' + h = 1 - 1.5 cos(4 theta) changes sign: refused before any stage
+    with pytest.raises(ConvexityLossError):
+        step(SupportProfile(g, 1.0 + 0.1 * np.cos(4.0 * g.theta)), power_law(1), dt)
 
 
 def test_step_rejects_oversized_dt_without_mutation():
