@@ -286,15 +286,19 @@ def execute_sweep(specs, out_root, workers=None):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_run_flags(p, multi=False):
+def _add_run_flags(p, multi=False, curve=True):
     """The RunSpec flags, each dest named as its field; repeatable ones default
-    to None, since argparse would append to a list default."""
+    to None, since argparse would append to a list default.  ``curve=False``
+    leaves out --curve and --scheme, which a containment pair does not read."""
     action, repeat = ("append", ", repeatable") if multi else ("store", "")
     p.add_argument("--law", action=action, default=None if multi else RunSpec.law,
                    help=f"speed law power:p (default {RunSpec.law}{repeat})")
-    p.add_argument("--curve", action=action, default=None if multi else RunSpec.curve,
-                   help="initial curve: circle:R | ellipse:a,b | fourier:m:amp,... "
-                        f"(default {RunSpec.curve}{repeat})")
+    if curve:
+        p.add_argument("--curve", action=action, default=None if multi else RunSpec.curve,
+                       help="initial curve: circle:R | ellipse:a,b | fourier:m:amp,... "
+                            f"(default {RunSpec.curve}{repeat})")
+        p.add_argument("--scheme", choices=flow.FORMULATIONS, default=RunSpec.scheme,
+                       help="evolved formulation")
     p.add_argument("--n", type=int, default=RunSpec.n, help="grid size (power of two >= 32)")
     p.add_argument("--area-floor", type=float, default=RunSpec.area_floor,
                    help="stop when A drops to this fraction of A(0)")
@@ -305,8 +309,6 @@ def _add_run_flags(p, multi=False):
                    help="snapshot every this many CFL units; a step of dt counts "
                         "dt / (0.4 dtheta^2 / (2 max k^2 Phi'(k))), so one unit is "
                         "one RK4 step at its CFL bound")
-    p.add_argument("--scheme", choices=flow.FORMULATIONS, default=RunSpec.scheme,
-                   help="evolved formulation")
     p.add_argument("--seed", type=int, default=RunSpec.seed,
                    help="seed for fourier phase randomization")
     p.add_argument("--out", default="out", help="output directory")
@@ -322,7 +324,7 @@ def build_parser():
     _add_run_flags(run_p)
 
     cont_p = sub.add_parser("containment", help="co-evolve a nested curve pair")
-    _add_run_flags(cont_p)
+    _add_run_flags(cont_p, curve=False)
     cont_p.add_argument("--outer", required=True, help="outer curve descriptor")
     cont_p.add_argument("--inner", required=True, help="inner curve descriptor")
 

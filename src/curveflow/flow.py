@@ -30,9 +30,11 @@ of one CFL unit, and the ``rhs_*`` functions give the right-hand sides of
 one profile.
 The equation stiffens as curvature blows up, so runs stop at an area floor
 (or a curvature cap) and report a bracket for the blow-up time instead of
-trying to cross it.  Blaschke's rolling theorem, A >= pi / k_max^2, gates
-the curvature form's area check: the exact Fourier area is computed only
-once pi / k_max^2 is down to twice the floor, so the stop step is the same.
+trying to cross it.  Both drivers read each row through its curvature, k
+or 1 / (h'' + h), and share one stop test and one record rule (``_drive``).
+Blaschke's rolling theorem, A >= pi / k_max^2, gates every row's area
+check: the exact Fourier area is computed only once pi / k_max^2 is down
+to twice the floor, so the stop step is the same.
 """
 
 from __future__ import annotations
@@ -238,15 +240,19 @@ def _step_scale(grid):
     return max(ETD_STEP, _cfl_base(grid))
 
 
-def _stiffness(y, ncurv, rho, law, scale):
-    """S = max(k^2 Phi'(k)) over the rows, the diffusion rate that sets the step.
+def _curvatures(y, ncurv, rho):
+    """The curvature of each row of the stack ``y``, as a list of rows: a
+    curvature row is its own (a view of y, so a snapshot holds no copy), a
+    support row's is 1 / (h'' + h), ``rho`` stacking h'' + h of the support
+    rows (None when there are none)."""
+    return list(y) if rho is None else [*y[:ncurv], *(1.0 / rho)]
 
-    ``rho`` stacks h'' + h of the support rows, None when there are none.
+
+def _stiffness(ks, law, scale):
+    """S = max(k^2 Phi'(k)) over the curvature rows ``ks``, the diffusion rate that sets the step.
+
     Raises SpeedLawDomainError unless ``scale`` / S is a finite positive step.
     """
-    ks = list(y[:ncurv])
-    if rho is not None:
-        ks.extend(1.0 / rho)
     stiffness = 0.0
     for k in ks:
         rate = (k * k * law.phi_prime(k)).max()
@@ -358,7 +364,7 @@ def _etd(y, y_hat, r_hat, ncurv, dt, coefficients, grid, law):
     return new, rho, new_hat, new_r_hat, error
 
 
-def _march(y, ncurv, rho, grid, law, clock):
+def _march(y, ncurv, k, grid, law, clock):
     """Advance the rows of one flow with shared ETDRK4 steps, yielding each accepted one.
 
     A full step has dt * S = _step_scale(grid), S the stiffness over all
@@ -367,8 +373,9 @@ def _march(y, ncurv, rho, grid, law, clock):
     full-length step whose estimate is below ETD_TOLERANCE / 32 the next
     step is twice as long again, up to the full step.  ``clock`` keeps the
     run time, the CFL clock and the step counters, and a step that would
-    pass the clock's next cadence mark is clipped to land on it.  Yields
-    (t, y, rho, on_cadence) per accepted step; returns, ending the
+    pass the clock's next cadence mark is clipped to land on it.  ``k``
+    holds the curvature rows of ``y`` (see _curvatures), from which S is read.
+    Yields (t, y, k, on_cadence) per accepted step; returns, ending the
     iteration, once halving pushes dt below 1e-14 of the elapsed time (or of
     the first dt), which callers report as convexity loss.
     """
@@ -379,7 +386,7 @@ def _march(y, ncurv, rho, grid, law, clock):
     first_dt = None
     level = 0  # the step is full / 2^level
     while True:
-        stiffness = _stiffness(y, ncurv, rho, law, full)
+        stiffness = _stiffness(k, law, full)
         while True:
             units, on_cadence = clock.plan(full / 2 ** level / cfl_base)
             scale = units * cfl_base
@@ -398,19 +405,20 @@ def _march(y, ncurv, rho, grid, law, clock):
             if 0.5 * dt < 1e-14 * max(clock.t, first_dt):
                 return
         y, rho, y_hat, r_hat, error = result
+        k = _curvatures(y, ncurv, rho)
         if level and not on_cadence and error < ETD_TOLERANCE / 32.0:
             level -= 1
         clock.advance(dt, units, on_cadence)
-        yield clock.t, y, rho, on_cadence
+        yield clock.t, y, k, on_cadence
 
 
 def _stack(profile):
-    """(y, ncurv, rho): one profile as a one-row stack, its count of curvature
-    rows, and a support row's h'' + h (raises ConvexityLossError unless > 0)."""
+    """(y, ncurv, k): one profile as a one-row stack, its count of curvature
+    rows, and its curvature (raises ConvexityLossError unless h'' + h > 0)."""
     if isinstance(profile, CurvatureProfile):
-        return profile.k[None], 1, None
+        return profile.k[None], 1, profile.k[None]
     if isinstance(profile, SupportProfile):
-        return profile.h[None], 0, geometry.curvature_radius(profile)[None]
+        return profile.h[None], 0, 1.0 / geometry.curvature_radius(profile)[None]
     raise TypeError(f"cannot step a {type(profile)}")
 
 
@@ -430,9 +438,8 @@ def stable_dt(profile, law):
     That is the classical RK4 stability bound of the profile, and the unit
     in which ``snapshot_every`` counts.
     """
-    y, ncurv, rho = _stack(profile)
     cfl_base = _cfl_base(profile.grid)
-    return cfl_base / _stiffness(y, ncurv, rho, law, cfl_base)
+    return cfl_base / _stiffness(_stack(profile)[2], law, cfl_base)
 
 
 def step(state, law, dt):
@@ -444,8 +451,8 @@ def step(state, law, dt):
     form) or h'' + h <= 0 (support form); a non-convex support ``state``
     raises ConvexityLossError.
     """
-    y, ncurv, rho = _stack(state)
-    scale = dt * _stiffness(y, ncurv, rho, law, dt)
+    y, ncurv, k = _stack(state)
+    scale = dt * _stiffness(k, law, dt)
     new = _etd(y, np.fft.rfft(y), None, ncurv, dt, _etd_coefficients(state.grid.n, scale),
                state.grid, law)[0]
     return type(state)(state.grid, new[0], state.t + dt)
@@ -469,10 +476,6 @@ def _support_area_from_k(k, grid):
     power = (fh.real * fh.real + fh.imag * fh.imag) / helm
     total = power[0] + 2.0 * float(np.sum(power[1:-1])) + power[-1]
     return 0.5 * grid.dtheta * total / n
-
-
-def _area_of_support_arrays(h, grid, rho):
-    return 0.5 * float(h @ rho) * grid.dtheta
 
 
 class _Clock:
@@ -514,15 +517,41 @@ class _Clock:
         self.dt_max = max(self.dt_max, dt)
 
 
-def _stop_reason(below, k_now, config, clock):
-    """area-floor, curvature-cap or step-limit after a step, in that tie-break order."""
-    if below:
-        return STOP_AREA_FLOOR
-    if k_now >= config.curvature_cap:
+def _stop_reason(ks, floors, grid, config, clock):
+    """area-floor, curvature-cap or step-limit after a step, in that tie-break order.
+
+    The area floor and the curvature cap are judged on the first
+    len(floors) curvature rows ``ks``, row i against the area floors[i].  Blaschke's rolling theorem gives A >= pi / k_max^2, so a
+    row's exact Fourier area is computed only once that bound fails to
+    clear its floor by 2x.
+    """
+    k_maxes = [float(k.max()) for k in ks[:len(floors)]]
+    for k, k_max, floor in zip(ks, k_maxes, floors):
+        if math.pi / (k_max * k_max) <= 2.0 * floor and _support_area_from_k(k, grid) <= floor:
+            return STOP_AREA_FLOOR
+    if max(k_maxes) >= config.curvature_cap:
         return STOP_CURVATURE_CAP
     if clock.steps >= config.max_steps:
         return STOP_STEP_LIMIT
     return None
+
+
+def _drive(steps, floors, grid, config, clock, record):
+    """Take the accepted steps of a _march until a stop test fires; returns the stop reason.
+
+    ``record(t, y, k)`` keeps the state on every cadence mark and at the
+    stop, and returns the stop reason its failure sets (None if it keeps
+    it); a failure ends the run.  When step halving ends the march, the
+    last accepted state is recorded and the reason is convexity-loss.
+    """
+    on_cadence = True  # the caller records the initial state
+    for t, y, k, on_cadence in steps:
+        stop = _stop_reason(k, floors, grid, config, clock)
+        if on_cadence or stop is not None:
+            stop = record(t, y, k) or stop
+        if stop is not None:
+            return stop
+    return (None if on_cadence else record(t, y, k)) or STOP_CONVEXITY_LOSS
 
 
 def run(config):
@@ -530,10 +559,11 @@ def run(config):
 
     Snapshots (with full geometry summaries) are recorded every
     ``snapshot_every`` CFL units and at the final state.  Stop reasons,
-    in tie-break order: area-floor, curvature-cap, step-limit.  Loss of
+    in tie-break order: area-floor, curvature-cap, step-limit, judged on
+    the first row (the curvature form when both evolve).  Loss of
     convexity ends the run with reason "convexity-loss", and a snapshot too
-    distorted to summarize with "degenerate", rather than raising; the
-    snapshots taken so far are kept either way.
+    distorted to summarize with "degenerate" (also at the stop), rather
+    than raising; the snapshots taken so far are kept either way.
     With formulation="both" the two forms advance with shared time steps and
     their sup-norm curvature disagreement is recorded per snapshot.
     """
@@ -558,38 +588,40 @@ def run(config):
         raise HypothesisViolationError(
             f"{law.label}: Phi'(k) <= 0 on the working range; the flow is not "
             "parabolic and cannot be integrated")
-    roundness = hyp.all_ok
 
     snapshots = []
     disagreement = [] if config.formulation == "both" else None
-    flux = [0.0, 0.0]  # integrated by the trapezoid rule over the accepted steps
+    flux = [0.0, 0.0]
 
-    def flux_rates(y, rho):
-        # oint Phi dtheta and oint G dtheta of the curvature row, k = 1/rho in
-        # a support-only run
-        k = y[0] if ncurv else 1.0 / rho[0]
-        g = law.g(k)
-        return float(g @ k) * grid.dtheta, float(g.sum()) * grid.dtheta
+    def flux_rates(k):
+        # oint Phi dtheta and oint G dtheta of the first row
+        g = law.g(k[0])
+        return float(g @ k[0]) * grid.dtheta, float(g.sum()) * grid.dtheta
 
-    def take_snapshot(t, y, rho):
-        # rho holds the support row's h'' + h as the stepper core computed it
-        k = y[0] if ncurv else None
-        h = y[ncurv] if rho is not None else None
-        kp = CurvatureProfile(grid, k if k is not None else 1.0 / rho[0], t)
-        sp = SupportProfile(grid, h, t) if h is not None else None
+    def integrated(steps, rates):
+        # the flux integrals, by the trapezoid rule over the accepted steps
+        t_prev = 0.0
+        for t, y, k, on_cadence in steps:
+            new_rates = flux_rates(k)
+            flux[:] = [f + 0.5 * (t - t_prev) * (a + b) for f, a, b in zip(flux, rates, new_rates)]
+            t_prev, rates = t, new_rates
+            yield t, y, k, on_cadence
+
+    def take_snapshot(t, y, k):
+        kp = CurvatureProfile(grid, k[0], t)
+        sp = SupportProfile(grid, y[-1], t) if len(y) > ncurv else None
         # a curvature row is summarized with the support solved from it, also
         # when h evolves beside it; Snapshot.support keeps the evolved h
-        solved = geometry.support_from_curvature(kp) if k is not None else sp
+        solved = geometry.support_from_curvature(kp) if ncurv else sp
         summary = geometry.summarize(kp, solved)
         snapshots.append(Snapshot(t=t, curvature=kp, support=solved if sp is None else sp,
                                   summary=summary, flux=tuple(flux)))
         if disagreement is not None:
-            disagreement.append(float(np.max(np.abs(k - 1.0 / rho[0]))))
+            disagreement.append(float(np.max(np.abs(k[0] - k[1]))))
 
-    def snapshot_failure(t, y, rho):
-        """Take a snapshot; returns the stop reason its geometry failed with, if any."""
+    def record(t, y, k):
         try:
-            take_snapshot(t, y, rho)
+            take_snapshot(t, y, k)
         except (ConvexityLossError, NotClosedError):
             return STOP_CONVEXITY_LOSS
         except DegenerateProfileError:
@@ -598,51 +630,18 @@ def run(config):
 
     y = np.array(rows)
     h = y[ncurv:]
-    rho = geometry.second_derivative(h, grid) + h if len(h) else None
-    take_snapshot(0.0, y, rho)
-    area0 = snapshots[0].summary.area
-    area_floor = config.area_floor * area0
-    traj = Trajectory(snapshots=snapshots, stop_reason=STOP_STEP_LIMIT,
-                      config=config, hypothesis_report=hyp,
-                      roundness_expected=roundness,
-                      form_disagreement=disagreement)
-
-    snapshot_stop = False
+    k = _curvatures(y, ncurv, geometry.second_derivative(h, grid) + h if len(h) else None)
+    take_snapshot(0.0, y, k)
+    floors = [config.area_floor * snapshots[0].summary.area]
     clock = _Clock(config.snapshot_every)
-    t_prev, rates = 0.0, flux_rates(y, rho)
-    for t, y, rho, on_cadence in _march(y, ncurv, rho, grid, law, clock):
-        new_rates = flux_rates(y, rho)
-        flux = [f + 0.5 * (t - t_prev) * (a + b) for f, a, b in zip(flux, rates, new_rates)]
-        t_prev, rates = t, new_rates
-        # stop checks read the curvature form when both evolve (tie: area wins)
-        if ncurv:
-            k_now = float(y[0].max())
-            # Blaschke's rolling theorem gives A >= pi / k_max^2, so the exact
-            # area is needed only once that bound fails to clear the floor by 2x
-            below = (math.pi / (k_now * k_now) <= 2.0 * area_floor
-                     and _support_area_from_k(y[0], grid) <= area_floor)
-        else:
-            below = _area_of_support_arrays(y[0], grid, rho[0]) <= area_floor
-            k_now = float(1.0 / rho[0].min())
-        stop = _stop_reason(below, k_now, config, clock)
-        if stop is None and on_cadence:
-            stop = snapshot_failure(t, y, rho)
-            snapshot_stop = stop is not None
-        if stop is not None:
-            traj.stop_reason = stop
-            break
-    else:
-        traj.stop_reason = STOP_CONVEXITY_LOSS  # halving pushed dt below its floor
-
-    traj.step_count = clock.steps
-    traj.rejected_count = clock.rejected
-    traj.dt_min = clock.dt_min if clock.steps else 0.0
-    traj.dt_max = clock.dt_max
-    if snapshots[-1].t < clock.t and not snapshot_stop:
-        snapshot_failure(clock.t, y, rho)  # on failure the last good snapshot stays last
-
-    last = snapshots[-1].summary
-    if last.k_max >= 10.0 * k_max0:
+    steps = integrated(_march(y, ncurv, k, grid, law, clock), flux_rates(k))
+    stop_reason = _drive(steps, floors, grid, config, clock, record)
+    traj = Trajectory(snapshots=snapshots, stop_reason=stop_reason, config=config,
+                      hypothesis_report=hyp, roundness_expected=hyp.all_ok,
+                      step_count=clock.steps, rejected_count=clock.rejected,
+                      dt_min=clock.dt_min if clock.steps else 0.0, dt_max=clock.dt_max,
+                      form_disagreement=disagreement)
+    if snapshots[-1].summary.k_max >= 10.0 * k_max0:
         traj.omega_estimate = estimate_blowup(traj)
     return traj
 
@@ -721,7 +720,8 @@ def containment_run(outer, inner, config):
     initial k_max.  The run ends when either curve reaches the configured
     area floor or curvature cap (the inner one blows up first for nested
     initial data); the containment contract is
-    min(h_outer - h_inner) >= -1e-8 * L_outer(0).
+    min(h_outer - h_inner) >= -1e-8 * L_outer(0).  The gap is recorded as
+    ``run`` records snapshots (see ``_drive``).
     """
     if outer.grid.n != inner.grid.n:
         raise ValueError("outer and inner profiles must share a grid")
@@ -741,24 +741,18 @@ def containment_run(outer, inner, config):
             f"(min gap {np.min(gap0):.3e} after Steiner centering)")
 
     y = np.array([outer.h, inner.h])
-    rho = np.array(rhos)
-    areas0 = [_area_of_support_arrays(h, grid, r) for h, r in zip(y, rho)]
-    times = [0.0]
-    gaps = [float(np.min(gap0))]
-    clock = _Clock(config.snapshot_every)
-    for t, y, rho, on_cadence in _march(y, 0, rho, grid, config.law, clock):
-        below = any(_area_of_support_arrays(h, grid, r) <= config.area_floor * a0
-                    for h, r, a0 in zip(y, rho, areas0))
-        stop_reason = _stop_reason(below, float(1.0 / rho.min()), config, clock)
-        # the final state is recorded whatever stopped the run
-        if on_cadence or stop_reason is not None:
-            times.append(t)
-            gaps.append(float(np.min(y[0] - y[1])))
-        if stop_reason is not None:
-            break
-    else:
-        stop_reason = STOP_CONVEXITY_LOSS
+    k = _curvatures(y, 0, np.array(rhos))
+    floors = [config.area_floor * _support_area_from_k(row, grid) for row in k]
+    times, gaps = [], []
 
+    def record(t, y, k):
+        times.append(t)
+        gaps.append(float(np.min(y[0] - y[1])))
+
+    record(0.0, y, k)
+    clock = _Clock(config.snapshot_every)
+    stop_reason = _drive(_march(y, 0, k, grid, config.law, clock), floors, grid, config,
+                         clock, record)
     ok = [g >= -tol for g in gaps]
     return ContainmentReport(times=times, min_gap=gaps, ok=ok,
                              tol_contain=tol, stop_reason=stop_reason)

@@ -207,7 +207,8 @@ def check_hypotheses(law, x_lo, x_hi, n_probes=64):
             worst, witness = float(conv_viol[j]), float(xs[j])
 
     upper = xs >= np.sqrt(x_lo) * np.sqrt(x_hi)  # x_lo * x_hi may overflow
-    ratio = gp[upper] * xs[upper] / g[upper]
+    with np.errstate(invalid="ignore", divide="ignore"):  # G may underflow to 0
+        ratio = gp[upper] * xs[upper] / g[upper]
     h2_growth_ok = bool(np.all(np.isfinite(ratio)))
     witness_c0 = float(max(0.0, np.max(ratio))) if h2_growth_ok else float("inf")
     if not h2_growth_ok:

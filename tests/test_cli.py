@@ -145,6 +145,15 @@ def test_containment_subcommand_stops(tmp_path, args, stop_reason):
     assert doc["all_ok"] is True
 
 
+def test_containment_offers_no_curve_or_scheme(tmp_path):
+    # the pair's curves are --outer and --inner, evolved as support rows
+    out = tmp_path / "pair"
+    assert run_main(["containment", "--outer", "circle:2", "--inner", "circle:1",
+                     "--curve", "not-a-curve", "--scheme", "support", "--n", "32",
+                     "--max-steps", "5", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_containment_k_cap_must_exceed_both_curves(tmp_path):
     # 0.7 is above the outer circle's k = 0.5 but not the inner circle's k = 1
     out = tmp_path / "pair"
@@ -202,6 +211,16 @@ def test_sweep_rejects_bad_entry_before_any_run(tmp_path, bad_entry):
 
 def test_degenerate_snapshot_is_a_stop_not_a_crash(tmp_path, monkeypatch):
     summarize = geometry.summarize
+    spec = RunSpec(curve="circle:1", n=64, area_floor=1e-2, cadence=5)
+    clean = []
+
+    def counted(*args, **kwargs):
+        clean.append(args)
+        return summarize(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "summarize", counted)
+    assert cli.execute_run(spec, tmp_path / "clean") == 0
+    final = json.loads((tmp_path / "clean" / "summary.json").read_text())
     # a snapshot whose curve does not close has lost convexity
     for error, stop_reason in ((DegenerateProfileError, flow.STOP_DEGENERATE),
                                (NotClosedError, flow.STOP_CONVEXITY_LOSS)):
@@ -226,6 +245,24 @@ def test_degenerate_snapshot_is_a_stop_not_a_crash(tmp_path, monkeypatch):
         times = [s["t"] for s in summary["snapshots"]]
         assert len(times) >= 2 and times[0] == 0.0 and times[1] > 0.0
         assert times == sorted(times)
+
+        # a snapshot that fails at the stop sets the stop reason
+        calls.clear()
+
+        def fail_last(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == len(clean):
+                raise error("forced")
+            return summarize(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "summarize", fail_last)
+        out = tmp_path / f"{error.__name__}-at-stop"
+        assert cli.execute_run(spec, out) == cli.EXIT_RUNTIME
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stop_reason"] == stop_reason
+        assert summary["steps"]["count"] == final["steps"]["count"]
+        assert len(calls) == len(clean)
+        assert summary["snapshots"][-1]["t"] < final["snapshots"][-1]["t"]
 
 
 @pytest.mark.parametrize("args, expected", [
@@ -272,16 +309,21 @@ def test_coarse_cadence_passes_the_evolution_identities(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("args", [
+@pytest.mark.parametrize("args, expected", [
     # G = x^2 overflows on the upper probes
-    ["check-law", "--law", "power:3", "--range", "1e-200,1e200"],
+    (["check-law", "--law", "power:3", "--range", "1e-200,1e200"], 3),
     # the law's probes and the member's area overflow
-    ["sweep", "--curve", "circle:1", "--curve", "circle:1.3407807929942596e+154",
-     "--n", "64"],
-], ids=["check-law", "sweep"])
-def test_overflowing_probes_exit_3_without_warnings(tmp_path, args):
-    out = [] if args[0] == "check-law" else ["--out", str(tmp_path / "sweep")]
-    assert run_main(args + out) == 3
+    (["sweep", "--curve", "circle:1", "--curve", "circle:1.3407807929942596e+154",
+      "--n", "64"], 3),
+    # G = x^2 underflows to 0 on the upper probes: (H1) and (H2) growth fail
+    (["check-law", "--law", "power:3", "--range", "1e-300,1e-170"], 1),
+    # k = 1e-200 underflows G and Phi' on the working range
+    (["run", "--law", "power:3", "--curve", "circle:1e200", "--n", "32",
+      "--max-steps", "5"], 3),
+], ids=["check-law", "sweep", "check-law-underflow", "run-underflow"])
+def test_overflowing_probes_exit_3_without_warnings(tmp_path, args, expected):
+    out = [] if args[0] == "check-law" else ["--out", str(tmp_path / "out")]
+    assert run_main(args + out) == expected
 
 
 @pytest.mark.filterwarnings("error")

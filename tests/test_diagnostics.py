@@ -146,6 +146,19 @@ def test_blowup_integral_on_exact_circle(exact_circle):
     assert lo_ranges, "rho reported at the bracket endpoints"
 
 
+def test_blowup_integral_inconclusive_when_the_bracket_is_wide():
+    import dataclasses
+    omega = 0.5
+    traj = oracle.circle_trajectory(1.0, 1.0, omega - 0.5 * np.geomspace(1.0, 0.002, 20), n=64)
+    # widened to 20% of the time left after the last snapshot
+    half = 0.1 * (omega - traj.last.t)
+    traj.omega_estimate = dataclasses.replace(traj.omega_estimate, omega_lo=omega - half,
+                                              omega_hi=omega + half)
+    report = monitor_blowup_integral(traj)
+    assert report.status == "inconclusive"
+    assert "exceeds 10% of the remaining time" in report.note
+
+
 def test_affine_ellipse_is_out_of_hypothesis():
     # p = 1/3 shrinks ellipses self-similarly: ratios stay near 0.125
     g = AngleGrid(128)

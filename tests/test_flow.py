@@ -178,8 +178,8 @@ def test_stacked_step_matches_per_row_steps(scheme):
     stack = np.array([kp.k, sp.h, other.h])
     # a run's full step of the stack, S taken over all three rows
     scale = flow._step_scale(g)
-    dt = scale / flow._stiffness(stack, 1, geometry.second_derivative(stack[1:], g) + stack[1:],
-                                 law, scale)
+    rho = geometry.second_derivative(stack[1:], g) + stack[1:]
+    dt = scale / flow._stiffness(flow._curvatures(stack, 1, rho), law, scale)
     coefficients = flow._etd_coefficients(g.n, scale)
 
     def etd(rows, ncurv):
@@ -233,7 +233,7 @@ def _etd_to(y, ncurv, grid, law, eps, t_end):
     r_hat = np.fft.rfft(flow._rhs(y, ncurv, grid, law))
     t = 0.0
     while t < t_end:
-        stiffness = flow._stiffness(y, ncurv, rho, law, eps)
+        stiffness = flow._stiffness(flow._curvatures(y, ncurv, rho), law, eps)
         dt, scale = eps / stiffness, eps
         if t + dt >= t_end:
             dt = t_end - t
@@ -250,7 +250,7 @@ def test_etd_error_estimate_is_fourth_order():
     g = AngleGrid(128)
     law = power_law(1)
     y = oracle.ellipse_profile(2.0, 1.0, g).k[None]
-    stiffness = flow._stiffness(y, 1, None, law, 1.0)
+    stiffness = flow._stiffness(y, law, 1.0)
     errors = []
     for level in range(4):
         scale = flow.ETD_STEP / 2 ** level
@@ -360,7 +360,7 @@ def test_area_gate_keeps_the_stop_step(p):
     floor = config.area_floor * traj.snapshots[0].summary.area
     steps = 0
     clock = flow._Clock(config.snapshot_every)
-    for t, y, _, _ in flow._march(kp.k[None], 1, None, g, law, clock):
+    for t, y, _, _ in flow._march(kp.k[None], 1, kp.k[None], g, law, clock):
         steps += 1
         if flow._support_area_from_k(y[0], g) <= floor:
             break
@@ -445,6 +445,7 @@ def test_run_convexity_loss_is_a_stop_not_a_crash(monkeypatch, driver):
     def always_reject(y, ncurv, grid, law):
         raise StepRejected("forced")
 
+    rhs = flow._rhs
     monkeypatch.setattr(flow, "_rhs", always_reject)
     g = AngleGrid(64)
     sp = SupportProfile(g, np.ones(g.n))
@@ -453,6 +454,20 @@ def test_run_convexity_loss_is_a_stop_not_a_crash(monkeypatch, driver):
         report = containment_run(sp, sp, config)
         assert report.stop_reason == flow.STOP_CONVEXITY_LOSS
         assert report.times == [0.0]
+        # rejected only after some steps were accepted, far from a cadence
+        # mark: the last accepted state is recorded
+        calls = []
+
+        def reject_later(*args):
+            calls.append(None)
+            if len(calls) > 30:
+                raise StepRejected("forced")
+            return rhs(*args)
+
+        monkeypatch.setattr(flow, "_rhs", reject_later)
+        report = containment_run(sp, sp, config)
+        assert report.stop_reason == flow.STOP_CONVEXITY_LOSS
+        assert report.times[-1] > 0.0
         return
     config = FlowConfig(law=power_law(1), initial=sp, formulation=driver)
     traj = run(config)
