@@ -57,6 +57,7 @@ from .geometry import (
     normalize,
     radii,
     reconstruct,
+    steiner_centered,
     steiner_point,
     summarize,
     support_from_curvature,

@@ -71,38 +71,24 @@ class RunSpec:
         return cls(**{k: v for k, v in data.items() if k in fields})
 
 
-def _parse_curve(descriptor):
-    kind, _, arg = str(descriptor).partition(":")
-    if kind == "circle":
-        (radius,) = map(float, arg.split(","))
-        return kind, (radius,)
-    if kind == "ellipse":
-        a, b = map(float, arg.split(","))
-        return kind, (a, b)
-    if kind == "fourier":
-        modes = []
-        for pair in arg.split(","):
-            m, amp = pair.split(":")
-            modes.append((int(m), float(amp)))
-        if not modes:
-            raise ValueError("fourier descriptor needs at least one mode:amplitude pair")
-        return kind, tuple(modes)
-    raise ValueError(f"unknown curve descriptor {descriptor!r}; expected "
-                     "circle:R, ellipse:a,b or fourier:m:amp[,m:amp...]")
-
-
 def build_initial(spec):
     """Initial profile from a descriptor; fourier phases come from the seed."""
     grid = geometry.AngleGrid(spec.n)
-    kind, args = _parse_curve(spec.curve)
+    kind, _, arg = str(spec.curve).partition(":")
     if kind == "circle":
-        return oracle.circle_profile(args[0], grid)
+        (radius,) = map(float, arg.split(","))
+        return oracle.circle_profile(radius, grid)
     if kind == "ellipse":
-        return oracle.ellipse_profile(args[0], args[1], grid)
+        a, b = map(float, arg.split(","))
+        return oracle.ellipse_profile(a, b, grid)
+    if kind != "fourier":
+        raise ValueError(f"unknown curve descriptor {spec.curve!r}; expected "
+                         "circle:R, ellipse:a,b or fourier:m:amp[,m:amp...]")
     rng = np.random.default_rng(spec.seed)
     h = np.ones(grid.n)
-    for m, amp in args:
-        h += amp * np.cos(m * grid.theta + rng.uniform(0.0, 2.0 * np.pi))
+    for pair in arg.split(","):
+        m, amp = pair.split(":")
+        h += float(amp) * np.cos(int(m) * grid.theta + rng.uniform(0.0, 2.0 * np.pi))
     sp = geometry.SupportProfile(grid, h)
     try:
         geometry.curvature_radius(sp)  # h'' + h > 0 must hold before the run
@@ -213,18 +199,13 @@ def execute_run(spec, out_dir, config=None):
     return EXIT_OK
 
 
-def _as_support(profile):
-    if isinstance(profile, geometry.CurvatureProfile):
-        return geometry.support_from_curvature(profile)
-    return profile
-
-
 def execute_containment(spec, outer_desc, inner_desc, out_dir):
     law = parse_law(spec.law)
     outer, inner = (build_initial(dataclasses.replace(spec, curve=descriptor))
                     for descriptor in (outer_desc, inner_desc))
-    config = _flow_config(spec, law, outer)  # containment_run checks k_cap against both
-    report = flow.containment_run(_as_support(outer), _as_support(inner), config)
+    # the outer curve is the config's initial one; containment_run checks k_cap against both
+    config = _flow_config(dataclasses.replace(spec, scheme="support"), law, outer)
+    report = flow.containment_run(config, inner)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import geometry
+from . import flow, geometry
 from .errors import InsufficientDataError
 
 RATIO_TOL = 0.05          # roundness target for k_min/k_max and r_in/r_out
@@ -207,10 +207,10 @@ def monitor_blowup_integral(traj):
         return _inconclusive("blowup-integral", times, [],
                              "no blow-up bracket: run stopped before the asymptotic regime")
     k_max0 = traj.snapshots[0].summary.k_max
-    late = [s for s in traj.snapshots if s.summary.k_max >= 10.0 * k_max0]
+    late = [s for s in traj.snapshots if s.summary.k_max >= flow.ASYMPTOTIC_GROWTH * k_max0]
     if not late:
-        return _inconclusive("blowup-integral", times, [],
-                             "no snapshots in the asymptotic regime (k_max >= 10 k_max(0))")
+        return _inconclusive("blowup-integral", times, [], "no snapshots in the asymptotic "
+                             f"regime (k_max >= {flow.ASYMPTOTIC_GROWTH:g} k_max(0))")
     t_final = late[-1].t
     width = est.omega_hi - est.omega_lo
     if width > 0.1 * (est.omega_mid - t_final):

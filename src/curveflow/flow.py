@@ -24,10 +24,10 @@ follow the CFL clock, which counts CFL units, dt S / (0.4 dtheta^2 / 2)
 per step (one unit is one RK4 step at its stability bound); a step is
 clipped to land on each cadence mark.
 ``run`` passes one row (two for formulation="both"), ``containment_run``
-passes its outer and inner support rows.  ``step`` takes one ETDRK4 step of
-a profile at a dt of the caller's choosing, ``stable_dt`` gives the length
-of one CFL unit, and the ``rhs_*`` functions give the right-hand sides of
-one profile.
+the support rows of its outer curve ``config.initial`` and of its inner
+one.  ``step`` takes one ETDRK4 step of a profile at a dt of the caller's
+choosing, ``stable_dt`` gives the length of one CFL unit, and the
+``rhs_*`` functions give the right-hand sides of one profile.
 The equation stiffens as curvature blows up, so runs stop at an area floor
 (or a curvature cap) and report a bracket for the blow-up time instead of
 trying to cross it.  Both drivers read each row through its curvature, k
@@ -67,6 +67,8 @@ STOP_DEGENERATE = "degenerate"
 STOP_ANALYTIC = "analytic"  # used by exact reference trajectories only
 
 FORMULATIONS = ("curvature", "support", "both")
+
+ASYMPTOTIC_GROWTH = 10.0  # k_max / k_max(0) where the blow-up laws are judged
 
 # A full ETDRK4 step takes dt = ETD_STEP / S with S = max k^2 Phi'(k), or
 # one CFL unit, the RK4 step 0.4 dtheta^2 / (2 S), where that is longer
@@ -183,17 +185,6 @@ class Trajectory:
 # the stepper core
 # ---------------------------------------------------------------------------
 
-def _speed(law, k):
-    """Phi(k) = G(k) k of each row of the stack ``k``, one law.g call per row.
-
-    Calling the law per row, not once on the stack, evaluates it on each row
-    exactly as when that row is stepped alone.
-    """
-    if len(k) == 1:
-        return law.g(k) * k
-    return np.stack([law.g(row) * row for row in k])
-
-
 def _rhs(y, ncurv, grid, law):
     """Right-hand sides of all rows of the (B, n) stack ``y`` at one stage.
 
@@ -219,7 +210,8 @@ def _rhs(y, ncurv, grid, law):
     rho += h
     if not rho.min() > 0.0:
         raise StepRejected("support profile lost convexity in a stage")
-    dh = -_speed(law, 1.0 / rho)
+    k_h = 1.0 / rho  # the law is elementwise: one law.g call serves all support rows
+    dh = -law.g(k_h) * k_h
     return np.concatenate((dk, dh)) if ncurv else dh
 
 
@@ -462,6 +454,21 @@ def step(state, law, dt):
 # running to the area floor
 # ---------------------------------------------------------------------------
 
+def _support_form(profile):
+    """``profile`` in support form: a curvature profile is solved for its h."""
+    if isinstance(profile, CurvatureProfile):
+        return geometry.support_from_curvature(profile)
+    return profile
+
+
+def _check_parabolic(law, k_lo, k_hi):
+    """Raise HypothesisViolationError unless Phi' > 0 at 64 probes of [k_lo, k_hi]."""
+    if np.min(law.phi_prime(np.geomspace(k_lo, k_hi, 64))) <= 0.0:
+        raise HypothesisViolationError(
+            f"{law.label}: Phi'(k) <= 0 on the working range; the flow is not "
+            "parabolic and cannot be integrated")
+
+
 def _support_area_from_k(k, grid):
     """Area of the closed curve with curvature k, without leaving Fourier space.
 
@@ -572,22 +579,15 @@ def run(config):
 
     # initial data in the forms this run evolves: the curvature row first
     kp0 = config.initial_curvature
-    k_max0 = float(np.max(kp0.k))
     k_min0 = float(np.min(kp0.k))
     ncurv = int(config.formulation != "support")
     rows = [kp0.k] if ncurv else []
     if config.formulation != "curvature":
-        sp0 = (config.initial if isinstance(config.initial, SupportProfile)
-               else geometry.support_from_curvature(kp0))
-        rows.append(sp0.h)
+        rows.append(_support_form(config.initial).h)
 
     # validate the law on the curvature range this run can visit
     hyp = check_hypotheses(law, k_min0 / 2.0, config.curvature_cap, n_probes=64)
-    probes = np.geomspace(k_min0 / 2.0, config.curvature_cap, 64)
-    if np.min(law.phi_prime(probes)) <= 0.0:
-        raise HypothesisViolationError(
-            f"{law.label}: Phi'(k) <= 0 on the working range; the flow is not "
-            "parabolic and cannot be integrated")
+    _check_parabolic(law, k_min0 / 2.0, config.curvature_cap)
 
     snapshots = []
     disagreement = [] if config.formulation == "both" else None
@@ -641,7 +641,7 @@ def run(config):
                       step_count=clock.steps, rejected_count=clock.rejected,
                       dt_min=clock.dt_min if clock.steps else 0.0, dt_max=clock.dt_max,
                       form_disagreement=disagreement)
-    if snapshots[-1].summary.k_max >= 10.0 * k_max0:
+    if snapshots[-1].summary.k_max >= ASYMPTOTIC_GROWTH * snapshots[0].summary.k_max:
         traj.omega_estimate = estimate_blowup(traj)
     return traj
 
@@ -669,10 +669,10 @@ def estimate_blowup(traj):
     law = traj.config.law
     last = traj.snapshots[-1]
     k_max0 = traj.snapshots[0].summary.k_max
-    if last.summary.k_max < 10.0 * k_max0:
+    if last.summary.k_max < ASYMPTOTIC_GROWTH * k_max0:
         raise InsufficientDataError(
             f"asymptotic regime not reached: k_max grew only "
-            f"{last.summary.k_max / k_max0:.2f}x (need 10x)")
+            f"{last.summary.k_max / k_max0:.2f}x (need {ASYMPTOTIC_GROWTH:g}x)")
     t_last = last.t
     lo_raw = t_last + law.tail_mass(last.summary.k_max)
     hi_raw = t_last + law.tail_mass(last.summary.k_min)
@@ -705,34 +705,34 @@ class ContainmentReport:
         return all(self.ok)
 
 
-def _steiner_centered(sp):
-    sx, sy = geometry.steiner_point(sp)
-    th = sp.grid.theta
-    return SupportProfile(sp.grid, sp.h - sx * np.cos(th) - sy * np.sin(th), sp.t)
+def containment_run(config, inner):
+    """Co-evolve the outer curve ``config.initial`` and ``inner`` and track their gap.
 
-
-def containment_run(outer, inner, config):
-    """Co-evolve two support profiles under ``config.law`` and track their gap.
-
-    Both curves are Steiner-centered first; convexity of both and the
-    pointwise ordering h_outer >= h_inner at t = 0 (set containment with a
-    common origin) are preconditions, and so is a curvature cap above both
-    initial k_max.  The run ends when either curve reaches the configured
-    area floor or curvature cap (the inner one blows up first for nested
-    initial data); the containment contract is
+    Either curve may be in either form; both evolve in support form, and
+    another ``config.formulation`` than "support" raises ValueError.  Both
+    are Steiner-centered first; convexity of both and the pointwise ordering
+    h_outer >= h_inner at t = 0 (set containment with a common origin) are
+    preconditions, and so is a curvature cap above both initial k_max.  As
+    in ``run``, a law that is not parabolic on [k_min(0) / 2, cap] raises
+    HypothesisViolationError before any step.  The run ends when either
+    curve reaches the area floor or curvature cap (the inner one blows up
+    first for nested initial data); the containment contract is
     min(h_outer - h_inner) >= -1e-8 * L_outer(0).  The gap is recorded as
     ``run`` records snapshots (see ``_drive``).
     """
+    if config.formulation != "support":
+        raise ValueError("containment evolves support profiles; formulation "
+                         f"{config.formulation!r} is not 'support'")
+    outer, inner = (geometry.steiner_centered(_support_form(p)) for p in (config.initial, inner))
     if outer.grid.n != inner.grid.n:
         raise ValueError("outer and inner profiles must share a grid")
     grid = outer.grid
-    outer = _steiner_centered(outer)
-    inner = _steiner_centered(inner)
     rhos = (geometry.curvature_radius(outer), geometry.curvature_radius(inner))
     k_max0 = 1.0 / min(r.min() for r in rhos)
     if not config.curvature_cap > k_max0:
         raise ValueError(f"k_cap {config.curvature_cap} must exceed the larger "
                          f"initial k_max {k_max0}")
+    _check_parabolic(config.law, 0.5 / max(r.max() for r in rhos), config.curvature_cap)
     gap0 = outer.h - inner.h
     tol = 1e-8 * geometry.periodic_integral(rhos[0], grid)
     if np.min(gap0) < -tol:

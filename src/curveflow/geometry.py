@@ -389,6 +389,13 @@ def steiner_point(sp):
     return sx, sy
 
 
+def steiner_centered(sp):
+    """``sp`` translated so that its Steiner point is the origin."""
+    sx, sy = steiner_point(sp)
+    th = sp.grid.theta
+    return SupportProfile(sp.grid, sp.h - sx * np.cos(th) - sy * np.sin(th), sp.t)
+
+
 def hausdorff_to_unit_disk(sp):
     """Hausdorff distance to the unit disk after recentering at the Steiner point.
 
@@ -401,10 +408,7 @@ def hausdorff_to_unit_disk(sp):
 
 
 def _hausdorff_to_unit_disk(sp):
-    th = sp.grid.theta
-    sx, sy = steiner_point(sp)
-    centered = sp.h - sx * np.cos(th) - sy * np.sin(th)
-    return float(np.max(np.abs(centered - 1.0)))
+    return float(np.max(np.abs(steiner_centered(sp).h - 1.0)))
 
 
 def normalize(sp, area):

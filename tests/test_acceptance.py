@@ -207,14 +207,15 @@ def test_criterion_8_containment(circle_runs):
     law = power_law(1)
     outer = SupportProfile(g, np.full(g.n, 2.0))
     inner = SupportProfile(g, np.full(g.n, 1.0))
-    config = FlowConfig(law=law, initial=outer, area_floor=1e-3, snapshot_every=250)
-    report = containment_run(outer, inner, config)
+    config = FlowConfig(law=law, initial=outer, area_floor=1e-3, snapshot_every=250,
+                        formulation="support")
+    report = containment_run(config, inner)
     worst_dev = max(
         abs(gap - (math.sqrt(4.0 - 2.0 * t) - math.sqrt(1.0 - 2.0 * t)))
         for t, gap in zip(report.times, report.min_gap))
 
     inner_e = geometry.support_from_curvature(oracle.ellipse_profile(1.5, 1.0, g))
-    report_e = containment_run(outer, inner_e, config)
+    report_e = containment_run(config, inner_e)
     ok = worst_dev <= 1e-5 and report.all_ok and report_e.all_ok
     verdict(8, ok, f"concentric gap matches exact to {worst_dev:.2e} (<=1e-5); "
                    f"circle-over-ellipse min gap {min(report_e.min_gap):.2e} "

@@ -11,7 +11,7 @@ import pytest
 
 from curveflow import cli, flow, geometry
 from curveflow.cli import RunSpec, build_initial, emit_timeseries, main
-from curveflow.errors import DegenerateProfileError, NotClosedError
+from curveflow.errors import DegenerateProfileError, NotClosedError, StepRejected
 from curveflow.flow import FlowConfig, run
 from curveflow.geometry import AngleGrid, SupportProfile
 from curveflow.oracle import circle_profile
@@ -143,6 +143,18 @@ def test_containment_subcommand_stops(tmp_path, args, stop_reason):
     doc = json.loads((out / "containment.json").read_text())
     assert doc["stop_reason"] == stop_reason
     assert doc["all_ok"] is True
+
+
+def test_containment_convexity_loss_exits_3(tmp_path, monkeypatch):
+    def always_reject(y, ncurv, grid, law):
+        raise StepRejected("forced")
+
+    monkeypatch.setattr(flow, "_rhs", always_reject)
+    out = tmp_path / "pair"
+    assert run_main(["containment", "--outer", "circle:2", "--inner", "circle:1",
+                     "--n", "32", "--out", str(out)]) == 3
+    doc = json.loads((out / "containment.json").read_text())
+    assert doc["stop_reason"] == "convexity-loss"
 
 
 def test_containment_offers_no_curve_or_scheme(tmp_path):

@@ -65,6 +65,13 @@ def test_rhs_support_matches_definition_on_ellipse():
     assert np.max(np.abs(rhs_support(sp, law) - expected)) < 1e-12
 
 
+def test_rhs_rejects_a_stage_that_is_not_convex():
+    g = AngleGrid(64)
+    h = 1.0 + 0.5 * np.cos(2.0 * g.theta)  # h'' + h = 1 - 1.5 cos(2 theta)
+    with pytest.raises(StepRejected, match="lost convexity in a stage"):
+        flow._rhs(h[None], 0, g, power_law(1))
+
+
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
@@ -104,6 +111,19 @@ def test_step_rejects_oversized_dt_without_mutation():
     # the stable dt itself is accepted
     accepted = step(kp, law, stable_dt(kp, law))
     assert np.min(accepted.k) > 0.0
+
+
+@pytest.mark.parametrize("ncurv, message", [
+    (1, "curvature lost positivity over a full step"),
+    (0, "support profile lost convexity over a full step")])
+def test_etd_rejects_a_result_that_leaves_the_domain(monkeypatch, ncurv, message):
+    # every stage is inside the domain, but the rows fall by about 1 from 0.1
+    monkeypatch.setattr(flow, "_rhs", lambda y, *args: -np.ones_like(y))
+    g = AngleGrid(32)
+    y = np.full((1, g.n), 0.1)
+    with pytest.raises(StepRejected, match=message):
+        flow._etd(y, np.fft.rfft(y), None, ncurv, 1.0, flow._etd_coefficients(g.n, 1.0),
+                  g, power_law(1))
 
 
 def test_step_preserves_closure():
@@ -450,8 +470,8 @@ def test_run_convexity_loss_is_a_stop_not_a_crash(monkeypatch, driver):
     g = AngleGrid(64)
     sp = SupportProfile(g, np.ones(g.n))
     if driver == "containment":
-        config = FlowConfig(law=power_law(1), initial=sp)
-        report = containment_run(sp, sp, config)
+        config = FlowConfig(law=power_law(1), initial=sp, formulation="support")
+        report = containment_run(config, sp)
         assert report.stop_reason == flow.STOP_CONVEXITY_LOSS
         assert report.times == [0.0]
         # rejected only after some steps were accepted, far from a cadence
@@ -465,7 +485,7 @@ def test_run_convexity_loss_is_a_stop_not_a_crash(monkeypatch, driver):
             return rhs(*args)
 
         monkeypatch.setattr(flow, "_rhs", reject_later)
-        report = containment_run(sp, sp, config)
+        report = containment_run(config, sp)
         assert report.stop_reason == flow.STOP_CONVEXITY_LOSS
         assert report.times[-1] > 0.0
         return
@@ -565,8 +585,8 @@ def test_containment_concentric_circles():
     inner = SupportProfile(g, np.full(g.n, 1.0))
     law = power_law(1)
     config = FlowConfig(law=law, initial=outer, area_floor=1e-2,
-                        snapshot_every=200)
-    report = containment_run(outer, inner, config)
+                        snapshot_every=200, formulation="support")
+    report = containment_run(config, inner)
     assert report.all_ok
     assert report.stop_reason == flow.STOP_AREA_FLOOR
     for t, gap in zip(report.times, report.min_gap):
@@ -580,8 +600,9 @@ def test_containment_curvature_cap_stop():
     g = AngleGrid(64)
     outer = SupportProfile(g, np.full(g.n, 2.0))
     inner = SupportProfile(g, np.full(g.n, 1.0))
-    config = FlowConfig(law=power_law(1), initial=outer, k_cap=1.5, snapshot_every=200)
-    report = containment_run(outer, inner, config)
+    config = FlowConfig(law=power_law(1), initial=outer, k_cap=1.5, snapshot_every=200,
+                        formulation="support")
+    report = containment_run(config, inner)
     assert report.stop_reason == flow.STOP_CURVATURE_CAP
     # the inner radius sqrt(1 - 2t) reaches 1/1.5; the stop records its gap
     t_cap = (1.0 - 1.0 / 1.5 ** 2) / 2.0
@@ -594,8 +615,9 @@ def test_containment_step_limit_stop():
     g = AngleGrid(64)
     outer = SupportProfile(g, np.full(g.n, 2.0))
     inner = SupportProfile(g, np.full(g.n, 1.0))
-    config = FlowConfig(law=power_law(1), initial=outer, max_steps=10, snapshot_every=5)
-    report = containment_run(outer, inner, config)
+    config = FlowConfig(law=power_law(1), initial=outer, max_steps=10, snapshot_every=5,
+                        formulation="support")
+    report = containment_run(config, inner)
     assert report.stop_reason == flow.STOP_STEP_LIMIT
     assert len(report.times) == 3  # t = 0 and steps 5 and 10
     assert report.all_ok
@@ -605,10 +627,10 @@ def test_containment_step_limit_off_cadence_records_the_final_gap():
     g = AngleGrid(64)
     outer = SupportProfile(g, np.full(g.n, 2.0))
     inner = SupportProfile(g, np.full(g.n, 1.0))
-    every = containment_run(outer, inner, FlowConfig(law=power_law(1), initial=outer,
-                                                     max_steps=10, snapshot_every=1))
-    report = containment_run(outer, inner, FlowConfig(law=power_law(1), initial=outer,
-                                                      max_steps=10, snapshot_every=4))
+    every = containment_run(FlowConfig(law=power_law(1), initial=outer, max_steps=10,
+                                       snapshot_every=1, formulation="support"), inner)
+    report = containment_run(FlowConfig(law=power_law(1), initial=outer, max_steps=10,
+                                        snapshot_every=4, formulation="support"), inner)
     assert report.stop_reason == every.stop_reason == flow.STOP_STEP_LIMIT
     assert len(every.times) == 11
     # steps 0, 4 and 8 on the cadence, then the final state at step 10
@@ -620,8 +642,9 @@ def test_containment_identical_curves():
     g = AngleGrid(128)
     sp = geometry.support_from_curvature(oracle.ellipse_profile(1.5, 1.0, g))
     law = power_law(1)
-    config = FlowConfig(law=law, initial=sp, area_floor=5e-2, snapshot_every=200)
-    report = containment_run(sp, sp, config)
+    config = FlowConfig(law=law, initial=sp, area_floor=5e-2, snapshot_every=200,
+                        formulation="support")
+    report = containment_run(config, sp)
     assert report.all_ok
     assert max(abs(v) for v in report.min_gap) < 1e-12
 
@@ -630,6 +653,51 @@ def test_containment_requires_nesting():
     g = AngleGrid(128)
     outer = SupportProfile(g, np.full(g.n, 1.0))
     inner = SupportProfile(g, np.full(g.n, 2.0))
-    config = FlowConfig(law=power_law(1), initial=outer)
+    config = FlowConfig(law=power_law(1), initial=outer, formulation="support")
     with pytest.raises(ValueError):
-        containment_run(outer, inner, config)
+        containment_run(config, inner)
+
+
+def test_containment_takes_its_outer_curve_from_the_config():
+    g = AngleGrid(64)
+    outer = SupportProfile(g, np.full(g.n, 1.0))
+    inner = SupportProfile(g, np.full(g.n, 0.5))
+    report = containment_run(FlowConfig(law=power_law(1), initial=outer, area_floor=1e-2,
+                                        snapshot_every=200, formulation="support"), inner)
+    assert report.stop_reason == flow.STOP_AREA_FLOOR
+    for t, gap in zip(report.times, report.min_gap):
+        exact = math.sqrt(1.0 - 2.0 * t) - math.sqrt(0.25 - 2.0 * t)
+        assert gap == pytest.approx(exact, abs=1e-6)
+
+
+def test_containment_takes_either_form():
+    g = AngleGrid(64)
+    outer, inner = oracle.ellipse_profile(2.0, 1.5, g), oracle.circle_profile(1.0, g)
+    solved = [geometry.support_from_curvature(p) for p in (outer, inner)]
+    settings = dict(law=power_law(1), area_floor=0.1, snapshot_every=50, formulation="support")
+    report = containment_run(FlowConfig(initial=outer, **settings), inner)
+    assert len(report.times) > 2 and report.all_ok
+    assert report == containment_run(FlowConfig(initial=solved[0], **settings), solved[1])
+
+
+@pytest.mark.parametrize("formulation", ["curvature", "both"])
+def test_containment_evolves_support_form_only(formulation):
+    sp = SupportProfile(AngleGrid(64), np.ones(64))
+    with pytest.raises(ValueError, match="support"):
+        containment_run(FlowConfig(law=power_law(1), initial=sp, formulation=formulation), sp)
+
+
+def test_containment_rejects_nonparabolic_law_before_any_step(monkeypatch):
+    from curveflow.speed_law import SpeedLaw
+    law = SpeedLaw(g=lambda x: x ** -2.0, g_prime=lambda x: -2.0 * x ** -3.0,
+                   g_double_prime=lambda x: 6.0 * x ** -4.0, label="inverse-square")
+
+    def no_step(*args):
+        raise AssertionError("stepped a non-parabolic law")
+
+    monkeypatch.setattr(flow, "_march", no_step)
+    g = AngleGrid(64)
+    config = FlowConfig(law=law, initial=SupportProfile(g, np.full(g.n, 2.0)),
+                        formulation="support")
+    with pytest.raises(HypothesisViolationError):
+        containment_run(config, SupportProfile(g, np.ones(g.n)))
