@@ -86,12 +86,15 @@ def build_initial(spec):
                          "circle:R, ellipse:a,b or fourier:m:amp[,m:amp...]")
     rng = np.random.default_rng(spec.seed)
     h = np.ones(grid.n)
-    for pair in arg.split(","):
-        m, amp = pair.split(":")
-        h += float(amp) * np.cos(int(m) * grid.theta + rng.uniform(0.0, 2.0 * np.pi))
-    sp = geometry.SupportProfile(grid, h)
     try:
-        geometry.curvature_radius(sp)  # h'' + h > 0 must hold before the run
+        with np.errstate(over="raise"):
+            for pair in arg.split(","):
+                m, amp = pair.split(":")
+                h += float(amp) * np.cos(int(m) * grid.theta + rng.uniform(0.0, 2.0 * np.pi))
+            sp = geometry.SupportProfile(grid, h)
+            geometry.curvature_radius(sp)  # h'' + h > 0 must hold before the run
+    except ArithmeticError as exc:  # a mode or amplitude beyond float range
+        raise ValueError(f"fourier mode or amplitude too large: {exc}") from None
     except CurveFlowError as exc:
         raise ValueError(f"fourier amplitudes too large for a convex curve: {exc}")
     return sp

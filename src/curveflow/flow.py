@@ -19,7 +19,12 @@ stiff, and a full step can be inaccurate: every step carries an embedded
 error estimate, and a step whose estimate exceeds ETD_TOLERANCE, or that
 loses positivity in any row, is rejected and retried at half the dt.  The
 rows are stage-synchronous: at every stage the arrays they differentiate,
-Phi(k) and h, go through one stacked second_derivative call.  Snapshots
+Phi(k) and h, go through one stacked second_derivative call.  Every
+transform goes through geometry.rfft / irfft, numpy's FFT kernels without
+numpy's Python wrapper, which costs more than a transform at these n: a
+curvature-form step makes 17, three per right-hand side (second_derivative's
+pair and the rfft of the result) for its 4 right-hand sides, and one irfft
+each for its 3 inner stages, its result and its error estimate.  Snapshots
 follow the CFL clock, which counts CFL units, dt S / (0.4 dtheta^2 / 2)
 per step (one unit is one RK4 step at its stability bound); a step is
 clipped to land on each cadence mark.
@@ -295,6 +300,9 @@ def _etd_coefficients(n, scale):
     tables = (np.exp(z), np.exp(0.5 * z), q,
               phi1 - 3.0 * phi2 + 4.0 * phi3, phi2 - 2.0 * phi3, 4.0 * phi3 - phi2,
               scale * sigma, 1.0 - sigma)
+    # stored complex: numpy casts a real factor of a complex array to complex
+    # on every product, and the cast table gives the same bits
+    tables = tuple(table.astype(complex) for table in tables)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -316,42 +324,58 @@ def _etd(y, y_hat, r_hat, ncurv, dt, coefficients, grid, law):
     of classical RK4 with its first-same-as-last stage), so ``error`` is
     O(dt^4) where N is smooth and grows with the stiff part that L leaves
     in N.  N(y_new) is the next step's first stage, so the estimate costs
-    no extra right-hand side on an accepted step.
+    no extra right-hand side on an accepted step.  Each stage's dt N is
+    dt rfft(rhs) + scale sigma v for its spectrum v; the sums are formed in
+    place, in the order of the ETDRK4 formulas.
     """
     e, e_half, q, f1, f2, f3, linear, helmholtz = coefficients
     n = grid.n
-
-    def transformed_rhs(values):
-        return np.fft.rfft(_rhs(values, ncurv, grid, law))
-
-    def nonlinear(stage_hat, stage_r_hat):
-        # dt times the transform of N at the stage: dt rhs + scale sigma v
-        out = stage_r_hat * dt
-        out += linear * stage_hat
-        return out
+    rfft, irfft = geometry.rfft, geometry.irfft
 
     if r_hat is None:
-        r_hat = transformed_rhs(y)
-    nv = nonlinear(y_hat, r_hat)
+        r_hat = rfft(_rhs(y, ncurv, grid, law))
+    nv = r_hat * dt
+    nv += linear * y_hat
     e_half_v = e_half * y_hat
-    a_hat = e_half_v + q * nv
-    na = nonlinear(a_hat, transformed_rhs(np.fft.irfft(a_hat, n)))
-    b_hat = e_half_v + q * na
-    nb = nonlinear(b_hat, transformed_rhs(np.fft.irfft(b_hat, n)))
-    c_hat = e_half * a_hat + q * (2.0 * nb - nv)
-    nc = nonlinear(c_hat, transformed_rhs(np.fft.irfft(c_hat, n)))
-    new_hat = e * y_hat + f1 * nv + f2 * (2.0 * (na + nb)) + f3 * nc
+    a_hat = q * nv
+    a_hat += e_half_v
+    na = rfft(_rhs(irfft(a_hat, n), ncurv, grid, law))
+    na *= dt
+    na += linear * a_hat
+    b_hat = q * na
+    b_hat += e_half_v
+    nb = rfft(_rhs(irfft(b_hat, n), ncurv, grid, law))
+    nb *= dt
+    nb += linear * b_hat
+    c_hat = 2.0 * nb
+    c_hat -= nv
+    c_hat *= q
+    c_hat += e_half * a_hat
+    nc = rfft(_rhs(irfft(c_hat, n), ncurv, grid, law))
+    nc *= dt
+    nc += linear * c_hat
+    new_hat = e * y_hat
+    new_hat += f1 * nv
+    stage_sum = na + nb
+    stage_sum *= 2.0
+    stage_sum *= f2
+    new_hat += stage_sum
+    new_hat += f3 * nc
     if len(y) == ncurv:
-        new, rho = np.fft.irfft(new_hat, n), None
+        new, rho = irfft(new_hat, n), None
     else:  # the support rows' h'' + h comes out of the same inverse transform
-        out = np.fft.irfft(np.concatenate((new_hat, helmholtz * new_hat[ncurv:])), n)
+        out = irfft(np.concatenate((new_hat, helmholtz * new_hat[ncurv:])), n)
         new, rho = out[:len(y)], out[len(y):]
     if ncurv and not new[:ncurv].min() > 0.0:
         raise StepRejected("curvature lost positivity over a full step")
     if rho is not None and not rho.min() > 0.0:
         raise StepRejected("support profile lost convexity over a full step")
-    new_r_hat = transformed_rhs(new)
-    estimate = np.fft.irfft(f3 * (nonlinear(new_hat, new_r_hat) - nc), n)
+    new_r_hat = rfft(_rhs(new, ncurv, grid, law))
+    estimate = new_r_hat * dt
+    estimate += linear * new_hat
+    estimate -= nc
+    estimate *= f3
+    estimate = irfft(estimate, n)
     error = float((np.abs(estimate).max(axis=1) / np.abs(new).max(axis=1)).max())
     return new, rho, new_hat, new_r_hat, error
 
@@ -373,7 +397,7 @@ def _march(y, ncurv, k, grid, law, clock):
     """
     cfl_base = _cfl_base(grid)
     full = _step_scale(grid)
-    y_hat = np.fft.rfft(y)
+    y_hat = geometry.rfft(y)
     r_hat = None
     first_dt = None
     level = 0  # the step is full / 2^level
@@ -445,7 +469,7 @@ def step(state, law, dt):
     """
     y, ncurv, k = _stack(state)
     scale = dt * _stiffness(k, law, dt)
-    new = _etd(y, np.fft.rfft(y), None, ncurv, dt, _etd_coefficients(state.grid.n, scale),
+    new = _etd(y, geometry.rfft(y), None, ncurv, dt, _etd_coefficients(state.grid.n, scale),
                state.grid, law)[0]
     return type(state)(state.grid, new[0], state.t + dt)
 
@@ -477,7 +501,7 @@ def _support_area_from_k(k, grid):
     weighted sum of |rho_hat|^2 over the Helmholtz symbol.
     """
     n = grid.n
-    fh = np.fft.rfft(1.0 / k)
+    fh = geometry.rfft(1.0 / k)
     fh[1] = 0.0
     helm = geometry._fourier_tables(n)[3]
     power = (fh.real * fh.real + fh.imag * fh.imag) / helm

@@ -80,11 +80,51 @@ def _fourier_tables(n):
     return m, d2, d1, helmholtz
 
 
+@functools.cache
+def _kernels():
+    """numpy's pocketfft gufuncs, imported at the first transform.
+
+    numpy itself imports numpy.fft on first use.  Importing it with this
+    package would load it, 0.1-0.3 MB resident, also into processes that
+    never transform, such as ``check-law``.
+    """
+    from numpy.fft import _pocketfft_umath
+    return _pocketfft_umath
+
+
+def rfft(values):
+    """The rfft of each row of the float or integer array ``values``, of even length.
+
+    Bit for bit ``numpy.fft.rfft(values)``: the pocketfft kernel that
+    function calls, without its Python wrapper, which costs more than the
+    transform itself on the grids a run uses.  Every AngleGrid size is
+    even, so only the even-length kernel is needed.
+    """
+    shape = values.shape
+    out = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), complex)
+    return _kernels().rfft_n_even(values, 1.0, out=out)
+
+
+def irfft(spectrum, n):
+    """The n-point inverse of ``rfft``, row by row.
+
+    Bit for bit ``numpy.fft.irfft(spectrum, n)``: the same kernel, with the
+    same 1/n scale.
+    """
+    return _kernels().irfft(spectrum, 1.0 / n, out=np.empty(spectrum.shape[:-1] + (n,)))
+
+
 def second_derivative(values, grid):
-    """Periodic second derivative in theta, of each row of a stack along the last axis."""
-    spectrum = np.fft.rfft(values)
+    """Periodic second derivative in theta, of each row of a stack along the last axis.
+
+    Spectral: one ``rfft``, a multiply by the symbol -m^2 (see
+    ``second_derivative_symbol``) and one ``irfft``.  Every stage of a step
+    calls it once for all rows of the flow, so it makes two of the step's
+    transforms per stage.
+    """
+    spectrum = rfft(values)
     spectrum *= _fourier_tables(grid.n)[1]
-    return np.fft.irfft(spectrum, n=grid.n)
+    return irfft(spectrum, grid.n)
 
 
 def second_derivative_symbol(n):
@@ -98,7 +138,7 @@ def second_derivative_symbol(n):
 
 def first_derivative(values, grid):
     """Periodic first derivative in theta."""
-    return np.fft.irfft(np.fft.rfft(values) * _fourier_tables(grid.n)[2], n=grid.n)
+    return irfft(rfft(values) * _fourier_tables(grid.n)[2], grid.n)
 
 
 def periodic_antiderivative(values, grid):
@@ -109,13 +149,13 @@ def periodic_antiderivative(values, grid):
     linear part carries exactly the closure defect.
     """
     n = grid.n
-    fh = np.fft.rfft(values)
+    fh = rfft(values)
     mean = fh[0].real / n
     m = _fourier_tables(n)[0]
     div = np.zeros_like(fh)
     div[1:-1] = fh[1:-1] / (1j * m[1:-1])
     # Nyquist antiderivative samples to zero on the grid, div[-1] stays 0
-    periodic = np.fft.irfft(div, n=n)
+    periodic = irfft(div, n)
     return mean * grid.theta + (periodic - periodic[0])
 
 
@@ -267,9 +307,9 @@ def support_from_curvature(kp):
             f"closure residual {residual:.3e} exceeds {CLOSURE_GATE:g} * L = "
             f"{CLOSURE_GATE * length:.3e}; profile is not a closed curve",
             residual=residual)
-    fh = np.fft.rfft(1.0 / kp.k)
+    fh = rfft(1.0 / kp.k)
     fh[1] = 0.0  # kernel mode: Steiner point pinned at the origin
-    h = np.fft.irfft(fh / _fourier_tables(kp.grid.n)[3], n=kp.grid.n)
+    h = irfft(fh / _fourier_tables(kp.grid.n)[3], kp.grid.n)
     if not np.all(np.isfinite(h)):
         raise DegenerateProfileError("the support solve overflowed: curve too large")
     return SupportProfile(kp.grid, h, kp.t)

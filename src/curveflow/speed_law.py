@@ -120,7 +120,9 @@ def _pow(x, e):
     # np.power with a float exponent dominates the integrator's arithmetic
     # cost, so the small integer exponents get dedicated paths
     if e == 0.0:
-        return np.ones(np.shape(x))
+        ones = np.empty(np.shape(x))  # filled in place: cheaper than np.ones
+        ones.fill(1.0)
+        return ones
     if e == 1.0:
         return np.asarray(x, dtype=float) + 0.0
     if e == 2.0:

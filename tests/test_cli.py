@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +402,12 @@ def test_usage_errors():
     assert run_main(["run", "--n", "63"]) == 2
     # fourier amplitudes that break convexity are a configuration error
     assert run_main(["run", "--curve", "fourier:5:0.2", "--n", "64"]) == 2
+    # a mode number beyond float range, a phase m theta or a spectrum of h
+    # that overflows, without a numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pair in (f"{10 ** 400}:0.1", f"{10 ** 308}:0.1", "3:1e308"):
+            assert run_main(["run", "--curve", f"fourier:{pair}", "--n", "32"]) == 2
 
 
 def test_unwritable_output_is_runtime_error(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -456,6 +457,36 @@ def test_run_step_limit_stop():
     traj = run(config)
     assert traj.stop_reason == flow.STOP_STEP_LIMIT
     assert traj.step_count == 10
+
+
+@pytest.mark.parametrize("driver", ["curvature", "support", "both", "containment"])
+def test_drivers_match_numpy_transforms_bit_for_bit(monkeypatch, driver):
+    # geometry.rfft/irfft skip numpy.fft's wrapper; every run and containment
+    # result must equal the one made through numpy.fft itself
+    g = AngleGrid(64)
+    initial = oracle.ellipse_profile(2.0, 1.0, g)
+    inner = SupportProfile(g, np.full(g.n, 0.5))
+
+    def drive():
+        if driver == "containment":
+            config = FlowConfig(law=power_law(2), initial=initial, area_floor=0.3,
+                                snapshot_every=20, formulation="support")
+            report = containment_run(config, inner)
+            return [report.times, report.min_gap, [report.stop_reason]]
+        config = FlowConfig(law=power_law(2), initial=initial, area_floor=0.3,
+                            snapshot_every=20, formulation=driver)
+        traj = run(config)
+        states = [[s.t, *s.flux, *dataclasses.astuple(s.summary)] for s in traj.snapshots]
+        rows = [np.concatenate((s.curvature.k, s.support.h)) for s in traj.snapshots]
+        return [np.array(states), np.array(rows), [traj.stop_reason, traj.step_count]]
+
+    direct = drive()
+    monkeypatch.setattr(geometry, "rfft", np.fft.rfft)
+    monkeypatch.setattr(geometry, "irfft", np.fft.irfft)
+    through_numpy = drive()
+    assert len(direct[0]) > 2
+    for ours, theirs in zip(direct, through_numpy):
+        assert np.array_equal(ours, theirs)
 
 
 @pytest.mark.parametrize("driver", ["curvature", "support", "both", "containment"])

@@ -87,6 +87,30 @@ def test_second_derivative_symbol_is_the_schemes(scheme):
             assert np.max(np.abs(d2 + sigma[m] * wave)) <= 1e-10 * max(1.0, sigma[m])
 
 
+@pytest.mark.parametrize("n", [32, 64, 128, 256, 512, 1024])
+def test_transforms_match_numpy_bit_for_bit(n):
+    # the stepper's only FFT entry points call numpy's pocketfft kernels
+    # directly; they must give numpy.fft's bits on every shape a run uses
+    rng = np.random.default_rng(n)
+    for shape in ((n,), (1, n), (2, n), (3, n)):
+        values = 1.0 + rng.standard_normal(shape)
+        spectrum = geometry.rfft(values)
+        assert spectrum.shape == shape[:-1] + (n // 2 + 1,)
+        assert np.array_equal(spectrum, np.fft.rfft(values))
+        back = geometry.irfft(spectrum, n)
+        assert back.shape == shape and np.array_equal(back, np.fft.irfft(spectrum, n))
+    # row views the stepper passes, as the support rows y[1:] and d2[:1]
+    stack = 1.0 + rng.standard_normal((3, n))
+    for view in (stack[1:], stack[:1], stack[::2], stack[:, ::-1]):
+        assert np.array_equal(geometry.rfft(view), np.fft.rfft(view))
+    spectra = np.fft.rfft(stack)
+    for view in (spectra[1:], spectra[:1], spectra[::2]):
+        assert np.array_equal(geometry.irfft(view, n), np.fft.irfft(view, n))
+    integers = rng.integers(-1000, 1000, (2, n))
+    assert np.array_equal(geometry.rfft(integers), np.fft.rfft(integers))
+    assert np.array_equal(geometry.rfft(integers[0]), np.fft.rfft(integers[0]))
+
+
 # ---------------------------------------------------------------------------
 # reconstruction and closure
 # ---------------------------------------------------------------------------

@@ -13,6 +13,16 @@ def test_power_law_values():
     assert power_law(2).tail_integral(1.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
+def test_p1_speed_is_ones_of_the_input_shape():
+    # G = 1 for p = 1 is built without np.ones; it must keep its dtype and shape
+    g = power_law(1).g
+    for x in (2.5, [1.0, 3.0], np.arange(1.0, 5.0), np.ones((2, 3)) * 7.0):
+        out = g(x)
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64
+        assert out.shape == np.shape(x) and np.all(out == 1.0)
+    assert g(2.5).ndim == 0
+
+
 def test_power_law_rejects_nonpositive_exponent():
     for p in (0.0, -1.0):
         with pytest.raises(ValueError):
