@@ -62,7 +62,7 @@ from .errors import (
     StepRejected,
 )
 from .geometry import CurvatureProfile, SupportProfile
-from .speed_law import check_hypotheses
+from .speed_law import check_hypotheses, check_representable
 
 STOP_AREA_FLOOR = "area-floor"
 STOP_CURVATURE_CAP = "curvature-cap"
@@ -486,8 +486,15 @@ def _support_form(profile):
 
 
 def _check_parabolic(law, k_lo, k_hi):
-    """Raise HypothesisViolationError unless Phi' > 0 at 64 probes of [k_lo, k_hi]."""
-    if np.min(law.phi_prime(np.geomspace(k_lo, k_hi, 64))) <= 0.0:
+    """Raise HypothesisViolationError unless Phi' > 0 at 64 probes of [k_lo, k_hi].
+
+    A probe where G or Phi' underflows raises SpeedLawDomainError instead.
+    """
+    probes = np.geomspace(k_lo, k_hi, 64)
+    g = law.g(probes)
+    phi_prime = law.g_prime(probes) * probes + g  # law.phi_prime, reusing G
+    check_representable(law, probes, g, phi_prime)
+    if np.min(phi_prime) <= 0.0:
         raise HypothesisViolationError(
             f"{law.label}: Phi'(k) <= 0 on the working range; the flow is not "
             "parabolic and cannot be integrated")

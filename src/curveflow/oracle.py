@@ -41,6 +41,40 @@ class CircleSolution:
         return (self.r0 ** (self.p + 1.0) - (self.p + 1.0) * t) ** (1.0 / (self.p + 1.0))
 
 
+@dataclasses.dataclass(frozen=True)
+class AffineEllipseSolution:
+    """Exact axis-aligned ellipse with semi-axes a, b under the affine flow p = 1/3.
+
+    For the ellipse k = h^3 / (a^2 b^2), so h_t = -k^(1/3) = -h / (ab)^(2/3):
+    the ellipse shrinks homothetically, h = lambda h0 and k = k0 / lambda,
+    with lambda^(4/3) = 1 - (4/3) (ab)^(-2/3) t (Sapiro & Tannenbaum 1994).
+    """
+
+    a: float
+    b: float
+
+    @property
+    def omega(self):
+        return 0.75 * (self.a * self.b) ** (2.0 / 3.0)
+
+    def scale(self, t):
+        """lambda(t), the factor by which the ellipse has shrunk at time t."""
+        if not 0.0 <= t < self.omega:
+            raise ValueError(f"t={t} outside [0, omega={self.omega})")
+        return (1.0 - t / self.omega) ** 0.75
+
+    def curvature(self, grid, t):
+        """The exact curvature profile at time t."""
+        return CurvatureProfile(grid, ellipse_profile(self.a, self.b, grid).k / self.scale(t), t)
+
+
+def affine_ellipse_solution(a, b):
+    """The exact p = 1/3 solution from the ellipse of semi-axes a >= b > 0."""
+    if not a >= b > 0.0:
+        raise ValueError(f"need a >= b > 0, got a={a}, b={b}")
+    return AffineEllipseSolution(float(a), float(b))
+
+
 def circle_state(sol, t):
     """(R, k, L, A) of the exact circle at time t."""
     r = sol.radius(t)

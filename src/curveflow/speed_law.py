@@ -10,6 +10,8 @@ range a run will actually visit.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import sys
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,7 +26,7 @@ class SpeedLaw:
     ``g``, ``g_prime``, ``g_double_prime`` evaluate G, G', G'' elementwise on
     positive floats or arrays.  ``tail_integral``, when provided, is the
     closed form of  int_k^inf dx / (G(x) x^3)  used for blow-up bracketing;
-    otherwise the integral is done by adaptive quadrature.
+    otherwise ``tail_mass`` sums it with Gauss-Legendre panels in log x.
     """
 
     g: Callable
@@ -62,35 +64,54 @@ class SpeedLaw:
         out = self.g_double_prime(k) * k + 2.0 * self.g_prime(k)
         return out if out.ndim else float(out)
 
-    def tail_mass(self, k, rtol=1e-10):
+    def tail_mass(self, k):
         """int_k^inf dx / (G(x) x^3), the time-to-blow-up mass above curvature k.
 
-        Uses the closed form when the law carries one.  The quadrature route
-        extends the cutoff X geometrically until the remainder bound
-        1/(2 G(X) X^2)  (valid since G is non-decreasing) drops below
-        ``rtol`` of the accumulated integral.
+        Uses the closed form when the law carries one.  Otherwise x = k e^s
+        turns the integral into  k^-2 int_0^inf e^(-2s) / G(k e^s) ds,  which
+        is summed over panels of width ln 8 in s, 20-point Gauss-Legendre on
+        each.  The sum stops after the panel ending at X = k 8^(j+1) once the
+        remainder bound  1/(2 G(X) X^2)  (valid since G is non-decreasing)
+        is at most 1e-10 of it, and raises SpeedLawDomainError if 120 panels
+        do not get there.
         """
         k = float(k)
         if k <= 0.0:
             raise SpeedLawDomainError("tail integral needs k > 0", abscissa=k)
         if self.tail_integral is not None:
             return float(self.tail_integral(k))
-        # scipy is imported here, not at the top, so that runs of laws with a
-        # closed-form tail (every built-in one) never load it
-        from scipy.integrate import quad
-
+        growth, weights = _tail_panel()
         total = 0.0
         lo = k
-        hi = 8.0 * k
-        for _ in range(120):
-            part, _ = quad(lambda x: 1.0 / (self.g(x) * x ** 3), lo, hi, limit=200)
-            total += part
-            bound = 1.0 / (2.0 * self.g(hi) * hi * hi)
-            if bound <= rtol * total:
+        for _ in range(_TAIL_PANELS):
+            # dx / x = ds, so on the panel from lo to 8 lo the integrand in s
+            # is e^(-2s) / (k^2 G) = 1 / (G(x) x^2)
+            x = lo * growth
+            total += float(weights @ (1.0 / (self.g(x) * x * x)))
+            lo *= 8.0
+            if 1.0 / (2.0 * self.g(lo) * lo * lo) <= _TAIL_RTOL * total:
                 return total
-            lo, hi = hi, 8.0 * hi
         raise SpeedLawDomainError(
             f"tail integral did not converge for {self.label} at k={k}", abscissa=k)
+
+
+_TAIL_RTOL = 1e-10  # the remainder bound that ends the tail sum, relative to the sum
+_TAIL_PANELS = 120  # panels of width ln 8 in s, so X stops short of k 8^120
+
+
+@functools.cache
+def _tail_panel():
+    """e^s at the 20 Gauss-Legendre nodes s of [0, ln 8], and their weights.
+
+    numpy.polynomial is imported at the first call, not with this module:
+    importing it costs about 2 MB resident, and no built-in law needs it.
+    """
+    from numpy.polynomial import legendre
+
+    nodes, weights = legendre.leggauss(20)
+    half = 0.5 * np.log(8.0)
+    s = half * (nodes + 1.0)
+    return np.exp(s), half * weights
 
 
 @dataclasses.dataclass(frozen=True)
@@ -160,6 +181,25 @@ def parse_law(name):
     return power_law(float(arg))
 
 
+def check_representable(law, xs, g, phi_prime):
+    """Raise SpeedLawDomainError at the first probe x where G or Phi' underflows.
+
+    ``g`` and ``phi_prime`` are the law's values at the probes.  At x > 0 a
+    G that is 0 or subnormal, or a subnormal Phi', is float underflow, not a
+    property of the law, and must not be judged as a failed hypothesis.  An
+    exact Phi' = 0 beside a normal G is the cancellation G'x = -G, which the
+    law does have (G = e^-x at x = 1).  G' is exempt: it is exactly 0 for
+    p = 1.
+    """
+    tiny = sys.float_info.min  # the smallest normal float
+    bad = (np.abs(g) < tiny) | ((phi_prime != 0.0) & (np.abs(phi_prime) < tiny))
+    if np.any(bad):
+        x = float(xs[bad][0])
+        raise SpeedLawDomainError(
+            f"{law.label}: G or Phi' underflows at x={x!r}; the law cannot be "
+            "evaluated there in floating point", abscissa=x)
+
+
 def check_hypotheses(law, x_lo, x_hi, n_probes=64):
     """Probe (H1) and (H2) on a log-spaced grid over [x_lo, x_hi].
 
@@ -170,6 +210,8 @@ def check_hypotheses(law, x_lo, x_hi, n_probes=64):
     half of the probe range; the analytic condition only constrains
     "sufficiently large x", so the constant is surfaced rather than judged
     against a threshold.
+    A probe where G or Phi' underflows raises SpeedLawDomainError, as does a
+    non-finite G (see ``check_representable``).
     """
     x_lo, x_hi = float(x_lo), float(x_hi)
     if not (0.0 < x_lo < x_hi):
@@ -184,11 +226,13 @@ def check_hypotheses(law, x_lo, x_hi, n_probes=64):
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.asarray(law.g(xs), dtype=float)
         gp = np.asarray(law.g_prime(xs), dtype=float)
-        gxx2_ddot = law.phi_double_prime(xs) * xs + 2.0 * law.phi_prime(xs)
+        phi_prime = law.phi_prime(xs)
+        gxx2_ddot = law.phi_double_prime(xs) * xs + 2.0 * phi_prime
         gxx2 = g * xs * xs
     if not np.all(np.isfinite(g)):
         bad = float(xs[~np.isfinite(g)][0])
         raise SpeedLawDomainError(f"G non-finite at probe x={bad}", abscissa=bad)
+    check_representable(law, xs, g, phi_prime)
 
     worst = 0.0
     witness = None
@@ -209,7 +253,7 @@ def check_hypotheses(law, x_lo, x_hi, n_probes=64):
             worst, witness = float(conv_viol[j]), float(xs[j])
 
     upper = xs >= np.sqrt(x_lo) * np.sqrt(x_hi)  # x_lo * x_hi may overflow
-    with np.errstate(invalid="ignore", divide="ignore"):  # G may underflow to 0
+    with np.errstate(over="ignore"):  # a steep G' over a small G may overflow
         ratio = gp[upper] * xs[upper] / g[upper]
     h2_growth_ok = bool(np.all(np.isfinite(ratio)))
     witness_c0 = float(max(0.0, np.max(ratio))) if h2_growth_ok else float("inf")

@@ -328,8 +328,9 @@ def test_coarse_cadence_passes_the_evolution_identities(tmp_path):
     # the law's probes and the member's area overflow
     (["sweep", "--curve", "circle:1", "--curve", "circle:1.3407807929942596e+154",
       "--n", "64"], 3),
-    # G = x^2 underflows to 0 on the upper probes: (H1) and (H2) growth fail
-    (["check-law", "--law", "power:3", "--range", "1e-300,1e-170"], 1),
+    # G = x^2 underflows to 0 on the lower probes: a domain error, not a
+    # failed hypothesis
+    (["check-law", "--law", "power:3", "--range", "1e-300,1e-170"], 3),
     # k = 1e-200 underflows G and Phi' on the working range
     (["run", "--law", "power:3", "--curve", "circle:1e200", "--n", "32",
       "--max-steps", "5"], 3),
@@ -485,11 +486,15 @@ def test_json_outputs_are_strict(tmp_path, monkeypatch):
     assert [(r["exit"], r["error"]) for r in runs] == [(0, None), (3, "forced")]
 
 
-def test_cli_import_loads_no_scipy():
-    # a fresh interpreter, importing the same curveflow this suite tests
+def test_cli_import_loads_no_scipy(tmp_path):
+    # a fresh interpreter, importing the same curveflow this suite tests; a
+    # run must load neither scipy nor numpy.polynomial, about 2 MB resident
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys, curveflow.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "curveflow.cli.main(['run', '--law', 'power:1', '--curve', 'circle:1', '--n', '32', "
+            f"'--max-steps', '5', '--out', {str(tmp_path)!r}]); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "[]"
+    assert out.strip().splitlines()[-1] == "[]"

@@ -10,6 +10,7 @@ from curveflow.errors import (
     ConvexityLossError,
     HypothesisViolationError,
     InsufficientDataError,
+    SpeedLawDomainError,
     StepRejected,
 )
 from curveflow.flow import (
@@ -443,6 +444,24 @@ def test_run_circle_affine_exponent():
     assert not traj.roundness_expected  # (H1) fails for p < 1
 
 
+@pytest.mark.parametrize("formulation", ["curvature", "support"])
+def test_run_affine_ellipse_matches_the_homothetic_solution(formulation):
+    # the only exact reference that is not a circle: on a circle Phi(k)'' = 0,
+    # so a wrong second derivative would go unseen
+    g = AngleGrid(128)
+    sol = oracle.affine_ellipse_solution(2.0, 1.0)
+    initial = (oracle.ellipse_profile(2.0, 1.0, g) if formulation == "curvature"
+               else oracle.ellipse_support(2.0, 1.0, g))
+    traj = run(FlowConfig(law=power_law(1.0 / 3.0), initial=initial, area_floor=1e-2,
+                          snapshot_every=250, formulation=formulation))
+    assert traj.stop_reason == flow.STOP_AREA_FLOOR
+    err = max(float(np.max(np.abs(s.curvature.k / sol.curvature(g, s.t).k - 1.0)))
+              for s in traj.snapshots)
+    assert err < 1e-6  # the bound of acceptance criterion 1
+    est = traj.omega_estimate
+    assert est.omega_lo <= sol.omega <= est.omega_hi
+
+
 def test_run_curvature_cap_stop():
     config = FlowConfig(law=power_law(1), initial=circle_kp(1.0, n=64),
                         area_floor=1e-6, k_cap=5.0)
@@ -687,6 +706,18 @@ def test_containment_requires_nesting():
     config = FlowConfig(law=power_law(1), initial=outer, formulation="support")
     with pytest.raises(ValueError):
         containment_run(config, inner)
+
+
+def test_containment_underflowing_law_is_a_domain_error():
+    # G = k^2 underflows to 0 on circles this large; the law is parabolic,
+    # so HypothesisViolationError would misname the failure
+    g = AngleGrid(32)
+    outer = SupportProfile(g, np.full(g.n, 2e200))
+    inner = SupportProfile(g, np.full(g.n, 1e200))
+    config = FlowConfig(law=power_law(3), initial=outer, formulation="support")
+    with pytest.raises(SpeedLawDomainError) as err:
+        containment_run(config, inner)
+    assert err.value.abscissa == pytest.approx(0.25e-200)  # k_min(0) / 2
 
 
 def test_containment_takes_its_outer_curve_from_the_config():

@@ -17,6 +17,24 @@ def test_circle_state_values():
     assert CircleSolution(2.0, 3.0).omega == pytest.approx(4.0)
 
 
+def test_affine_ellipse_solution_values():
+    sol = oracle.affine_ellipse_solution(2.0, 1.0)
+    assert sol.omega == pytest.approx(0.75 * 2.0 ** (2.0 / 3.0), rel=1e-15)
+    assert sol.omega == pytest.approx(1.190551, rel=1e-6)
+    g = AngleGrid(64)
+    assert np.array_equal(sol.curvature(g, 0.0).k, ellipse_profile(2.0, 1.0, g).k)
+    # lambda^(4/3) = 1 - (4/3) (ab)^(-2/3) t
+    t = 0.5
+    assert sol.scale(t) ** (4.0 / 3.0) == pytest.approx(
+        1.0 - (4.0 / 3.0) * 2.0 ** (-2.0 / 3.0) * t, rel=1e-14)
+    # the p = 1/3 circle is the a = b case
+    assert oracle.affine_ellipse_solution(1.0, 1.0).omega == CircleSolution(1.0, 1.0 / 3.0).omega
+    with pytest.raises(ValueError):
+        sol.scale(sol.omega)
+    with pytest.raises(ValueError):
+        oracle.affine_ellipse_solution(1.0, 2.0)
+
+
 def test_circle_state_rejects_late_times():
     sol = CircleSolution(1.0, 1.0)
     with pytest.raises(ValueError):

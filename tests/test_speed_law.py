@@ -1,8 +1,21 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import curveflow
 from curveflow.errors import SpeedLawDomainError
-from curveflow.speed_law import SpeedLaw, check_hypotheses, parse_law, power_law
+from curveflow.speed_law import (
+    SpeedLaw,
+    check_hypotheses,
+    check_representable,
+    parse_law,
+    power_law,
+)
 
 BUILTIN_PS = (1.0 / 3.0, 1.0, 2.0, 3.0)
 
@@ -65,14 +78,44 @@ def test_phi_derivatives_match_finite_differences(p):
         assert abs(fd2 - law.phi_double_prime(k)) <= 1e-5 * scale
 
 
-@pytest.mark.parametrize("p", BUILTIN_PS)
+@pytest.mark.parametrize("p", (1.0 / 3.0, 0.5, 1.0, 2.0, 3.0, 6.0))
 def test_tail_integral_against_quadrature(p):
+    # relative accuracy also where the tail is tiny: at p = 6, k = 20 it is 1.1e-10
     closed = power_law(p)
-    free = SpeedLaw(g=closed.g, g_prime=closed.g_prime,
-                    g_double_prime=closed.g_double_prime,
-                    label=closed.label, tail_integral=None)
-    for k in (0.5, 1.0, 3.0, 20.0):
+    free = dataclasses.replace(closed, tail_integral=None)
+    for k in (1e-3, 0.5, 1.0, 3.0, 20.0, 1e3):
         assert free.tail_mass(k) == pytest.approx(closed.tail_mass(k), rel=1e-8)
+
+
+def test_tail_quadrature_runs_without_scipy():
+    # a fresh interpreter in which any import of scipy fails
+    src = str(Path(curveflow.__file__).resolve().parents[1])
+    code = """if True:
+        import dataclasses, sys
+        sys.modules["scipy"] = None
+        from curveflow import flow, oracle
+        from curveflow.speed_law import power_law
+        closed = power_law(2)
+        free = dataclasses.replace(closed, tail_integral=None)
+        assert abs(free.tail_mass(3.0) / closed.tail_mass(3.0) - 1.0) < 1e-8
+        traj = oracle.circle_trajectory(1.0, 2.0, [0.0, 0.3333], n=64)
+        traj.config = dataclasses.replace(traj.config, law=free)
+        est = flow.estimate_blowup(traj)
+        assert est.omega_lo <= 1.0 / 3.0 <= est.omega_hi
+        print(est.method)
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "quadrature"
+
+
+def test_tail_mass_that_does_not_converge_raises():
+    # G = 1/x^2 gives int dx / x: the remainder bound never falls
+    law = SpeedLaw(g=lambda x: 1.0 / (x * x), g_prime=lambda x: -2.0 / x ** 3,
+                   g_double_prime=lambda x: 6.0 / x ** 4, label="inverse-square")
+    with pytest.raises(SpeedLawDomainError) as err:
+        law.tail_mass(2.0)
+    assert err.value.abscissa == 2.0
 
 
 def test_gx2_convexity_identity_matches_second_differences():
@@ -122,6 +165,20 @@ def test_check_hypotheses_range_whose_product_overflows():
     # 1e200 * 1e260 overflows; the upper half of the probes must still be found
     rep = check_hypotheses(power_law(1), 1e200, 1e260, 64)
     assert rep.all_ok and rep.witness_c0 == pytest.approx(0.0, abs=1e-12)
+
+
+def test_check_hypotheses_underflow_is_a_domain_error():
+    # G = x^2 and Phi' = 3 x^2 are positive, but their floats are 0 below 1e-162
+    with pytest.raises(SpeedLawDomainError) as err:
+        check_hypotheses(power_law(3), 1e-300, 1e-170, 64)
+    assert err.value.abscissa == 1e-300
+    # a subnormal Phi' is underflow too; an exact Phi' = 0 beside a normal G
+    # is a cancellation G'x = -G, left to the hypotheses
+    xs, ones = np.array([1.0, 2.0]), np.ones(2)
+    with pytest.raises(SpeedLawDomainError) as err:
+        check_representable(power_law(1), xs, ones, np.array([1.0, 1e-310]))
+    assert err.value.abscissa == 2.0
+    check_representable(power_law(1), xs, ones, np.array([1.0, 0.0]))
 
 
 def test_check_hypotheses_nonfinite_probe_carries_abscissa():
