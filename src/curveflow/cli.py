@@ -125,19 +125,34 @@ def _summary_row(t, summary):
 
 
 def _finite_or_null(value):
-    """``value`` with every non-finite float, nested ones included, made None."""
+    """``value`` with every non-finite float, nested ones included, made None.
+
+    A container that holds no non-finite float is returned itself, not
+    copied, so a document is not held twice while it is written.
+    """
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
-        return {k: _finite_or_null(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_or_null(v) for v in value]
-    return value
+        new = {k: _finite_or_null(v) for k, v in value.items()}
+        same = all(new[k] is v for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        new = [_finite_or_null(v) for v in value]
+        same = all(a is b for a, b in zip(new, value))
+    else:
+        return value
+    return value if same else new
 
 
 def _write_json(path, doc):
-    """Write strict JSON: inf and nan become null rather than Infinity/NaN."""
-    path.write_text(json.dumps(_finite_or_null(doc), indent=2, allow_nan=False) + "\n")
+    """Write strict JSON: inf and nan become null rather than Infinity/NaN.
+
+    The encoder's chunks stream into the open file, so the document is never
+    held as one string: with ``indent`` set, ``json.dumps`` would join about
+    100k chunks of a dense run's summary into a string as large as the file.
+    """
+    with path.open("w") as fh:
+        json.dump(_finite_or_null(doc), fh, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def emit_timeseries(traj, out_dir, spec=None, reports=None):

@@ -239,9 +239,10 @@ def _step_scale(grid):
 
 def _curvatures(y, ncurv, rho):
     """The curvature of each row of the stack ``y``, as a list of rows: a
-    curvature row is its own (a view of y, so a snapshot holds no copy), a
-    support row's is 1 / (h'' + h), ``rho`` stacking h'' + h of the support
-    rows (None when there are none)."""
+    curvature row is its own (a view of y), a support row's is 1 / (h'' + h),
+    ``rho`` stacking h'' + h of the support rows (None when there are none).
+    The rows are views of the step's arrays; a snapshot copies the ones it
+    keeps (see ``run``)."""
     return list(y) if rho is None else [*y[:ncurv], *(1.0 / rho)]
 
 
@@ -485,15 +486,27 @@ def _support_form(profile):
     return profile
 
 
-def _check_parabolic(law, k_lo, k_hi):
+def _check_parabolic(law, k_lo, k_hi, curvature_row=False):
     """Raise HypothesisViolationError unless Phi' > 0 at 64 probes of [k_lo, k_hi].
 
     A probe where G or Phi' underflows raises SpeedLawDomainError instead.
+    So does, when a curvature row evolves, a probe where k^2 Phi(k) is 0 or
+    subnormal: the curvature form's right-hand side k^2 (Phi'' + Phi)
+    underflows there, and the state would stand still while t advances.
     """
     probes = np.geomspace(k_lo, k_hi, 64)
     g = law.g(probes)
     phi_prime = law.g_prime(probes) * probes + g  # law.phi_prime, reusing G
     check_representable(law, probes, g, phi_prime)
+    if curvature_row:
+        with np.errstate(over="ignore"):  # an overflow is _stiffness's to judge
+            underflow = np.abs(probes * probes * (g * probes)) < np.finfo(float).tiny
+        if underflow.any():
+            k = float(probes[underflow][0])
+            raise SpeedLawDomainError(
+                f"{law.label}: k^2 Phi(k) underflows at k={k!r}; the curvature "
+                "form's right-hand side cannot be evaluated there in floating point",
+                abscissa=k)
     if np.min(phi_prime) <= 0.0:
         raise HypothesisViolationError(
             f"{law.label}: Phi'(k) <= 0 on the working range; the flow is not "
@@ -618,7 +631,7 @@ def run(config):
 
     # validate the law on the curvature range this run can visit
     hyp = check_hypotheses(law, k_min0 / 2.0, config.curvature_cap, n_probes=64)
-    _check_parabolic(law, k_min0 / 2.0, config.curvature_cap)
+    _check_parabolic(law, k_min0 / 2.0, config.curvature_cap, curvature_row=bool(ncurv))
 
     snapshots = []
     disagreement = [] if config.formulation == "both" else None
@@ -639,12 +652,18 @@ def run(config):
             yield t, y, k, on_cadence
 
     def take_snapshot(t, y, k):
-        kp = CurvatureProfile(grid, k[0], t)
-        sp = SupportProfile(grid, y[-1], t) if len(y) > ncurv else None
+        """Summarize the state and append its Snapshot, which keeps copies of
+        its rows: y and k are views of the step's last inverse transform,
+        which also holds rows a snapshot does not keep (h'' + h of a support
+        row), and a view would keep that whole array alive."""
+        kp = CurvatureProfile(grid, k[0].copy(), t)
+        sp = SupportProfile(grid, y[-1].copy(), t) if len(y) > ncurv else None
         # a curvature row is summarized with the support solved from it, also
         # when h evolves beside it; Snapshot.support keeps the evolved h
         solved = geometry.support_from_curvature(kp) if ncurv else sp
-        summary = geometry.summarize(kp, solved)
+        # the radii solves start from the previous snapshot's optimal bases
+        start = snapshots[-1].summary.radii_bases if snapshots else None
+        summary = geometry.summarize(kp, solved, start)
         snapshots.append(Snapshot(t=t, curvature=kp, support=solved if sp is None else sp,
                                   summary=summary, flux=tuple(flux)))
         if disagreement is not None:

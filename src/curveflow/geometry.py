@@ -223,7 +223,13 @@ class PlaneCurve:
 
 @dataclasses.dataclass(frozen=True)
 class GeometrySummary:
-    """Scalar observables of one snapshot."""
+    """Scalar observables of one snapshot.
+
+    A summary from ``summarize`` also carries ``radii_bases``, the optimal
+    bases of its radii solves.  That is an attribute, not a field: it is
+    not an observable, so it stays out of comparison, ``astuple`` and
+    ``asdict``.
+    """
 
     length: float
     area: float
@@ -361,19 +367,23 @@ def radii(sp):
     to rounding error.
     """
     _degenerate_guard(curvature_radius(sp))
-    return _radii(sp)
+    return _radii(sp)[:2]
 
 
-def _radii(sp):
+def _radii(sp, start=None):
+    """(r_in, r_out, bases): the radii, and the optimal bases of the r_out and
+    r_in solves, which start from the bases ``start`` when it is given."""
     th = sp.grid.theta
     cos, sin = np.cos(th), np.sin(th)
-    r_out, _ = _min_max_support(sp.h, cos, sin)
-    neg_r_in, _ = _min_max_support(-sp.h, cos, sin)
-    return -neg_r_in, r_out
+    out_start, in_start = start or (None, None)
+    r_out, _, out_basis = _min_max_support(sp.h, cos, sin, out_start)
+    neg_r_in, _, in_basis = _min_max_support(-sp.h, cos, sin, in_start)
+    return -neg_r_in, r_out, (out_basis, in_basis)
 
 
-def _min_max_support(h, cos, sin):
-    """(r, c): min over centres c of max_j (h_j - c . u_j), and a minimizing c.
+def _min_max_support(h, cos, sin, start=None):
+    """(r, c, basis): min over centres c of max_j (h_j - c . u_j), a minimizing
+    c, and the optimal basis.
 
     This is the linear program  min r  s.t.  c . u_j + r >= h_j  in the three
     unknowns (c_x, c_y, r), solved by the dual simplex.  A basis is three
@@ -384,12 +394,16 @@ def _min_max_support(h, cos, sin):
     the smallest lambda_i / alpha_i over alpha_i > 0, where
     sum alpha_i (u_i, 1) = (u_e, 1); that keeps lambda >= 0 and never lowers
     r.  The vertex is optimal once no constraint is violated by more than
-    1e-13 max|h|.  Smooth profiles need a handful of pivots; a solve that
-    has not converged after n raises DegenerateProfileError.
+    1e-13 max|h|.  The solve starts from the nodes 0, n/3 and 2n/3, or from
+    ``start``, the optimal basis of another profile on the same grid: dual
+    feasibility depends on the directions u_j only, not on h, so any
+    optimal basis is a valid start, and a nearby profile's needs few
+    pivots.  Smooth profiles need a handful of pivots; a solve that has not
+    converged after n raises DegenerateProfileError.
     """
     n = h.shape[0]
     tol = 1e-13 * float(np.max(np.abs(h)))
-    basis = [0, n // 3, 2 * n // 3]
+    basis = list(start) if start is not None else [0, n // 3, 2 * n // 3]
     for _ in range(n):
         # the inverse of the matrix with rows a_i = (cos_i, sin_i, 1) has the
         # columns (a_{i+1} x a_{i+2}) / det; their third entries are
@@ -405,7 +419,7 @@ def _min_max_support(h, cos, sin):
         violation = h - (cx * cos + cy * sin + r)
         e = int(np.argmax(violation))
         if violation[e] <= tol:
-            return r, (cx, cy)
+            return r, (cx, cy), tuple(basis)
         ce, se = float(cos[e]), float(sin[e])
         leave, best = None, math.inf
         for i, col in enumerate(cols):
@@ -462,14 +476,19 @@ def normalize(sp, area):
 # snapshot summaries
 # ---------------------------------------------------------------------------
 
-def summarize(kp, sp):
+def summarize(kp, sp, start=None):
     """All scalar observables of one snapshot, from its two forms.
 
     ``kp`` and ``sp`` are the same curve in curvature and support form; the
     caller derives one from the other.  The curvature observables (length,
     closure, k range, total curvature) read ``kp``.  The Fourier h'' + h of
     ``sp`` is computed once and serves the area, the convexity and contrast
-    guard, the radii and the Hausdorff distance.
+    guard, the radii and the Hausdorff distance.  The two radii solves
+    start from ``start``, the ``radii_bases`` of an earlier summary on the
+    same grid, or else from the nodes 0, n/3 and 2n/3; the result's
+    ``radii_bases`` holds their optimal bases.  A run passes each snapshot
+    its predecessor's, which cuts the pivots about eightfold; the radii
+    may then differ from a cold start's in the last bits.
     """
     rho = second_derivative(sp.h, sp.grid) + sp.h
     with np.errstate(over="ignore"):  # an overflow is judged degenerate below
@@ -479,7 +498,7 @@ def summarize(kp, sp):
         raise DegenerateProfileError(f"length {length} or area {area} not finite and positive")
     c, s = closure_residual(kp)
     _degenerate_guard(_checked_radius(sp, rho))
-    r_in, r_out = _radii(sp)
+    r_in, r_out, bases = _radii(sp, start)
     k_min = float(np.min(kp.k))
     k_max = float(np.max(kp.k))
     iso = length * length / area
@@ -487,9 +506,11 @@ def summarize(kp, sp):
     total_curvature = periodic_integral(kp.k, kp.grid)  # equals oint k^2 ds
     gage = 1.0 - (math.pi * length / area) / total_curvature
     hdf = _hausdorff_to_unit_disk(normalize(sp, area))
-    return GeometrySummary(
+    summary = GeometrySummary(
         length=length, area=area, r_in=r_in, r_out=r_out,
         k_min=k_min, k_max=k_max,
         closure_residual_norm=math.hypot(c, s),
         iso_ratio=iso, bonnesen_gap=bonnesen, gage_deficit=gage,
         hausdorff_to_disk=hdf)
+    object.__setattr__(summary, "radii_bases", bases)
+    return summary

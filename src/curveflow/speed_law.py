@@ -154,20 +154,29 @@ def _pow(x, e):
     return np.power(x, e)
 
 
+def _monomial(c, e):
+    """x -> c x^e; exactly 0 when c = 0, where x^e may overflow and 0 * inf
+    would be NaN."""
+    if c == 0.0:
+        return lambda x: np.zeros(np.shape(x))
+    return lambda x: c * _pow(x, e)
+
+
 def power_law(p):
     """Speed law G(x) = x^(p-1), i.e. normal speed k^p.
 
     p = 1 is the classical curve shortening flow, p = 1/3 the affine flow
     (note G is then decreasing, so (H1) fails and the roundness theory does
-    not apply).  Rejects p <= 0.
+    not apply).  Rejects p <= 0.  A derivative whose coefficient is 0 (G'
+    and G'' at p = 1, G'' at p = 2) is zeros, with no power evaluated.
     """
     p = float(p)
     if not p > 0.0:
         raise ValueError(f"power law exponent must be positive, got {p}")
     return SpeedLaw(
         g=lambda x: _pow(x, p - 1.0),
-        g_prime=lambda x: (p - 1.0) * _pow(x, p - 2.0),
-        g_double_prime=lambda x: (p - 1.0) * (p - 2.0) * _pow(x, p - 3.0),
+        g_prime=_monomial(p - 1.0, p - 2.0),
+        g_double_prime=_monomial((p - 1.0) * (p - 2.0), p - 3.0),
         label=f"power p={p:g}",
         tail_integral=lambda k: _pow(k, -(p + 1.0)) / (p + 1.0),
     )

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -279,12 +280,14 @@ def test_degenerate_snapshot_is_a_stop_not_a_crash(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("args, expected", [
-    # area pi R^2 overflows: the initial snapshot is degenerate
-    (["run", "--curve", "circle:1.3407807929942596e+154"], 3),
-    # k^2 Phi'(k) underflows to 0: no finite step
+    # area pi R^2 overflows: the initial snapshot is degenerate (support
+    # form, as in curvature form k^3 underflows on the probes first)
+    (["run", "--curve", "circle:1.3407807929942596e+154", "--scheme", "support"], 3),
+    # k^2 Phi(k) = k^3 underflows to 0 on the law's probes: the curvature
+    # form's right-hand side would freeze the state
     (["run", "--curve", "circle:6.748370691814794e+161"], 3),
-    # h = R overflows in the Fourier support solve
-    (["run", "--curve", "circle:5.617791046444737e+306"], 3),
+    # h = R overflows in the Fourier support solve (support form, as above)
+    (["run", "--curve", "circle:5.617791046444737e+306", "--scheme", "support"], 3),
     # Phi'(k) overflows; the step halving used to loop forever on dt = 0
     (["containment", "--law", "power:1.4571529819837308e+16",
       "--outer", "circle:0.05", "--inner", "circle:0.01"], 3),
@@ -295,8 +298,10 @@ def test_degenerate_snapshot_is_a_stop_not_a_crash(tmp_path, monkeypatch):
     # through flux integrals of that scale
     (["run", "--law", "power:6", "--curve", "circle:1e-30", "--scheme", "support",
       "--cadence", "5"], 0),
-    # a member run that fails at run time is recorded, not lost
-    (["sweep", "--curve", "circle:1", "--curve", "circle:1.3407807929942596e+154"], 3),
+    # a member run that fails at run time is recorded, not lost (support
+    # form, so that the member reaches its overflowing area)
+    (["sweep", "--curve", "circle:1", "--curve", "circle:1.3407807929942596e+154",
+      "--scheme", "support"], 3),
 ], ids=["area-overflow", "cfl-underflow", "support-overflow", "law-overflow",
         "stencil-underflow", "sweep-member"])
 def test_unrepresentable_inputs_end_with_an_exit_code(tmp_path, args, expected):
@@ -334,7 +339,20 @@ def test_coarse_cadence_passes_the_evolution_identities(tmp_path):
     # k = 1e-200 underflows G and Phi' on the working range
     (["run", "--law", "power:3", "--curve", "circle:1e200", "--n", "32",
       "--max-steps", "5"], 3),
-], ids=["check-law", "sweep", "check-law-underflow", "run-underflow"])
+    # G' = 0 x^-1 and G'' = 0 x^-2 at p = 1: zero, though x^-2 overflows
+    (["check-law", "--law", "power:1", "--range", "1e-300,1e-170"], 0),
+    # k^2 Phi(k) = k^3 is 0 (1e-330) or subnormal (1e-315) on the lower
+    # probes: the curvature form's right-hand side underflows and the state
+    # would stand still while t advances
+    (["run", "--curve", "circle:1e110", "--n", "32", "--max-steps", "5"], 3),
+    (["run", "--curve", "circle:1e105", "--n", "32", "--max-steps", "5"], 3),
+    # k^3 = 1e-300 is normal; the support form evolves no curvature row
+    (["run", "--curve", "circle:1e100", "--n", "32", "--max-steps", "5"], 0),
+    (["run", "--curve", "circle:1e110", "--scheme", "support", "--n", "32",
+      "--max-steps", "5"], 0),
+], ids=["check-law", "sweep", "check-law-underflow", "run-underflow",
+        "check-law-zero-coefficient", "rhs-underflow", "rhs-subnormal", "rhs-normal",
+        "rhs-underflow-support-form"])
 def test_overflowing_probes_exit_3_without_warnings(tmp_path, args, expected):
     out = [] if args[0] == "check-law" else ["--out", str(tmp_path / "out")]
     assert run_main(args + out) == expected
@@ -484,6 +502,42 @@ def test_json_outputs_are_strict(tmp_path, monkeypatch):
     assert code == cli.EXIT_RUNTIME
     runs = strict_load(tmp_path / "sweep" / "sweep.json")["runs"]
     assert [(r["exit"], r["error"]) for r in runs] == [(0, None), (3, "forced")]
+
+
+def test_write_json_writes_the_bytes_of_dumps(tmp_path):
+    # non-finite floats nested in dicts, lists and tuples become null
+    doc = {"a": [1.5, math.nan, (2.0, -math.inf)], "b": {"c": math.inf, "d": [1, "x", None]},
+           "e": (0.25, {"f": [math.nan]}), "g": 1e-300}
+    expected = {"a": [1.5, None, [2.0, None]], "b": {"c": None, "d": [1, "x", None]},
+                "e": [0.25, {"f": [None]}], "g": 1e-300}
+    cli._write_json(tmp_path / "doc.json", doc)
+    text = (tmp_path / "doc.json").read_text()
+    assert text == json.dumps(expected, indent=2, allow_nan=False) + "\n"
+    assert text == json.dumps(cli._finite_or_null(doc), indent=2, allow_nan=False) + "\n"
+    assert doc["a"][1] != doc["a"][1]  # the document itself is not changed
+
+
+def test_write_json_holds_no_copy_of_the_document(tmp_path):
+    # a summary-like document of about 1.9 MB: joined into one string, its
+    # text alone would exceed the file size
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((4000, len(cli.SERIES_COLUMNS))).tolist()
+    doc = {"snapshots": [dict(zip(cli.SERIES_COLUMNS, row)) for row in rows],
+           "monitors": [{"values": [math.nan, *rng.standard_normal(500).tolist()]}]}
+    path = tmp_path / "big.json"
+    cli._write_json(path, doc)
+    size = path.stat().st_size
+    assert size > 1_500_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        cli._write_json(path, doc)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size == size
+    assert peak < size
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

@@ -568,6 +568,20 @@ def test_snapshots_solve_the_support_once(monkeypatch, formulation, solves):
     assert len(calls) == expected
 
 
+@pytest.mark.parametrize("formulation", ["curvature", "support", "both"])
+def test_snapshots_hold_only_their_own_rows(formulation):
+    # a row kept as a view of the step's (B, n) transform output would keep
+    # the rows the snapshot does not use alive with it
+    g = AngleGrid(64)
+    traj = run(FlowConfig(law=power_law(2), initial=oracle.ellipse_profile(2.0, 1.0, g),
+                          area_floor=0.3, snapshot_every=20, formulation=formulation))
+    assert len(traj.snapshots) > 3
+    for snap in traj.snapshots:
+        for row in (snap.curvature.k, snap.support.h):
+            assert row.shape == (g.n,)
+            assert row.base is None or row.base.size == g.n
+
+
 def test_run_rejects_bad_config():
     kp = circle_kp(1.0, n=64)
     with pytest.raises(ValueError):

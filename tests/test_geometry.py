@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 
 from curveflow import geometry, oracle
 from curveflow.errors import ConvexityLossError, DegenerateProfileError, NotClosedError
+from curveflow.flow import FlowConfig, run
 from curveflow.geometry import (
     AngleGrid,
     CurvatureProfile,
@@ -23,6 +25,7 @@ from curveflow.geometry import (
     summarize,
     support_from_curvature,
 )
+from curveflow.speed_law import power_law
 
 from conftest import random_convex_support
 
@@ -254,9 +257,39 @@ def test_radii_match_linprog_and_meet_every_constraint(profile_corpus):
         # r_out's centre and the mirrored r_in centre are feasible to rounding
         tol = 1e-12 * np.max(np.abs(sp.h))
         for h, value in ((sp.h, r_out), (-sp.h, -r_in)):
-            r, (cx, cy) = geometry._min_max_support(h, cos, sin)
+            r, (cx, cy), _ = geometry._min_max_support(h, cos, sin)
             assert r == value
             assert np.max(h - (cx * cos + cy * sin)) <= r + tol
+
+
+def _warm_and_cold(profiles):
+    # the radii of each profile solved from the previous profile's optimal
+    # bases and from the default start, as (warm, cold) pairs
+    pairs, bases = [], None
+    for sp in profiles:
+        r_in, r_out, bases = geometry._radii(sp, bases)
+        pairs.append(((r_in, r_out), geometry._radii(sp)[:2]))
+    return pairs
+
+
+def test_warm_started_radii_match_cold_solves(profile_corpus):
+    # an optimal basis of one profile is dual feasible for any other on the
+    # same grid, so the warm solve ends at the same optimum
+    g = AngleGrid(128)
+    traj = run(FlowConfig(law=power_law(2), initial=oracle.ellipse_profile(2.0, 1.0, g),
+                          area_floor=0.05, snapshot_every=10, formulation="both"))
+    assert len(traj.snapshots) > 50
+    for profiles in (profile_corpus, [s.support for s in traj.snapshots]):
+        for warm, cold in _warm_and_cold(profiles):
+            assert warm == pytest.approx(cold, rel=1e-15, abs=0.0)
+    # the run's summaries are the warm chain of the supports it summarized
+    solved = [support_from_curvature(s.curvature) for s in traj.snapshots]
+    for snap, (warm, cold) in zip(traj.snapshots, _warm_and_cold(solved)):
+        assert (snap.summary.r_in, snap.summary.r_out) == warm
+        assert warm == pytest.approx(cold, rel=1e-15, abs=0.0)
+    # a summary carries its bases outside its fields
+    assert len(dataclasses.astuple(traj.snapshots[-1].summary)) == 11
+    assert [len(basis) for basis in traj.snapshots[-1].summary.radii_bases] == [3, 3]
 
 
 def test_hausdorff_cases():

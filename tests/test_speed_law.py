@@ -36,6 +36,20 @@ def test_p1_speed_is_ones_of_the_input_shape():
     assert g(2.5).ndim == 0
 
 
+def test_zero_coefficient_derivatives_are_exactly_zero():
+    # G' = 0 x^-1, G'' = 0 x^-2 at p = 1 and G'' = 0 x^-1 at p = 2: the powers
+    # overflow at the small probes, and 0 * inf would be NaN
+    x = np.array([1e-320, 1e-300, 1e-170, 1.0, 1e300])
+    with np.errstate(all="raise"):
+        for derivative in (power_law(1).g_prime, power_law(1).g_double_prime,
+                           power_law(2).g_double_prime):
+            out = derivative(x)
+            assert out.shape == x.shape and np.all(out == 0.0)
+            assert not np.any(np.signbit(out))
+        assert np.all(power_law(1).phi_double_prime(x) == 0.0)
+    assert power_law(1).g_prime(2.5).ndim == 0
+
+
 def test_power_law_rejects_nonpositive_exponent():
     for p in (0.0, -1.0):
         with pytest.raises(ValueError):
