@@ -1,7 +1,7 @@
 """Command-line front end: run flows, containment pairs, sweeps, and law checks.
 
-Data goes to files and stdout (the monitors table); progress and error text
-go to stderr.  Exit codes: 0 run completed and no monitor failed, 1 monitors
+Data goes to files and stdout (the monitors table); error text goes to
+stderr.  Exit codes: 0 run completed and no monitor failed, 1 monitors
 failed, 2 usage or configuration error, 3 runtime failure (convexity loss,
 degenerate snapshot, hypothesis violation, unwritable output).
 """

@@ -62,7 +62,7 @@ from .errors import (
     StepRejected,
 )
 from .geometry import CurvatureProfile, SupportProfile
-from .speed_law import check_hypotheses, check_representable
+from .speed_law import check_hypotheses
 
 STOP_AREA_FLOOR = "area-floor"
 STOP_CURVATURE_CAP = "curvature-cap"
@@ -253,7 +253,8 @@ def _stiffness(ks, law, scale):
     """
     stiffness = 0.0
     for k in ks:
-        rate = (k * k * law.phi_prime(k)).max()
+        with np.errstate(over="ignore"):  # an infinite rate is refused below
+            rate = (k * k * law.phi_prime(k)).max()
         if not 0.0 < scale / rate < math.inf:  # numpy gives inf on 0, no raise
             raise SpeedLawDomainError(f"{law.label}: no finite step at k_max = "
                                       f"{k.max():.3e}", abscissa=float(k.max()))
@@ -486,31 +487,36 @@ def _support_form(profile):
     return profile
 
 
-def _check_parabolic(law, k_lo, k_hi, curvature_row=False):
-    """Raise HypothesisViolationError unless Phi' > 0 at 64 probes of [k_lo, k_hi].
+def _check_law(law, k_lo, k_hi, curvature_row=False):
+    """Probe ``law`` on [k_lo, k_hi] before the first step of ``run`` or
+    ``containment_run``; returns the HypothesisReport of ``check_hypotheses``
+    at 64 probes.
 
-    A probe where G or Phi' underflows raises SpeedLawDomainError instead.
-    So does, when a curvature row evolves, a probe where k^2 Phi(k) is 0 or
-    subnormal: the curvature form's right-hand side k^2 (Phi'' + Phi)
+    Both go through here once, so they refuse a law by one rule:
+    ``check_hypotheses`` raises SpeedLawDomainError where G is not finite or
+    G or Phi' underflows.  On the same probes, Phi' <= 0 then raises
+    HypothesisViolationError, since the flow is not parabolic there; and,
+    when a curvature row evolves, a k^2 Phi(k) that is 0 or subnormal raises
+    SpeedLawDomainError: the curvature form's right-hand side k^2 (Phi'' + Phi)
     underflows there, and the state would stand still while t advances.
     """
+    report = check_hypotheses(law, k_lo, k_hi, n_probes=64)
     probes = np.geomspace(k_lo, k_hi, 64)
-    g = law.g(probes)
-    phi_prime = law.g_prime(probes) * probes + g  # law.phi_prime, reusing G
-    check_representable(law, probes, g, phi_prime)
-    if curvature_row:
-        with np.errstate(over="ignore"):  # an overflow is _stiffness's to judge
-            underflow = np.abs(probes * probes * (g * probes)) < np.finfo(float).tiny
-        if underflow.any():
-            k = float(probes[underflow][0])
-            raise SpeedLawDomainError(
-                f"{law.label}: k^2 Phi(k) underflows at k={k!r}; the curvature "
-                "form's right-hand side cannot be evaluated there in floating point",
-                abscissa=k)
+    with np.errstate(over="ignore"):  # an overflow is _stiffness's to judge
+        g = law.g(probes)
+        phi_prime = law.g_prime(probes) * probes + g  # law.phi_prime, reusing G
+        underflow = np.abs(probes * probes * (g * probes)) < np.finfo(float).tiny
+    if curvature_row and underflow.any():
+        k = float(probes[underflow][0])
+        raise SpeedLawDomainError(
+            f"{law.label}: k^2 Phi(k) underflows at k={k!r}; the curvature "
+            "form's right-hand side cannot be evaluated there in floating point",
+            abscissa=k)
     if np.min(phi_prime) <= 0.0:
         raise HypothesisViolationError(
             f"{law.label}: Phi'(k) <= 0 on the working range; the flow is not "
             "parabolic and cannot be integrated")
+    return report
 
 
 def _support_area_from_k(k, grid):
@@ -630,8 +636,7 @@ def run(config):
         rows.append(_support_form(config.initial).h)
 
     # validate the law on the curvature range this run can visit
-    hyp = check_hypotheses(law, k_min0 / 2.0, config.curvature_cap, n_probes=64)
-    _check_parabolic(law, k_min0 / 2.0, config.curvature_cap, curvature_row=bool(ncurv))
+    hyp = _check_law(law, k_min0 / 2.0, config.curvature_cap, curvature_row=bool(ncurv))
 
     snapshots = []
     disagreement = [] if config.formulation == "both" else None
@@ -762,11 +767,11 @@ def containment_run(config, inner):
     another ``config.formulation`` than "support" raises ValueError.  Both
     are Steiner-centered first; convexity of both and the pointwise ordering
     h_outer >= h_inner at t = 0 (set containment with a common origin) are
-    preconditions, and so is a curvature cap above both initial k_max.  As
-    in ``run``, a law that is not parabolic on [k_min(0) / 2, cap] raises
-    HypothesisViolationError before any step.  The run ends when either
-    curve reaches the area floor or curvature cap (the inner one blows up
-    first for nested initial data); the containment contract is
+    preconditions, and so is a curvature cap above both initial k_max.  The
+    law is probed on [k_min(0) / 2, cap] by ``run``'s gate (``_check_law``)
+    before any step, so the pair refuses what ``run`` refuses.  The run ends
+    when either curve reaches the area floor or curvature cap (the inner one
+    blows up first for nested initial data); the containment contract is
     min(h_outer - h_inner) >= -1e-8 * L_outer(0).  The gap is recorded as
     ``run`` records snapshots (see ``_drive``).
     """
@@ -782,7 +787,7 @@ def containment_run(config, inner):
     if not config.curvature_cap > k_max0:
         raise ValueError(f"k_cap {config.curvature_cap} must exceed the larger "
                          f"initial k_max {k_max0}")
-    _check_parabolic(config.law, 0.5 / max(r.max() for r in rhos), config.curvature_cap)
+    _check_law(config.law, 0.5 / max(r.max() for r in rhos), config.curvature_cap)
     gap0 = outer.h - inner.h
     tol = 1e-8 * geometry.periodic_integral(rhos[0], grid)
     if np.min(gap0) < -tol:

@@ -149,8 +149,6 @@ def _pow(x, e):
     if e == 2.0:
         x = np.asarray(x, dtype=float)
         return x * x
-    if e == -1.0:
-        return 1.0 / np.asarray(x, dtype=float)
     return np.power(x, e)
 
 
@@ -231,12 +229,13 @@ def check_hypotheses(law, x_lo, x_hi, n_probes=64):
 
     xs = np.geomspace(x_lo, x_hi, n_probes)
     # far from x = 1 the probes may overflow: non-finite values are judged
-    # below rather than warned about
+    # below rather than warned about.  Each law callable is evaluated once;
+    # Phi' and Phi'' are SpeedLaw.phi_prime's and phi_double_prime's expressions
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.asarray(law.g(xs), dtype=float)
         gp = np.asarray(law.g_prime(xs), dtype=float)
-        phi_prime = law.phi_prime(xs)
-        gxx2_ddot = law.phi_double_prime(xs) * xs + 2.0 * phi_prime
+        phi_prime = gp * xs + g
+        gxx2_ddot = (law.g_double_prime(xs) * xs + 2.0 * gp) * xs + 2.0 * phi_prime
         gxx2 = g * xs * xs
     if not np.all(np.isfinite(g)):
         bad = float(xs[~np.isfinite(g)][0])

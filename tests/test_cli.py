@@ -288,7 +288,8 @@ def test_degenerate_snapshot_is_a_stop_not_a_crash(tmp_path, monkeypatch):
     (["run", "--curve", "circle:6.748370691814794e+161"], 3),
     # h = R overflows in the Fourier support solve (support form, as above)
     (["run", "--curve", "circle:5.617791046444737e+306", "--scheme", "support"], 3),
-    # Phi'(k) overflows; the step halving used to loop forever on dt = 0
+    # G = k^(p-1) overflows on the law's probes, which containment takes
+    # through run's gate (the step halving once looped forever on dt = 0)
     (["containment", "--law", "power:1.4571529819837308e+16",
       "--outer", "circle:0.05", "--inner", "circle:0.01"], 3),
     # p = 6 shrinks R = 1e-30 to a point by t = R^7 / 7: Phi = k^6 is about
@@ -350,9 +351,21 @@ def test_coarse_cadence_passes_the_evolution_identities(tmp_path):
     (["run", "--curve", "circle:1e100", "--n", "32", "--max-steps", "5"], 0),
     (["run", "--curve", "circle:1e110", "--scheme", "support", "--n", "32",
       "--max-steps", "5"], 0),
+    # G = k^19 overflows on the upper probes: containment refuses the law
+    # at the gate run uses, with run's message
+    (["containment", "--law", "power:20", "--outer", "circle:1e-12", "--inner",
+      "circle:0.5e-12", "--area-floor", "0.1", "--n", "32"], 3),
+    # G = k^2 overflows on every probe of [5e199, 1e207]
+    (["containment", "--law", "power:3", "--outer", "circle:1e-200", "--inner",
+      "circle:1e-201", "--n", "32", "--max-steps", "5"], 3),
+    # G = k^2 is finite on the probes, but k^2 Phi'(k) = 3 k^4 overflows at
+    # k = 1e100: the first step has no finite length
+    (["run", "--law", "power:3", "--curve", "circle:1e-100", "--n", "32",
+      "--max-steps", "5"], 3),
 ], ids=["check-law", "sweep", "check-law-underflow", "run-underflow",
         "check-law-zero-coefficient", "rhs-underflow", "rhs-subnormal", "rhs-normal",
-        "rhs-underflow-support-form"])
+        "rhs-underflow-support-form", "containment-g-overflow",
+        "containment-g-overflow-tiny", "stiffness-overflow"])
 def test_overflowing_probes_exit_3_without_warnings(tmp_path, args, expected):
     out = [] if args[0] == "check-law" else ["--out", str(tmp_path / "out")]
     assert run_main(args + out) == expected

@@ -99,6 +99,9 @@ def test_step_on_a_support_circle():
     # h'' + h = 1 - 1.5 cos(4 theta) changes sign: refused before any stage
     with pytest.raises(ConvexityLossError):
         step(SupportProfile(g, 1.0 + 0.1 * np.cos(4.0 * g.theta)), power_law(1), dt)
+    # only a profile can be stepped
+    with pytest.raises(TypeError):
+        step(np.ones(g.n), power_law(1), dt)
 
 
 def test_step_rejects_oversized_dt_without_mutation():
@@ -720,6 +723,9 @@ def test_containment_requires_nesting():
     config = FlowConfig(law=power_law(1), initial=outer, formulation="support")
     with pytest.raises(ValueError):
         containment_run(config, inner)
+    # nor can a pair on two grids be compared
+    with pytest.raises(ValueError, match="share a grid"):
+        containment_run(config, SupportProfile(AngleGrid(64), np.full(64, 0.5)))
 
 
 def test_containment_underflowing_law_is_a_domain_error():
@@ -777,3 +783,26 @@ def test_containment_rejects_nonparabolic_law_before_any_step(monkeypatch):
                         formulation="support")
     with pytest.raises(HypothesisViolationError):
         containment_run(config, SupportProfile(g, np.ones(g.n)))
+
+
+def test_run_and_containment_refuse_a_law_at_one_gate(monkeypatch):
+    # G = k^19 overflows on the upper probes of [k_min(0) / 2, 1e6 k_max(0)]
+    # = [5e11, 1e18]: run and containment_run probe the law once each,
+    # through one gate, and refuse it at the same abscissa
+    gate, ranges = flow._check_law, []
+
+    def counted(law, k_lo, k_hi, curvature_row=False):
+        ranges.append((k_lo, k_hi))
+        return gate(law, k_lo, k_hi, curvature_row)
+
+    monkeypatch.setattr(flow, "_check_law", counted)
+    g = AngleGrid(32)
+    outer, inner = (SupportProfile(g, np.full(g.n, r)) for r in (1e-12, 0.5e-12))
+    config = FlowConfig(law=power_law(20), initial=outer, area_floor=0.1)
+    with pytest.raises(SpeedLawDomainError) as ran:
+        run(config)
+    with pytest.raises(SpeedLawDomainError) as paired:
+        containment_run(dataclasses.replace(config, formulation="support"), inner)
+    assert ran.value.abscissa == paired.value.abscissa
+    assert str(ran.value) == str(paired.value)
+    assert len(ranges) == 2 and ranges[0] == pytest.approx(ranges[1], rel=1e-15)

@@ -309,6 +309,20 @@ def test_normalize():
     assert area_from_support(ne) == pytest.approx(math.pi, abs=1e-8)
     again = normalize(ne, area_from_support(ne))
     assert np.max(np.abs(again.h - ne.h)) < 1e-12
+    with pytest.raises(ValueError, match="area must be positive"):
+        normalize(sp, 0.0)
+
+
+def test_profiles_refuse_samples_they_cannot_hold():
+    g = AngleGrid(32)
+    with pytest.raises(ValueError, match="positive"):
+        CurvatureProfile(g, np.full(g.n, -1.0))
+    with pytest.raises(ValueError, match="shape"):
+        SupportProfile(g, np.ones(g.n + 1))
+    with pytest.raises(ValueError, match="non-finite"):
+        SupportProfile(g, np.full(g.n, np.nan))
+    with pytest.raises(ValueError, match="shape"):
+        geometry.PlaneCurve(g, np.ones((g.n, 3)))
 
 
 def test_degenerate_profile_rejected():

@@ -63,6 +63,8 @@ def test_ellipse_profile_basics():
     assert np.max(kp.k) == pytest.approx(2.0)
     c, s = geometry.closure_residual(kp)
     assert math.hypot(c, s) < 1e-10
+    with pytest.raises(ValueError):
+        oracle.ellipse_support(1.0, 2.0, g)  # the semi-axes out of order
 
 
 def test_ellipse_profile_reconstructs_the_ellipse():
@@ -135,3 +137,7 @@ def test_brute_force_rejects_bad_input():
         polygon_brute_force(pts)
     with pytest.raises(ValueError):
         polygon_brute_force(regular_polygon(128)[::-1])  # clockwise
+    # collinear points pass the convexity test but enclose no area
+    segment = np.column_stack([np.arange(64.0), np.zeros(64)])
+    with pytest.raises(ValueError, match="counterclockwise"):
+        polygon_brute_force(segment)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -74,6 +75,12 @@ def test_phi_rejects_nonpositive_curvature():
             law.phi(bad)
     with pytest.raises(SpeedLawDomainError):
         law.phi(np.array([1.0, -2.0]))
+    # so is a curvature at which the speed G k is not finite
+    inf_above_2 = SpeedLaw(g=lambda x: np.where(x > 2.0, np.inf, 1.0), g_prime=np.zeros_like,
+                           g_double_prime=np.zeros_like, label="inf above 2")
+    with pytest.raises(SpeedLawDomainError) as err:
+        inf_above_2.phi(np.array([1.0, 3.0]))
+    assert err.value.abscissa == 3.0
 
 
 @pytest.mark.parametrize("p", BUILTIN_PS)
@@ -130,6 +137,10 @@ def test_tail_mass_that_does_not_converge_raises():
     with pytest.raises(SpeedLawDomainError) as err:
         law.tail_mass(2.0)
     assert err.value.abscissa == 2.0
+    # the mass above k = 0 is infinite for every law
+    with pytest.raises(SpeedLawDomainError) as err:
+        power_law(2).tail_mass(0.0)
+    assert err.value.abscissa == 0.0
 
 
 def test_gx2_convexity_identity_matches_second_differences():
@@ -179,6 +190,14 @@ def test_check_hypotheses_range_whose_product_overflows():
     # 1e200 * 1e260 overflows; the upper half of the probes must still be found
     rep = check_hypotheses(power_law(1), 1e200, 1e260, 64)
     assert rep.all_ok and rep.witness_c0 == pytest.approx(0.0, abs=1e-12)
+    # G' x / G = 1e308 x overflows on the upper half of [1, 100]: no finite C0
+    steep = SpeedLaw(g=np.ones_like, g_prime=lambda x: np.full_like(x, 1e308),
+                     g_double_prime=np.zeros_like, label="steep")
+    rep = check_hypotheses(steep, 1.0, 100.0, 64)
+    assert rep.h1_ok and not rep.h2_growth_ok
+    assert rep.witness_c0 == math.inf and rep.worst_violation == math.inf
+    xs = np.geomspace(1.0, 100.0, 64)
+    assert rep.witness_x == xs[xs >= 10.0][0]
 
 
 def test_check_hypotheses_underflow_is_a_domain_error():
@@ -193,6 +212,21 @@ def test_check_hypotheses_underflow_is_a_domain_error():
         check_representable(power_law(1), xs, ones, np.array([1.0, 1e-310]))
     assert err.value.abscissa == 2.0
     check_representable(power_law(1), xs, ones, np.array([1.0, 0.0]))
+
+
+def test_check_hypotheses_evaluates_each_law_callable_once():
+    law, calls = power_law(3), []
+
+    def counted(name):
+        def evaluate(x):
+            calls.append(name)
+            return getattr(law, name)(x)
+        return evaluate
+
+    names = ("g", "g_prime", "g_double_prime")
+    counted_law = dataclasses.replace(law, **{name: counted(name) for name in names})
+    assert check_hypotheses(counted_law, 0.1, 100.0) == check_hypotheses(law, 0.1, 100.0)
+    assert sorted(calls) == sorted(names)
 
 
 def test_check_hypotheses_nonfinite_probe_carries_abscissa():
