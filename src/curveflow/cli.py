@@ -181,7 +181,7 @@ def emit_timeseries(traj, out_dir, spec=None, reports=None):
         "hypothesis_report": dataclasses.asdict(hyp) if hyp is not None else None,
         "omega": dataclasses.asdict(est) if est is not None else None,
         "steps": {"count": traj.step_count, "rejected": traj.rejected_count,
-                  "dt_min": traj.dt_min, "dt_max": traj.dt_max},
+                  "dt_min": traj.dt_min, "dt_max": traj.dt_max, "dt_s_max": traj.dt_s_max},
         "snapshots": [dict(zip(SERIES_COLUMNS, _summary_row(s.t, s.summary)))
                       for s in traj.snapshots],
         "form_disagreement": traj.form_disagreement,

@@ -13,11 +13,14 @@ symbol of -d^2/dtheta^2, is integrated exactly in Fourier space, and
 N = rhs - L y is built on the right-hand side ``_rhs``.  A full step has
 dt S = ETD_STEP = 0.0015, so the step count does not grow with n; on grids
 of n <= 64 the RK4 bound 0.4 dtheta^2 / 2 is the longer step and is taken
-instead.  Where k^2 Phi'(k) falls far below S
-over much of the curve, the part of the diffusion that L leaves in N is
-stiff, and a full step can be inaccurate: every step carries an embedded
-error estimate, and a step whose estimate exceeds ETD_TOLERANCE, or that
-loses positivity in any row, is rejected and retried at half the dt.  The
+instead.  Every step carries an embedded error estimate.  Where k^2 Phi'(k)
+falls far below S over much of the curve, the part of the diffusion that
+L leaves in N is stiff, and a full step can be inaccurate: a step whose
+estimate exceeds ETD_TOLERANCE, or that loses positivity in any row, is
+rejected and retried at half the dt.  Where the curve is nearly round the
+estimate is far below it, and on grids of n >= 128 a step whose estimate,
+scaled to a full step, is below ETD_GROW is followed by one of twice the
+full length, dt S = 2 ETD_STEP, the longest any step takes.  The
 rows are stage-synchronous: at every stage the arrays they differentiate,
 Phi(k) and h, go through one stacked second_derivative call.  Every
 transform goes through geometry.rfft / irfft, numpy's FFT kernels without
@@ -79,6 +82,15 @@ ASYMPTOTIC_GROWTH = 10.0  # k_max / k_max(0) where the blow-up laws are judged
 # one CFL unit, the RK4 step 0.4 dtheta^2 / (2 S), where that is longer
 # (n <= 64).
 ETD_STEP = 0.0015
+# On n >= 128, a step whose error estimate, scaled to a full step, is below
+# ETD_GROW is followed by one of twice the full length.  On a circle a full
+# step's estimate is 1.2e-11 at p = 0.5, 1.3e-12 at p = 1 and 1.8e-13 at
+# p = 2, whatever its radius, and the 2:1 ellipses fall to those figures
+# as they turn round (from 6.7e-9 at p = 1 and 2.4e-7 at p = 2); 5e-12
+# stays clear of the p = 0.5 circle.
+# Growing on to four full steps puts the p = 3 circle's curvature 1.7e-6
+# off the exact one (n = 256), past criterion 1's 1e-6 bound.
+ETD_GROW = 5e-12
 # Largest accepted local error estimate of a step, relative to each row's
 # largest value.  On the p = 4 ellipse, the stiffest law and curve the
 # tests run, 1e-5 lets the evolution identities drift past their 1% bound
@@ -161,7 +173,13 @@ class Snapshot:
 
 @dataclasses.dataclass
 class Trajectory:
-    """Ordered snapshots of one run plus its metadata."""
+    """Ordered snapshots of one run plus its metadata.
+
+    ``dt_min`` and ``dt_max`` bound the accepted steps' lengths, and
+    ``dt_s_max`` is the longest one's dt S, which sets estimate_blowup's
+    allowance; it is 0.0 where no step was taken (an exact trajectory of
+    oracle.circle_trajectory), and the allowance then uses the full step.
+    """
 
     snapshots: List[Snapshot]
     stop_reason: str
@@ -173,6 +191,7 @@ class Trajectory:
     rejected_count: int = 0
     dt_min: float = float("inf")
     dt_max: float = 0.0
+    dt_s_max: float = 0.0
     form_disagreement: Optional[List[float]] = None
 
     def times(self):
@@ -232,7 +251,9 @@ def _step_scale(grid):
     part of the step stays within the stability bound an RK4 step obeys,
     every mode has dt S sigma(m) <= 0.4 pi^2 / 2, and the error estimate
     rejects the step where it is not accurate; a run then takes one step
-    per CFL unit, as RK4 did.
+    per CFL unit, as RK4 did, and never a longer one.  On the finer grids,
+    where the full step is ETD_STEP, _march doubles it where the error
+    estimate allows.
     """
     return max(ETD_STEP, _cfl_base(grid))
 
@@ -254,7 +275,9 @@ def _stiffness(ks, law, scale):
     stiffness = 0.0
     for k in ks:
         with np.errstate(over="ignore"):  # an infinite rate is refused below
-            rate = (k * k * law.phi_prime(k)).max()
+            # Phi' = G' k + G as law.phi_prime forms it, without its k > 0
+            # check: every caller has already refused k <= 0
+            rate = (k * k * (law.g_prime(k) * k + law.g(k))).max()
         if not 0.0 < scale / rate < math.inf:  # numpy gives inf on 0, no raise
             raise SpeedLawDomainError(f"{law.label}: no finite step at k_max = "
                                       f"{k.max():.3e}", abscissa=float(k.max()))
@@ -388,8 +411,14 @@ def _march(y, ncurv, k, grid, law, clock):
     A full step has dt * S = _step_scale(grid), S the stiffness over all
     rows.  A step is rejected, and retried at half the dt, when a row leaves
     its domain or the step's error estimate exceeds ETD_TOLERANCE; after a
-    full-length step whose estimate is below ETD_TOLERANCE / 32 the next
-    step is twice as long again, up to the full step.  ``clock`` keeps the
+    shortened step whose estimate is below ETD_TOLERANCE / 32 the next step
+    is twice as long again, up to the full step.  Where the full step is
+    ETD_STEP (n >= 128), a step of full length or longer sets the next one:
+    twice the full step where its estimate, scaled to a full step by
+    16^level since it is O(dt^4), is below ETD_GROW, the full step
+    otherwise.  No step is longer than twice the full one; on n <= 64 the
+    full step is the RK4 stability bound and is never exceeded.  A step
+    clipped to a cadence mark leaves the level as it was.  ``clock`` keeps the
     run time, the CFL clock and the step counters, and a step that would
     pass the clock's next cadence mark is clipped to land on it.  ``k``
     holds the curvature rows of ``y`` (see _curvatures), from which S is read.
@@ -399,10 +428,11 @@ def _march(y, ncurv, k, grid, law, clock):
     """
     cfl_base = _cfl_base(grid)
     full = _step_scale(grid)
+    grows = full == ETD_STEP  # else it is the RK4 stability bound (n <= 64)
     y_hat = geometry.rfft(y)
     r_hat = None
     first_dt = None
-    level = 0  # the step is full / 2^level
+    level = 0  # the step is full / 2^level, level >= -1
     while True:
         stiffness = _stiffness(k, law, full)
         while True:
@@ -424,8 +454,10 @@ def _march(y, ncurv, k, grid, law, clock):
                 return
         y, rho, y_hat, r_hat, error = result
         k = _curvatures(y, ncurv, rho)
-        if level and not on_cadence and error < ETD_TOLERANCE / 32.0:
+        if level > 0 and not on_cadence and error < ETD_TOLERANCE / 32.0:
             level -= 1
+        elif level <= 0 and not on_cadence and grows:
+            level = -1 if error * 16.0 ** level < ETD_GROW else 0
         clock.advance(dt, units, on_cadence)
         yield clock.t, y, k, on_cadence
 
@@ -542,7 +574,8 @@ class _Clock:
     RK4 step at the CFL bound 0.4 dtheta^2 / (2 S).  A step that would pass
     the next multiple of ``every`` is clipped to end on it, where a snapshot
     falls; ``since`` counts the units after the last one.  ``steps`` counts
-    accepted steps, ``dt_min`` and ``dt_max`` bound their lengths, and
+    accepted steps, ``dt_min`` and ``dt_max`` bound their lengths,
+    ``units_max`` is the longest in CFL units (its dt S over cfl_base), and
     ``rejected`` counts rejected step attempts.
     """
 
@@ -555,6 +588,7 @@ class _Clock:
         self.rejected = 0
         self.dt_min = math.inf
         self.dt_max = 0.0
+        self.units_max = 0.0
 
     def plan(self, units):
         """(units, on_cadence) of a step of ``units``, clipped to the next mark."""
@@ -572,6 +606,7 @@ class _Clock:
         self.steps += 1
         self.dt_min = min(self.dt_min, dt)
         self.dt_max = max(self.dt_max, dt)
+        self.units_max = max(self.units_max, units)
 
 
 def _stop_reason(ks, floors, grid, config, clock):
@@ -695,6 +730,7 @@ def run(config):
                       hypothesis_report=hyp, roundness_expected=hyp.all_ok,
                       step_count=clock.steps, rejected_count=clock.rejected,
                       dt_min=clock.dt_min if clock.steps else 0.0, dt_max=clock.dt_max,
+                      dt_s_max=clock.units_max * _cfl_base(grid),
                       form_disagreement=disagreement)
     if snapshots[-1].summary.k_max >= ASYMPTOTIC_GROWTH * snapshots[0].summary.k_max:
         traj.omega_estimate = estimate_blowup(traj)
@@ -716,10 +752,12 @@ def estimate_blowup(traj):
     the integrator's accumulated bias, O((lambda dt)^4) per unit of
     log-curvature growth with lambda the smooth-mode linearization rate,
     plus a 1e-11 relative floor for floating-point accumulation in t.  The
-    step is the run's full ETDRK4 step, dt S = _step_scale, the longest any
-    of its steps took; on the mean mode, where sigma = 0, ETDRK4 is
-    classical RK4, so lambda dt = dt S (1 + 2 Phi / (k Phi')) as for an RK4
-    step of that size.
+    step is the longest any of the run's steps took, the trajectory's
+    dt_s_max (twice the full step where steps doubled), and at least the
+    full ETDRK4 step, dt S = _step_scale, which is also the step of an
+    exact trajectory that took none; on the mean mode, where sigma = 0,
+    ETDRK4 is classical RK4, so lambda dt = dt S (1 + 2 Phi / (k Phi')) as
+    for an RK4 step of that size.
     """
     law = traj.config.law
     last = traj.snapshots[-1]
@@ -733,7 +771,7 @@ def estimate_blowup(traj):
     hi_raw = t_last + law.tail_mass(last.summary.k_min)
 
     k_last = last.summary.k_max
-    lam_dt = (_step_scale(last.curvature.grid)
+    lam_dt = (max(traj.dt_s_max, _step_scale(last.curvature.grid))
               * (1.0 + 2.0 * law.phi(k_last) / (k_last * law.phi_prime(k_last))))
     bias = 2.0 * lam_dt ** 4 * math.log(max(k_last / k_max0, math.e)) \
         * (hi_raw - t_last)

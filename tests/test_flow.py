@@ -305,8 +305,8 @@ def test_etd_convergence_order(p, formulation, t_end, min_slope, max_slope):
     assert min_slope <= slope <= max_slope
 
 
-@pytest.mark.parametrize("n", [64, 128])
-def test_snapshots_land_on_the_cfl_clock(monkeypatch, n):
+def _record_steps(monkeypatch):
+    """(t, units, on_cadence) after every accepted step of the runs that follow."""
     ticks = []
     advance = flow._Clock.advance
 
@@ -315,6 +315,12 @@ def test_snapshots_land_on_the_cfl_clock(monkeypatch, n):
         ticks.append((clock.t, units, on_cadence))
 
     monkeypatch.setattr(flow._Clock, "advance", recording)
+    return ticks
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_snapshots_land_on_the_cfl_clock(monkeypatch, n):
+    ticks = _record_steps(monkeypatch)
     g = AngleGrid(n)
     config = FlowConfig(law=power_law(1), initial=oracle.ellipse_profile(2.0, 1.0, g),
                         area_floor=0.2, snapshot_every=50)
@@ -336,6 +342,68 @@ def test_snapshots_land_on_the_cfl_clock(monkeypatch, n):
         assert all(units == 1.0 for _, units, _ in ticks)
     else:  # fewer than half the steps an RK4 run takes on the same clock
         assert len(ticks) < 0.5 * 50.0 * (len(interior) + 1)
+
+
+def test_round_tail_steps_double_past_the_full_step(monkeypatch):
+    ticks = _record_steps(monkeypatch)
+    g = AngleGrid(128)
+    traj = run(FlowConfig(law=power_law(2), initial=circle_kp(1.0, n=128), area_floor=1e-3))
+    assert traj.stop_reason == flow.STOP_AREA_FLOOR
+    assert traj.step_count == len(ticks) <= 2400  # 4,611 at a fixed full step
+    scales = [units * flow._cfl_base(g) for _, units, _ in ticks]
+    assert max(scales) <= 2.0 * flow.ETD_STEP * (1.0 + 1e-12)
+    assert sum(s > 1.5 * flow.ETD_STEP for s in scales) > 0.9 * len(scales)
+    assert traj.dt_s_max == max(scales) == pytest.approx(2.0 * flow.ETD_STEP, rel=1e-12)
+
+
+def _march_with_estimates(monkeypatch, estimates, every):
+    """(units in full steps, on_cadence) of the accepted steps of a p = 1
+    circle at n = 128 whose error estimates are ``estimates``, in order."""
+    etd = flow._etd
+
+    def scripted(*args):
+        result = etd(*args)
+        return (*result[:-1], estimates.pop(0))
+
+    monkeypatch.setattr(flow, "_etd", scripted)
+    ticks = _record_steps(monkeypatch)
+    g = AngleGrid(128)
+    full = flow.ETD_STEP / flow._cfl_base(g)
+    kp = circle_kp(1.0, n=128)
+    clock = flow._Clock(every * full)
+    for _ in zip(range(len(estimates)), flow._march(kp.k[None], 1, kp.k[None], g,
+                                                    power_law(1), clock)):
+        pass
+    return [(round(units / full, 9), on_cadence) for _, units, on_cadence in ticks]
+
+
+def test_step_grows_only_while_its_scaled_estimate_is_below_etd_grow(monkeypatch):
+    grow = flow.ETD_GROW
+    # a long step's estimate, scaled to a full step, is 1/16 of its own
+    estimates = [0.0, 16.0 * grow, grow, 0.99 * grow, 15.8 * grow, 16.0 * grow, 0.0]
+    assert _march_with_estimates(monkeypatch, estimates, math.inf) == [
+        (1.0, False), (2.0, False), (1.0, False), (1.0, False), (2.0, False),
+        (2.0, False), (1.0, False)]
+
+
+def test_step_clipped_to_a_cadence_mark_keeps_its_level(monkeypatch):
+    # marks every 4.5 full steps: the long step that would pass 4.5 is
+    # clipped, and its estimate, far above ETD_GROW, does not end the
+    # doubling; the full step clipped at 9 does not start it
+    estimates = [0.0, 0.0, 1e-9, 0.0, 1e-9, 0.0, 0.0, 0.0]
+    assert _march_with_estimates(monkeypatch, estimates, 4.5) == [
+        (1.0, False), (2.0, False), (1.5, True), (2.0, False), (2.0, False),
+        (0.5, True), (1.0, False), (2.0, False)]
+
+
+def test_full_step_does_not_grow_on_coarse_grids(monkeypatch):
+    # on n <= 64 the full step is the RK4 stability bound: every step is
+    # one CFL unit, and the count is the one of a fixed full step
+    ticks = _record_steps(monkeypatch)
+    traj = run(FlowConfig(law=power_law(1), initial=circle_kp(1.0, n=64)))
+    assert traj.step_count == 1789
+    assert all(units == 1.0 for _, units, _ in ticks)
+    assert traj.dt_s_max == flow._step_scale(AngleGrid(64))
 
 
 def test_rejected_steps_are_counted(monkeypatch, tmp_path):
@@ -644,6 +712,32 @@ def test_estimate_blowup_circle_bracket():
     assert est.omega_hi - est.omega_lo < 1e-9
     assert est.method == "closed-form"
     assert traj.last.t < est.omega_lo <= est.omega_mid <= est.omega_hi
+
+
+@pytest.mark.parametrize("n, lo, hi", [(64, 0.7499999972284386, 0.7500000027715614),
+                                       (128, 0.7499999989838205, 0.7500000010161795)])
+def test_estimate_blowup_of_an_exact_trajectory_uses_the_full_step(n, lo, hi):
+    # an exact trajectory took no steps: its allowance is that of a full
+    # step, and its bracket, wide here by that allowance, the one of a
+    # fixed full step
+    traj = oracle.circle_trajectory(1.0, 1.0 / 3.0, [0.0, 0.736], n=n)
+    assert traj.dt_s_max == 0.0
+    est = estimate_blowup(traj)
+    assert (est.omega_lo, est.omega_hi) == (lo, hi)
+
+
+def test_blowup_allowance_reads_the_longest_step(tmp_path):
+    # a floor where the allowance, not the 1e-11 rounding floor, sets the width
+    spec = cli.RunSpec(law="power:1", curve="circle:1", n=128, area_floor=5e-3)
+    assert cli.execute_run(spec, tmp_path) == 0
+    steps = json.loads((tmp_path / "summary.json").read_text())["steps"]
+    assert steps["dt_s_max"] == pytest.approx(2.0 * flow.ETD_STEP, rel=1e-12)
+    traj = run(FlowConfig(law=power_law(1), initial=circle_kp(1.0, n=128), area_floor=5e-3))
+    assert traj.dt_s_max == steps["dt_s_max"]
+    est = traj.omega_estimate
+    at_full = estimate_blowup(dataclasses.replace(traj, dt_s_max=0.0))
+    assert est.omega_hi - est.omega_lo > at_full.omega_hi - at_full.omega_lo
+    assert est.omega_lo <= 0.5 <= est.omega_hi
 
 
 def test_containment_concentric_circles():
