@@ -3,7 +3,8 @@
 Data goes to files and stdout (the monitors table); error text goes to
 stderr.  Exit codes: 0 run completed and no monitor failed, 1 monitors
 failed, 2 usage or configuration error, 3 runtime failure (convexity loss,
-degenerate snapshot, hypothesis violation, unwritable output).
+degenerate snapshot, hypothesis violation, unwritable output, failed
+allocation).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import diagnostics, flow, geometry, oracle
 from .errors import CurveFlowError
-from .speed_law import check_hypotheses, parse_law
+from .speed_law import PROBES, check_hypotheses, parse_law
 
 SERIES_COLUMNS = ("t", "L", "A", "iso_ratio", "r_in", "r_out", "k_min", "k_max",
                   "bonnesen_gap", "gage_deficit", "hausdorff", "closure_residual")
@@ -29,10 +30,6 @@ EXIT_OK = 0
 EXIT_MONITOR_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
-
-
-# options older summary.json echoes hold, with the one value every run now uses
-_RETIRED_KEYS = {"dealias": False, "spatial": "fourier", "cfl": 0.4}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,16 +56,12 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data):
-        """The spec of an echo; a retired key must hold its one value, and an
-        unknown key is refused."""
+        """The spec of an echo; a key that is not a field is refused."""
         fields = {f.name for f in dataclasses.fields(cls)}
-        for key, value in data.items():
-            if key in _RETIRED_KEYS and value != _RETIRED_KEYS[key]:
-                raise ValueError(f"{key}={value!r} is retired: every run uses "
-                                 f"{_RETIRED_KEYS[key]!r}")
-            if key not in fields and key not in _RETIRED_KEYS:
+        for key in data:
+            if key not in fields:
                 raise ValueError(f"unknown run setting {key!r}")
-        return cls(**{k: v for k, v in data.items() if k in fields})
+        return cls(**data)
 
 
 def build_initial(spec):
@@ -210,7 +203,7 @@ def execute_run(spec, out_dir, config=None):
         est = traj.omega_estimate
         print(f"omega bracket: [{est.omega_lo!r}, {est.omega_hi!r}] ({est.method})")
     print(f"stop reason: {traj.stop_reason}  steps: {traj.step_count}")
-    if traj.stop_reason in (flow.STOP_CONVEXITY_LOSS, flow.STOP_DEGENERATE):
+    if traj.stop_reason in flow.FAILED_STOPS:
         return EXIT_RUNTIME
     if any(r.status == "fail" for r in reports):
         return EXIT_MONITOR_FAIL
@@ -237,16 +230,17 @@ def execute_containment(spec, outer_desc, inner_desc, out_dir):
     _write_json(out / "containment.json", doc)
     print(f"containment: {'ok' if report.all_ok else 'VIOLATED'}  "
           f"worst gap {min(report.min_gap)!r}  tol {report.tol_contain!r}")
-    if report.stop_reason == flow.STOP_CONVEXITY_LOSS:
+    if report.stop_reason in flow.FAILED_STOPS:
         return EXIT_RUNTIME
     return EXIT_OK if report.all_ok else EXIT_MONITOR_FAIL
 
 
-def execute_check_law(law_name_str, x_lo, x_hi, n_probes):
+def execute_check_law(law_name_str, x_lo, x_hi):
+    """Probe the law on the PROBES points that run and containment judge it on."""
     law = parse_law(law_name_str)
-    report = check_hypotheses(law, x_lo, x_hi, n_probes)
+    report = check_hypotheses(law, x_lo, x_hi)
     print(f"law: {law.label}")
-    print(f"probe range: [{report.x_lo:g}, {report.x_hi:g}]  probes: {n_probes}")
+    print(f"probe range: [{report.x_lo:g}, {report.x_hi:g}]  probes: {PROBES}")
     print(f"H1 (G > 0, G' >= 0):        {'ok' if report.h1_ok else 'VIOLATED'}")
     print(f"H2 convexity of G(x) x^2:   {'ok' if report.h2_convexity_ok else 'VIOLATED'}")
     print(f"H2 growth G'x <= C0 G:      {'ok' if report.h2_growth_ok else 'VIOLATED'}")
@@ -254,6 +248,11 @@ def execute_check_law(law_name_str, x_lo, x_hi, n_probes):
     if report.witness_x is not None:
         print(f"worst violation: {report.worst_violation:g} at x = {report.witness_x:g}")
     return EXIT_OK if report.all_ok else EXIT_MONITOR_FAIL
+
+
+def _message(exc):
+    """The text of a runtime error; a MemoryError may carry none."""
+    return str(exc) or "out of memory"
 
 
 def execute_sweep(specs, out_root, workers=None):
@@ -270,9 +269,9 @@ def execute_sweep(specs, out_root, workers=None):
     for spec, config, name in zip(specs, configs, names):
         try:
             results.append((execute_run(spec, out_root / name, config), None))
-        except CurveFlowError as exc:
-            print(f"{name}: {exc}", file=sys.stderr)
-            results.append((EXIT_RUNTIME, str(exc)))
+        except (CurveFlowError, MemoryError) as exc:
+            print(f"{name}: {_message(exc)}", file=sys.stderr)
+            results.append((EXIT_RUNTIME, _message(exc)))
     index = {"runs": [{"name": n, "spec": s.to_dict(), "exit": c, "error": e}
                       for n, s, (c, e) in zip(names, specs, results)]}
     _write_json(out_root / "sweep.json", index)
@@ -334,7 +333,6 @@ def build_parser():
     check_p.add_argument("--law", required=True)
     check_p.add_argument("--range", default="0.1,100",
                          help="probe range lo,hi (default 0.1,100)")
-    check_p.add_argument("--probes", type=int, default=64)
     return parser
 
 
@@ -361,10 +359,11 @@ def main(argv=None):
             return execute_sweep(specs, args.out)
         if args.subcommand == "check-law":
             lo, hi = map(float, args.range.split(","))
-            return execute_check_law(args.law, lo, hi, args.probes)
-    except (CurveFlowError, OSError) as exc:
-        # convexity loss, hypothesis violation, unwritable output directory
-        print(f"error: {exc}", file=sys.stderr)
+            return execute_check_law(args.law, lo, hi)
+    except (CurveFlowError, OSError, MemoryError) as exc:
+        # convexity loss, hypothesis violation, unwritable output directory,
+        # an allocation the machine cannot make
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_RUNTIME
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

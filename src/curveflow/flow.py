@@ -50,6 +50,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from typing import List, Optional, Union
 
 import numpy as np
@@ -65,7 +66,7 @@ from .errors import (
     StepRejected,
 )
 from .geometry import CurvatureProfile, SupportProfile
-from .speed_law import check_hypotheses
+from .speed_law import PROBES, check_hypotheses
 
 STOP_AREA_FLOOR = "area-floor"
 STOP_CURVATURE_CAP = "curvature-cap"
@@ -73,6 +74,8 @@ STOP_STEP_LIMIT = "step-limit"
 STOP_CONVEXITY_LOSS = "convexity-loss"
 STOP_DEGENERATE = "degenerate"
 STOP_ANALYTIC = "analytic"  # used by exact reference trajectories only
+# the stop reasons that end a run as a runtime failure (exit 3)
+FAILED_STOPS = (STOP_CONVEXITY_LOSS, STOP_DEGENERATE)
 
 FORMULATIONS = ("curvature", "support", "both")
 
@@ -138,6 +141,8 @@ class FlowConfig:
             raise ValueError(f"formulation must be one of {FORMULATIONS}")
         if self.max_steps < 1 or self.snapshot_every < 1:
             raise ValueError("max_steps and snapshot_every must be >= 1")
+        if self.snapshot_every > sys.float_info.max:  # the CFL clock is a float
+            raise ValueError(f"snapshot_every must not exceed {sys.float_info.max!r}")
         kp0 = (self.initial if isinstance(self.initial, CurvatureProfile)
                else geometry.k_from_support(self.initial))
         k_max0 = float(np.max(kp0.k))
@@ -522,7 +527,7 @@ def _support_form(profile):
 def _check_law(law, k_lo, k_hi, curvature_row=False):
     """Probe ``law`` on [k_lo, k_hi] before the first step of ``run`` or
     ``containment_run``; returns the HypothesisReport of ``check_hypotheses``
-    at 64 probes.
+    on its ``PROBES`` probes.
 
     Both go through here once, so they refuse a law by one rule:
     ``check_hypotheses`` raises SpeedLawDomainError where G is not finite or
@@ -532,8 +537,8 @@ def _check_law(law, k_lo, k_hi, curvature_row=False):
     SpeedLawDomainError: the curvature form's right-hand side k^2 (Phi'' + Phi)
     underflows there, and the state would stand still while t advances.
     """
-    report = check_hypotheses(law, k_lo, k_hi, n_probes=64)
-    probes = np.geomspace(k_lo, k_hi, 64)
+    report = check_hypotheses(law, k_lo, k_hi)
+    probes = np.geomspace(k_lo, k_hi, PROBES)
     with np.errstate(over="ignore"):  # an overflow is _stiffness's to judge
         g = law.g(probes)
         phi_prime = law.g_prime(probes) * probes + g  # law.phi_prime, reusing G

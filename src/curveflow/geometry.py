@@ -428,8 +428,7 @@ def _min_max_support(h, cos, sin, start=None):
                 ratio = max(col[2] / det, 0.0) / alpha
                 if ratio < best:
                     leave, best = i, ratio
-        if leave is None:
-            break
+        # the entering constraint's alphas sum to 1, so one is positive
         basis[leave] = e
     raise DegenerateProfileError(
         "radii solver did not converge; profile treated as numerically degenerate")

@@ -207,8 +207,14 @@ def check_representable(law, xs, g, phi_prime):
             "evaluated there in floating point", abscissa=x)
 
 
-def check_hypotheses(law, x_lo, x_hi, n_probes=64):
-    """Probe (H1) and (H2) on a log-spaced grid over [x_lo, x_hi].
+# the log-spaced probes on which check-law, run and containment judge a law
+PROBES = 64
+
+
+# ``n_probes`` is passed by perfbench/worker.py until ROADMAP item 1 changes the
+# benchmark; every caller in the package uses the default
+def check_hypotheses(law, x_lo, x_hi, n_probes=PROBES):
+    """Probe (H1) and (H2) on ``n_probes`` log-spaced points of [x_lo, x_hi].
 
     (H1): G > 0 and G' >= 0 at every probe.
     (H2) convexity: (G(x) x^2)'' >= -1e-10 * max|G x^2|, evaluated through

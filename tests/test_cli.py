@@ -70,14 +70,17 @@ def test_run_determinism_and_echo_closure(tmp_path):
     bytes1 = (out1 / "series.csv").read_bytes()
     assert bytes1 == (out2 / "series.csv").read_bytes()
 
-    # feeding the config echo back reproduces the run byte for byte; keys
-    # that older versions wrote (the retired "dealias", "spatial" and "cfl")
-    # are accepted at the one value every run now uses
+    # feeding the config echo back reproduces the run byte for byte; the
+    # "dealias", "spatial" and "cfl" keys of older versions' echoes are not
+    # run settings, and are refused even at the one value every run used
     echo = json.loads((out1 / "summary.json").read_text())["config"]
-    assert "spatial" not in echo and "cfl" not in echo
-    spec = RunSpec.from_dict(dict(echo, dealias=False, spatial="fourier", cfl=0.4))
+    assert set(echo) == {f.name for f in dataclasses.fields(RunSpec)}
+    spec = RunSpec.from_dict(echo)
     assert cli.execute_run(spec, out3) == 0
     assert bytes1 == (out3 / "series.csv").read_bytes()
+    for old in ({"dealias": False}, {"spatial": "fourier"}, {"cfl": 0.4}):
+        with pytest.raises(ValueError, match="unknown run setting"):
+            RunSpec.from_dict(dict(echo, **old))
 
 
 def test_echo_with_an_unknown_key_is_rejected():
@@ -86,10 +89,12 @@ def test_echo_with_an_unknown_key_is_rejected():
         RunSpec.from_dict({"cadance": 5, "law": "power:2"})
 
 
-@pytest.mark.parametrize("retired", [{"spatial": "fd4"}, {"dealias": True}, {"cfl": 0.2}])
+@pytest.mark.parametrize("retired", [{"spatial": "fd4"}, {"dealias": True}, {"cfl": 0.2},
+                                     {"spatial": "fourier"}, {"dealias": False}, {"cfl": 0.4}])
 def test_echo_with_a_retired_option_changed_is_rejected(retired):
-    # such an echo describes a run that can no longer be reproduced
-    with pytest.raises(ValueError, match=next(iter(retired))):
+    # an older echo's retired option is refused at any value, the one every
+    # run used included: no run reads it
+    with pytest.raises(ValueError, match=f"unknown run setting '{next(iter(retired))}'"):
         RunSpec.from_dict(dict(RunSpec().to_dict(), **retired))
 
 
@@ -110,6 +115,10 @@ def test_check_law_exit_codes(capsys):
     assert run_main(["check-law", "--law", "power:2", "--range", "0.1,100"]) == 0
     out = capsys.readouterr().out
     assert "H1" in out and "ok" in out
+    # the law is judged on the probes every run uses, and no option changes them
+    assert "probes: 64\n" in out
+    assert run_main(["check-law", "--law", "power:2", "--probes", "16"]) == 2
+    assert "--probes" in capsys.readouterr().err
     # p = 0.5 has G' < 0: H1 fails, exit reflects it
     assert run_main(["check-law", "--law", "power:0.5", "--range", "0.1,100"]) == 1
     out = capsys.readouterr().out
@@ -440,6 +449,45 @@ def test_usage_errors():
         warnings.simplefilter("error")
         for pair in (f"{10 ** 400}:0.1", f"{10 ** 308}:0.1", "3:1e308"):
             assert run_main(["run", "--curve", f"fourier:{pair}", "--n", "32"]) == 2
+    # a cadence beyond float range, which the float CFL clock cannot plan
+    assert run_main(["run", "--n", "32", "--max-steps", "5", "--cadence", "1" + "0" * 400]) == 2
+
+
+def _refuse_allocation(*args, **kwargs):
+    raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+
+@pytest.mark.parametrize("target, args", [
+    # the probes of check-law
+    ((np, "geomspace"), ["check-law", "--law", "power:1"]),
+    # the angle grid a run builds first
+    ((geometry, "AngleGrid"), ["run", "--curve", "circle:1", "--n", "32"]),
+], ids=["check-law", "run"])
+def test_a_failed_allocation_exits_3(tmp_path, monkeypatch, capsys, target, args):
+    monkeypatch.setattr(*target, _refuse_allocation)
+    assert run_main(args + (["--out", str(tmp_path)] if args[0] == "run" else [])) == 3
+    assert capsys.readouterr().err == "error: Unable to allocate 8.00 TiB for an array\n"
+
+
+def test_a_failed_allocation_in_a_sweep_member_keeps_the_index(tmp_path, monkeypatch, capsys):
+    # the first member's run cannot allocate; the second still runs, and
+    # sweep.json records both
+    real, calls = flow.run, []
+
+    def first_run_fails(config):
+        calls.append(config)
+        if len(calls) == 1:
+            raise MemoryError()  # a bare MemoryError carries no message
+        return real(config)
+
+    monkeypatch.setattr(flow, "run", first_run_fails)
+    out = tmp_path / "sweep"
+    assert run_main(["sweep", "--curve", "circle:1", "--curve", "circle:2", "--n", "32",
+                     "--area-floor", "0.5", "--out", str(out)]) == 3
+    runs = json.loads((out / "sweep.json").read_text())["runs"]
+    assert [(entry["exit"], entry["error"]) for entry in runs] == [
+        (3, "out of memory"), (0, None)]
+    assert capsys.readouterr().err == f"{runs[0]['name']}: out of memory\n"
 
 
 def test_unwritable_output_is_runtime_error(tmp_path):

@@ -24,7 +24,7 @@ from curveflow.flow import (
     step,
 )
 from curveflow.geometry import AngleGrid, CurvatureProfile, SupportProfile
-from curveflow.speed_law import power_law
+from curveflow.speed_law import PROBES, check_hypotheses, power_law
 
 
 def circle_kp(radius, n=128, t=0.0):
@@ -900,3 +900,21 @@ def test_run_and_containment_refuse_a_law_at_one_gate(monkeypatch):
     assert ran.value.abscissa == paired.value.abscissa
     assert str(ran.value) == str(paired.value)
     assert len(ranges) == 2 and ranges[0] == pytest.approx(ranges[1], rel=1e-15)
+
+
+def test_the_gate_and_check_hypotheses_evaluate_g_on_one_probe_set():
+    # run's gate judges a law on the probes check-law reports: the same
+    # speed_law.PROBES points of the same range
+    law, seen = power_law(2), []
+
+    def recorded_g(x):
+        seen.append(np.array(x, copy=True))
+        return law.g(x)
+
+    watched = dataclasses.replace(law, g=recorded_g)
+    flow._check_law(watched, 0.5, 2e6)
+    gate = seen[:]
+    seen.clear()
+    check_hypotheses(watched, 0.5, 2e6)
+    assert len(seen) == 1 and seen[0].shape == (PROBES,)
+    assert gate and all(np.array_equal(probes, seen[0]) for probes in gate)
