@@ -464,8 +464,9 @@ def _refuse_allocation(*args, **kwargs):
     ((geometry, "AngleGrid"), ["run", "--curve", "circle:1", "--n", "32"]),
 ], ids=["check-law", "run"])
 def test_a_failed_allocation_exits_3(tmp_path, monkeypatch, capsys, target, args):
+    monkeypatch.chdir(tmp_path)  # where a run would write its default --out
     monkeypatch.setattr(*target, _refuse_allocation)
-    assert run_main(args + (["--out", str(tmp_path)] if args[0] == "run" else [])) == 3
+    assert run_main(args) == 3
     assert capsys.readouterr().err == "error: Unable to allocate 8.00 TiB for an array\n"
 
 
