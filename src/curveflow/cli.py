@@ -68,29 +68,30 @@ def build_initial(spec):
     """Initial profile from a descriptor; fourier phases come from the seed."""
     grid = geometry.AngleGrid(spec.n)
     kind, _, arg = str(spec.curve).partition(":")
-    if kind == "circle":
-        (radius,) = map(float, arg.split(","))
-        return oracle.circle_profile(radius, grid)
-    if kind == "ellipse":
-        a, b = map(float, arg.split(","))
-        return oracle.ellipse_profile(a, b, grid)
-    if kind != "fourier":
+    if kind not in ("circle", "ellipse", "fourier"):
         raise ValueError(f"unknown curve descriptor {spec.curve!r}; expected "
                          "circle:R, ellipse:a,b or fourier:m:amp[,m:amp...]")
-    rng = np.random.default_rng(spec.seed)
-    h = np.ones(grid.n)
     try:
-        with np.errstate(over="raise"):
+        # underflow is ignored; any other float error is a bad descriptor
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if kind == "circle":
+                (radius,) = map(float, arg.split(","))
+                return oracle.circle_profile(radius, grid)
+            if kind == "ellipse":
+                a, b = map(float, arg.split(","))
+                return oracle.ellipse_profile(a, b, grid)
+            rng = np.random.default_rng(spec.seed)
+            h = np.ones(grid.n)
             for pair in arg.split(","):
                 m, amp = pair.split(":")
                 h += float(amp) * np.cos(int(m) * grid.theta + rng.uniform(0.0, 2.0 * np.pi))
             sp = geometry.SupportProfile(grid, h)
             geometry.curvature_radius(sp)  # h'' + h > 0 must hold before the run
-    except ArithmeticError as exc:  # a mode or amplitude beyond float range
-        raise ValueError(f"fourier mode or amplitude too large: {exc}") from None
-    except CurveFlowError as exc:
+            return sp
+    except ArithmeticError as exc:  # a size, mode or amplitude beyond float range
+        raise ValueError(f"curve {spec.curve!r} is beyond float range: {exc}") from None
+    except CurveFlowError as exc:  # only a fourier curve can fail to be convex
         raise ValueError(f"fourier amplitudes too large for a convex curve: {exc}")
-    return sp
 
 
 def _flow_config(spec, law, initial):

@@ -115,9 +115,9 @@ class FlowConfig:
     """Run parameters; the grid comes from the initial profile.
 
     ``area_floor`` is the fraction of the initial area at which the run
-    stops; ``k_cap`` is an absolute curvature cap (default 1e6 times the
-    initial maximum), checked against the initial k_max when the config is
-    built.  ``snapshot_every`` counts CFL units: a step of dt counts
+    stops; ``k_cap`` is a finite absolute curvature cap (default 1e6 times
+    the initial maximum), checked against the initial k_max when the config
+    is built.  ``snapshot_every`` counts CFL units: a step of dt counts
     dt S / (0.4 dtheta^2 / 2), S = max k^2 Phi'(k), so one unit is one
     RK4 step at its CFL bound.  Steps are clipped to land on its multiples,
     where snapshots are taken, so the snapshot times do not depend on the
@@ -147,6 +147,8 @@ class FlowConfig:
                else geometry.k_from_support(self.initial))
         k_max0 = float(np.max(kp0.k))
         k_cap = self.k_cap if self.k_cap is not None else 1e6 * k_max0
+        if not math.isfinite(k_cap):  # the law is probed up to the cap
+            raise ValueError(f"k_cap must be finite, got {k_cap}")
         if not k_cap > k_max0:
             raise ValueError(f"k_cap {k_cap} must exceed the initial k_max {k_max0}")
         object.__setattr__(self, "initial_curvature", kp0)
@@ -727,7 +729,7 @@ def run(config):
     h = y[ncurv:]
     k = _curvatures(y, ncurv, geometry.second_derivative(h, grid) + h if len(h) else None)
     take_snapshot(0.0, y, k)
-    floors = [config.area_floor * snapshots[0].summary.area]
+    floors = [config.area_floor * _support_area_from_k(k[0], grid)]
     clock = _Clock(config.snapshot_every)
     steps = integrated(_march(y, ncurv, k, grid, law, clock), flux_rates(k))
     stop_reason = _drive(steps, floors, grid, config, clock, record)

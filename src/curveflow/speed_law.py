@@ -137,27 +137,12 @@ class HypothesisReport:
         return self.h1_ok and self.h2_convexity_ok and self.h2_growth_ok
 
 
-def _pow(x, e):
-    # np.power with a float exponent dominates the integrator's arithmetic
-    # cost, so the small integer exponents get dedicated paths
-    if e == 0.0:
-        ones = np.empty(np.shape(x))  # filled in place: cheaper than np.ones
-        ones.fill(1.0)
-        return ones
-    if e == 1.0:
-        return np.asarray(x, dtype=float) + 0.0
-    if e == 2.0:
-        x = np.asarray(x, dtype=float)
-        return x * x
-    return np.power(x, e)
-
-
 def _monomial(c, e):
     """x -> c x^e; exactly 0 when c = 0, where x^e may overflow and 0 * inf
     would be NaN."""
     if c == 0.0:
         return lambda x: np.zeros(np.shape(x))
-    return lambda x: c * _pow(x, e)
+    return lambda x: c * np.power(x, e)
 
 
 def power_law(p):
@@ -172,11 +157,11 @@ def power_law(p):
     if not p > 0.0:
         raise ValueError(f"power law exponent must be positive, got {p}")
     return SpeedLaw(
-        g=lambda x: _pow(x, p - 1.0),
+        g=lambda x: np.power(x, p - 1.0),
         g_prime=_monomial(p - 1.0, p - 2.0),
         g_double_prime=_monomial((p - 1.0) * (p - 2.0), p - 3.0),
         label=f"power p={p:g}",
-        tail_integral=lambda k: _pow(k, -(p + 1.0)) / (p + 1.0),
+        tail_integral=lambda k: np.power(k, -(p + 1.0)) / (p + 1.0),
     )
 
 
@@ -227,8 +212,8 @@ def check_hypotheses(law, x_lo, x_hi, n_probes=PROBES):
     non-finite G (see ``check_representable``).
     """
     x_lo, x_hi = float(x_lo), float(x_hi)
-    if not (0.0 < x_lo < x_hi):
-        raise ValueError(f"need 0 < x_lo < x_hi, got [{x_lo}, {x_hi}]")
+    if not (0.0 < x_lo < x_hi < np.inf):
+        raise ValueError(f"need 0 < x_lo < x_hi < inf, got [{x_lo}, {x_hi}]")
     n_probes = int(n_probes)
     if n_probes < 16:
         raise ValueError(f"need at least 16 probes, got {n_probes}")

@@ -185,6 +185,16 @@ def test_containment_k_cap_must_exceed_both_curves(tmp_path):
     assert not out.exists()
 
 
+def test_containment_k_cap_must_be_finite(tmp_path):
+    out = tmp_path / "pair"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_main(["containment", "--outer", "circle:2", "--inner", "circle:1",
+                         "--k-cap", "inf", "--n", "32", "--area-floor", "0.5",
+                         "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_sweep_subcommand(tmp_path):
     out = tmp_path / "sweep"
     code = run_main(["sweep", "--law", "power:1", "--law", "power:2",
@@ -222,7 +232,8 @@ def test_sweep_prints_each_member_in_spec_order(tmp_path, capsys):
     ["--curve", "circle:1", "--curve", "bogus:1"],
     # k_cap = 5 is above k_max(0) = 1 of the first curve but not the 10 of the second
     ["--curve", "circle:1", "--curve", "circle:0.1", "--k-cap", "5"],
-], ids=["unknown-curve", "k-cap-below-k-max"])
+    ["--curve", "circle:1", "--k-cap", "inf"],
+], ids=["unknown-curve", "k-cap-below-k-max", "k-cap-inf"])
 def test_sweep_rejects_bad_entry_before_any_run(tmp_path, bad_entry):
     out = tmp_path / "sweep"
     code = run_main(["sweep", *bad_entry,
@@ -436,7 +447,8 @@ def test_sweep_builds_each_entry_once(tmp_path, monkeypatch):
     assert calls == ["circle:1", "circle:2"]
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a run would write its default --out
     assert run_main(["run", "--no-such-flag"]) == 2
     assert run_main(["run", "--curve", "heptagon:3", "--n", "64"]) == 2
     assert run_main(["run", "--law", "mystery:1", "--n", "64"]) == 2
@@ -449,6 +461,12 @@ def test_usage_errors():
         warnings.simplefilter("error")
         for pair in (f"{10 ** 400}:0.1", f"{10 ** 308}:0.1", "3:1e308"):
             assert run_main(["run", "--curve", f"fourier:{pair}", "--n", "32"]) == 2
+        # an ellipse whose curvature overflows or divides by an underflowed b^2
+        for axes in ("1e300,1", "2,1e-200"):
+            assert run_main(["run", "--curve", f"ellipse:{axes}", "--n", "32"]) == 2
+        # a law judged up to an infinite cap or range would be judged on NaN probes
+        assert run_main(["run", "--k-cap", "inf", "--n", "32", "--area-floor", "0.5"]) == 2
+        assert run_main(["check-law", "--law", "power:1", "--range", "1,inf"]) == 2
     # a cadence beyond float range, which the float CFL clock cannot plan
     assert run_main(["run", "--n", "32", "--max-steps", "5", "--cadence", "1" + "0" * 400]) == 2
 

@@ -169,9 +169,7 @@ def _support_pair(g):
     return sp, other
 
 
-# one case, keeping the test ids of the suite's former two spatial schemes
-@pytest.mark.parametrize("scheme", ["fourier"])
-def test_stacked_stage_matches_per_row_rhs(scheme):
+def test_stacked_stage_matches_per_row_rhs():
     g = AngleGrid(128)
     kp = oracle.ellipse_profile(2.0, 1.0, g)
     sp, other = _support_pair(g)
@@ -193,9 +191,7 @@ def test_stacked_stage_matches_per_row_rhs(scheme):
     assert np.array_equal(two[1], rhs_support(other, law))
 
 
-# one case, keeping the test ids of the suite's former two spatial schemes
-@pytest.mark.parametrize("scheme", ["fourier"])
-def test_stacked_step_matches_per_row_steps(scheme):
+def test_stacked_step_matches_per_row_steps():
     g = AngleGrid(128)
     kp = oracle.ellipse_profile(2.0, 1.0, g)
     sp, other = _support_pair(g)
@@ -661,6 +657,9 @@ def test_run_rejects_bad_config():
         FlowConfig(law=power_law(1), initial=kp, formulation="spectral")
     with pytest.raises(ValueError):  # k_cap below k_max(0) = 1 fails when built
         FlowConfig(law=power_law(1), initial=kp, k_cap=0.5)
+    for cap in (np.inf, np.nan):  # the law is probed up to the cap
+        with pytest.raises(ValueError):
+            FlowConfig(law=power_law(1), initial=kp, k_cap=cap)
 
 
 def test_run_rejects_nonparabolic_law():

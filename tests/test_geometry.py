@@ -51,18 +51,14 @@ def test_grid_validation():
     assert g.theta[0] == 0.0
 
 
-# one case each below, keeping the test ids of the suite's former two
-# spatial schemes
-@pytest.mark.parametrize("scheme,rtol", [("fourier", 1e-12)])
-def test_second_derivative_on_harmonics(scheme, rtol):
+def test_second_derivative_on_harmonics():
     g = AngleGrid(256)
     f = np.cos(3.0 * g.theta)
     d2 = geometry.second_derivative(f, g)
-    assert np.allclose(d2, -9.0 * f, atol=rtol * 9.0)
+    assert np.allclose(d2, -9.0 * f, atol=1e-12 * 9.0)
 
 
-@pytest.mark.parametrize("scheme", ["fourier"])
-def test_stacked_second_derivative_matches_rows(scheme):
+def test_stacked_second_derivative_matches_rows():
     # the stepper differentiates all rows of a flow in one call and reduces
     # them row by row; both must match one-row work bit for bit
     rng = np.random.default_rng(7)
@@ -76,8 +72,7 @@ def test_stacked_second_derivative_matches_rows(scheme):
                 assert out.min() == np.min(out.copy()) and out.sum() == np.sum(out.copy())
 
 
-@pytest.mark.parametrize("scheme", ["fourier"])
-def test_second_derivative_symbol_is_the_schemes(scheme):
+def test_second_derivative_symbol_is_the_schemes():
     # the exponential stepper integrates -sigma(m) exactly; it must be the
     # operator second_derivative applies, mode by mode
     for n in (32, 64, 256):

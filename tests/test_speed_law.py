@@ -28,13 +28,14 @@ def test_power_law_values():
 
 
 def test_p1_speed_is_ones_of_the_input_shape():
-    # G = 1 for p = 1 is built without np.ones; it must keep its dtype and shape
-    g = power_law(1).g
-    for x in (2.5, [1.0, 3.0], np.arange(1.0, 5.0), np.ones((2, 3)) * 7.0):
-        out = g(x)
-        assert isinstance(out, np.ndarray) and out.dtype == np.float64
-        assert out.shape == np.shape(x) and np.all(out == 1.0)
-    assert g(2.5).ndim == 0
+    # G = x^0, x^1, x^2 for p = 1, 2, 3 is exactly ones, x and x * x, as
+    # float64 in the input's shape
+    for x in (2.5, [1.0, 3.0], np.arange(1.0, 5.0), np.arange(1.0, 7.0).reshape(2, 3) * 7.3):
+        xs = np.asarray(x, dtype=float)
+        for p, exact in ((1, np.ones_like(xs)), (2, xs), (3, xs * xs)):
+            out = power_law(p).g(x)
+            assert out.dtype == np.float64 and np.shape(out) == np.shape(x)
+            assert out.tobytes() == exact.tobytes()
 
 
 def test_zero_coefficient_derivatives_are_exactly_zero():
@@ -182,6 +183,8 @@ def test_check_hypotheses_validates_arguments():
         check_hypotheses(power_law(1), -1.0, 10.0)
     with pytest.raises(ValueError):
         check_hypotheses(power_law(1), 1.0, 0.5)
+    with pytest.raises(ValueError):  # probes up to inf would be NaN
+        check_hypotheses(power_law(1), 1.0, np.inf)
     with pytest.raises(ValueError):
         check_hypotheses(power_law(1), 0.1, 10.0, n_probes=8)
 
