@@ -166,12 +166,41 @@ def monitor_gradient_estimate(traj):
 # asymptotics near blow-up
 # ---------------------------------------------------------------------------
 
+def _turn_round_rate(traj):
+    """(fitted, predicted) rate at which the curve turns round, or None each.
+
+    Linearized about the shrinking circle, the slowest free mode of the
+    curvature, m = 2, decays as d log(1 - k_min/k_max) / d log k_max =
+    1 - 3q with q = k Phi'(k) / Phi(k) (ROADMAP item 11): -2, -5 and -8 for
+    G = k^(p-1) at p = 1, 2 and 3.  ``fitted`` is the least-squares slope of
+    log(1 - k_min/k_max) against log k_max over the snapshots where
+    1e-10 < 1 - k_min/k_max < 1e-2, the linear regime above rounding (None
+    with fewer than 3 there); ``predicted`` is 1 - 3q at the last k_max
+    (None where q is not finite).
+    """
+    window = [(s.k_max, 1.0 - s.k_min / s.k_max) for s in traj.summaries()]
+    window = [(k, d) for k, d in window if 1e-10 < d < 1e-2]
+    fitted = None
+    if len(window) >= 3:
+        # least squares in closed form: np.polyfit would load LAPACK
+        x, y = np.log(np.array(window)).T
+        x = x - x.mean()
+        fitted = float((x * (y - y.mean())).sum() / (x * x).sum())
+    law, k = traj.config.law, traj.summaries()[-1].k_max
+    with np.errstate(all="ignore"):  # a law beyond the float range has no q
+        q = 1.0 + float(law.g_prime(k)) * k / float(law.g(k))
+    return fitted, (1.0 - 3.0 * q if math.isfinite(q) else None)
+
+
 def monitor_ratio_asymptotics(traj):
     """r_in/r_out and k_min/k_max must both reach 1 - 0.05 by the final snapshot.
 
     Needs the run to have contracted to 1% of the initial area, otherwise the
     verdict is inconclusive.  The extras also track max |k r_in - 1|, the
-    pointwise curvature-inradius law, for reporting.
+    pointwise curvature-inradius law, and report the rate at which the curve
+    turns round (``turn_round_slope``) beside its linearized prediction
+    (``turn_round_slope_predicted``, see ``_turn_round_rate``); neither is
+    judged.
     """
     _need_snapshots(traj, 1)
     times = traj.times()
@@ -181,8 +210,10 @@ def monitor_ratio_asymptotics(traj):
     values = [min(a, b) for a, b in zip(k_ratio, r_ratio)]
     kr_dev = [float(np.max(np.abs(snap.curvature.k * snap.summary.r_in - 1.0)))
               for snap in traj.snapshots]
+    slope, predicted = _turn_round_rate(traj)
     extras = {"k_min_over_k_max": k_ratio, "r_in_over_r_out": r_ratio,
-              "max_abs_k_rin_minus_1": kr_dev}
+              "max_abs_k_rin_minus_1": kr_dev, "turn_round_slope": slope,
+              "turn_round_slope_predicted": predicted}
     if summaries[-1].area > 0.01 * summaries[0].area:
         return _inconclusive(
             "ratio-asymptotics", times, values,

@@ -4,45 +4,35 @@ Curvature form (angle parametrization):  dk/dt = k^2 (Phi(k)_thth + Phi(k))
 Support form:                            dh/dt = -Phi((h'' + h)^-1)
 with Phi(k) = G(k) * k.
 
-One stepper core integrates both.  It advances a (B, n) stack of rows, at
-most one curvature row k first and then support rows h, with shared ETDRK4
-steps (Cox & Matthews 2002, in the form of Kassam & Trefethen 2005).  The
-diffusion rate k^2 Phi'(k) blows up with the curvature, so the stiff part
-L = -S sigma(m), with S = max k^2 Phi'(k) over the rows and sigma the
-symbol of -d^2/dtheta^2, is integrated exactly in Fourier space, and
-N = rhs - L y is built on the right-hand side ``_rhs``.  A full step has
-dt S = ETD_STEP = 0.0015, so the step count does not grow with n; on grids
-of n <= 64 the RK4 bound 0.4 dtheta^2 / 2 is the longer step and is taken
-instead.  Every step carries an embedded error estimate.  Where k^2 Phi'(k)
-falls far below S over much of the curve, the part of the diffusion that
-L leaves in N is stiff, and a full step can be inaccurate: a step whose
-estimate exceeds ETD_TOLERANCE, or that loses positivity in any row, is
-rejected and retried at half the dt.  Where the curve is nearly round the
-estimate is far below it, and on grids of n >= 128 a step whose estimate,
-scaled to a full step, is below ETD_GROW is followed by one of twice the
-full length, dt S = 2 ETD_STEP, the longest any step takes.  The
-rows are stage-synchronous: at every stage the arrays they differentiate,
-Phi(k) and h, go through one stacked second_derivative call.  Every
-transform goes through geometry.rfft / irfft, numpy's FFT kernels without
-numpy's Python wrapper, which costs more than a transform at these n: a
-curvature-form step makes 17, three per right-hand side (second_derivative's
-pair and the rfft of the result) for its 4 right-hand sides, and one irfft
-each for its 3 inner stages, its result and its error estimate.  Snapshots
-follow the CFL clock, which counts CFL units, dt S / (0.4 dtheta^2 / 2)
-per step (one unit is one RK4 step at its stability bound); a step is
-clipped to land on each cadence mark.
-``run`` passes one row (two for formulation="both"), ``containment_run``
-the support rows of its outer curve ``config.initial`` and of its inner
-one.  ``step`` takes one ETDRK4 step of a profile at a dt of the caller's
-choosing, ``stable_dt`` gives the length of one CFL unit, and the
-``rhs_*`` functions give the right-hand sides of one profile.
-The equation stiffens as curvature blows up, so runs stop at an area floor
-(or a curvature cap) and report a bracket for the blow-up time instead of
-trying to cross it.  Both drivers read each row through its curvature, k
-or 1 / (h'' + h), and share one stop test and one record rule (``_drive``).
-Blaschke's rolling theorem, A >= pi / k_max^2, gates every row's area
-check: the exact Fourier area is computed only once pi / k_max^2 is down
-to twice the floor, so the stop step is the same.
+Runs are stepped in the normalized frame of Berger & Kohn (Comm. Pure Appl.
+Math. 41, 1988): with lambda = L / (2 pi) of the first row, the stepper
+advances kappa = lambda k, eta = h / lambda, log lambda and t in tau,
+dtau = dt G(1/lambda) / lambda^2.  With Phi_l(kappa) = Phi(kappa / lambda)
+/ Phi(1 / lambda) and m its mean over the first row's curvature,
+    kappa_tau = kappa^2 (Phi_l(kappa)_thth + Phi_l(kappa)) - m kappa
+    eta_tau = -Phi_l((eta'' + eta)^-1) + m eta
+    (log lambda)_tau = -m,   t_tau = lambda^2 / G(1 / lambda),
+so a circle, kappa = 1, is an exact fixed point for every G.  log lambda
+takes the rows' stages; t is a Gauss-Legendre quadrature over each step.
+
+One stepper core (``_march``) advances a (B, n) stack of rows, at most one
+curvature row first, with shared ETDRK4 steps (Cox & Matthews 2002, as in
+Kassam & Trefethen 2005): L = -S sigma(m), S the largest kappa^2 Phi_l'
+over the rows and sigma the symbol of -d^2/dtheta^2, is integrated exactly
+in Fourier space, and N = rhs - L y is built on ``_rhs``.  dtau S equals
+dt max k^2 Phi'(k), so a full step is dtau S = ETD_STEP in either variable
+(or the RK4 bound 0.4 dtheta^2 / 2 where that is longer, n <= 64), and
+the snapshot cadence counts CFL units, dtau S / (0.4 dtheta^2 / 2).  Every
+step carries an embedded error estimate that rejects, halves and re-grows
+it; on n >= 128 steps double without a cap while the estimate allows, and
+the cadence and the area floor clip them.  Every transform goes through
+geometry.rfft / irfft, numpy's FFT kernels without numpy's Python wrapper:
+a curvature-form step makes 17.  ``run`` and ``containment_run`` read
+each row through its physical curvature and share one stop test
+(``_drive``), gated by Blaschke's A >= pi / k_max^2.  ``step`` takes one
+physical ETDRK4 step at a dt of the caller's choosing, ``stable_dt`` gives
+one CFL unit, and the ``rhs_*`` functions give the physical right-hand
+sides.
 """
 
 from __future__ import annotations
@@ -81,19 +71,17 @@ FORMULATIONS = ("curvature", "support", "both")
 
 ASYMPTOTIC_GROWTH = 10.0  # k_max / k_max(0) where the blow-up laws are judged
 
-# A full ETDRK4 step takes dt = ETD_STEP / S with S = max k^2 Phi'(k), or
-# one CFL unit, the RK4 step 0.4 dtheta^2 / (2 S), where that is longer
-# (n <= 64).
+# A full ETDRK4 step takes dtau = ETD_STEP / S with S the largest
+# kappa^2 Phi_l'(kappa), or one CFL unit, the RK4 step 0.4 dtheta^2 / (2 S),
+# where that is longer (n <= 64).
 ETD_STEP = 0.0015
-# On n >= 128, a step whose error estimate, scaled to a full step, is below
-# ETD_GROW is followed by one of twice the full length.  On a circle a full
-# step's estimate is 1.2e-11 at p = 0.5, 1.3e-12 at p = 1 and 1.8e-13 at
-# p = 2, whatever its radius, and the 2:1 ellipses fall to those figures
-# as they turn round (from 6.7e-9 at p = 1 and 2.4e-7 at p = 2); 5e-12
-# stays clear of the p = 0.5 circle.
-# Growing on to four full steps puts the p = 3 circle's curvature 1.7e-6
-# off the exact one (n = 256), past criterion 1's 1e-6 bound.
-ETD_GROW = 5e-12
+# On n >= 128, a step whose error estimate is below ETD_GROW is followed by
+# one twice as long, with no cap.  Growth stops where the estimate reaches
+# it, so the steps of a non-round curve carry local errors of 1e-10 to
+# 1.6e-9.  Growing up to the 3e-8 at which shortened steps re-double lets
+# the two forms of the n = 512 ellipse drift 1.9e-4 apart, past criterion
+# 10's 1e-5, while 1e-10 keeps them 8.5e-7 apart.
+ETD_GROW = 1e-10
 # Largest accepted local error estimate of a step, relative to each row's
 # largest value.  On the p = 4 ellipse, the stiffest law and curve the
 # tests run, 1e-5 lets the evolution identities drift past their 1% bound
@@ -108,6 +96,53 @@ _ETD_CONTOUR_POINTS = 32
 _CONTOUR = np.outer((1.0, 2.0), np.exp(1j * np.pi * (
     np.arange(_ETD_CONTOUR_POINTS // 2) + 0.5) / (_ETD_CONTOUR_POINTS // 2)))
 _CONTOUR_EXP = (np.exp(_CONTOUR), np.exp(0.5 * _CONTOUR))
+# A step lands its first floor row's predicted area this far below the floor.
+_FLOOR_LANDING = 1.0 - 1e-6
+# A step's t quadrature has converged when its 8-point and two-panel
+# 8-point sums agree to this relative tolerance.
+_T_QUADRATURE_RTOL = 1e-12
+
+
+def _gauss_legendre(points):
+    """Nodes and weights of the Gauss-Legendre rule on [0, 1].
+
+    Newton's iteration on the Legendre three-term recurrence, from the
+    usual cos(pi (i - 1/4) / (points + 1/2)) guesses, converges in a few
+    steps; it is elementwise numpy, where the eigensolver of Golub & Welsch
+    would load LAPACK, a megabyte resident in every run.
+    """
+    x = np.cos(np.pi * (np.arange(1, points + 1) - 0.25) / (points + 0.5))
+    for _ in range(8):
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, points + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        slope = points * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / slope
+    return 0.5 * (1.0 - x), 1.0 / ((1.0 - x * x) * slope * slope)
+
+
+def _t_quadrature():
+    """(hermite, weights) of the run time over one step.
+
+    ``hermite`` holds, at the 8 Gauss-Legendre nodes of [0, 1] and then at
+    the 16 of its two halves, the cubic Hermite basis of log lambda past its
+    start: its columns multiply dtau (log lambda)' at the start, the step's
+    change of log lambda and dtau (log lambda)' at the end.  The rows of
+    ``weights`` weigh the 24 nodes by the one-panel rule and by the
+    two-panel rule.
+    """
+    nodes, weights = _gauss_legendre(8)
+    s = np.concatenate((nodes, 0.5 * nodes, 0.5 + 0.5 * nodes))
+    hermite = np.column_stack((s * (1.0 - s) ** 2, s * s * (3.0 - 2.0 * s), s * s * (s - 1.0)))
+    zeros = np.zeros_like(weights)
+    weights = np.array([np.concatenate((weights, zeros, zeros)),
+                        np.concatenate((zeros, 0.5 * weights, 0.5 * weights))])
+    for table in (hermite, weights):
+        table.setflags(write=False)
+    return hermite, weights
+
+
+_T_HERMITE, _T_WEIGHTS = _t_quadrature()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,7 +153,8 @@ class FlowConfig:
     stops; ``k_cap`` is a finite absolute curvature cap (default 1e6 times
     the initial maximum), checked against the initial k_max when the config
     is built.  ``snapshot_every`` counts CFL units: a step of dt counts
-    dt S / (0.4 dtheta^2 / 2), S = max k^2 Phi'(k), so one unit is one
+    dt S / (0.4 dtheta^2 / 2), S = max k^2 Phi'(k) (in the frame the run
+    steps in, dtau times its own S, the same number), so one unit is one
     RK4 step at its CFL bound.  Steps are clipped to land on its multiples,
     where snapshots are taken, so the snapshot times do not depend on the
     step count.  Building the config also sets ``initial_curvature``, the
@@ -182,10 +218,10 @@ class Snapshot:
 class Trajectory:
     """Ordered snapshots of one run plus its metadata.
 
-    ``dt_min`` and ``dt_max`` bound the accepted steps' lengths, and
-    ``dt_s_max`` is the longest one's dt S, which sets estimate_blowup's
-    allowance; it is 0.0 where no step was taken (an exact trajectory of
-    oracle.circle_trajectory), and the allowance then uses the full step.
+    ``dt_min`` and ``dt_max`` bound the accepted steps' lengths in the
+    physical time, and ``dt_s_max`` is the longest step's dtau S, equal to
+    its dt max k^2 Phi'(k), in the units of ETD_STEP; it is 0.0 where no
+    step was taken (an exact trajectory of oracle.circle_trajectory).
     """
 
     snapshots: List[Snapshot]
@@ -216,34 +252,96 @@ class Trajectory:
 # the stepper core
 # ---------------------------------------------------------------------------
 
-def _rhs(y, ncurv, grid, law):
+def _law_rows(law, kappa, inv, unit):
+    """(G, k, unit) of the rows ``kappa``: G at the physical curvature
+    k = kappa * inv, in one law.g call.  Where ``unit`` is None that call also
+    takes 1/lambda = inv, and ``unit`` is G there, G(1/lambda); a stage
+    where it is not a positive finite number is rejected."""
+    if unit is not None:
+        k = kappa * inv if inv != 1.0 else kappa
+        return law.g(k), k, unit
+    size = kappa.size
+    k = np.empty(size + 1)  # flat: a 2-D buffer costs more to slice than to fill
+    np.multiply(kappa.reshape(size), inv, out=k[:size])
+    k[size] = inv
+    g = law.g(k)
+    unit = float(g[size])
+    if not 0.0 < unit < math.inf:
+        raise StepRejected(f"G(1/lambda) = {unit!r} in a stage")
+    return g[:size].reshape(kappa.shape), k[:size].reshape(kappa.shape), unit
+
+
+def _rhs(y, ncurv, grid, law, ell=None):
     """Right-hand sides of all rows of the (B, n) stack ``y`` at one stage.
 
     The first ``ncurv`` rows (0 or 1) hold curvature, the rest support
-    functions.  The arrays the rows differentiate, Phi(k) and h, go through
-    one stacked second_derivative call.  Raises StepRejected when a stage
-    leaves the domain of any row.
+    functions.  With ``ell`` = log lambda they are the frame's kappa and eta,
+    and the right-hand sides are their tau rates (see the module docstring);
+    with ``ell`` None they are the physical k and h, and the right-hand sides
+    their t rates: the same equations with lambda = 1, G(1/lambda) taken as
+    1 and m = 0.  The arrays the rows differentiate, Phi_l(kappa) and eta,
+    go through one stacked second_derivative call, and each form makes one
+    law.g call, the first one also at 1/lambda.  Raises StepRejected when a
+    stage leaves the domain of any row.
+
+    Returns (dy, m, unit, blocks): m is the mean of Phi_l over the first
+    row (0 for the physical equations), ``unit`` is G(1/lambda), and
+    ``blocks`` lists (G, k, kappa) of the curvature rows and of the support
+    rows, k the physical curvature.
     """
-    k, h = y[:ncurv], y[ncurv:]
+    kappa, h = y[:ncurv], y[ncurv:]
+    frame = ell is not None
+    inv, unit = (math.exp(-ell), None) if frame else (1.0, 1.0)
+    blocks = []
     if ncurv:
         # positivity guard is NaN-safe; law.g needs no further validation here
-        if not k.min() > 0.0:
+        if not kappa.min() > 0.0:
             raise StepRejected("curvature lost positivity in a stage")
-        phi = law.g(k) * k  # one row, one law.g call
+        g, k, unit = _law_rows(law, kappa, inv, unit)
+        blocks.append((g, k, kappa))
+        phi = g * kappa
+        if frame:
+            phi *= 1.0 / unit
         d2 = geometry.second_derivative(np.concatenate((phi, h)) if len(h) else phi, grid)
-        dk = k * k
-        dk *= d2[:ncurv] + phi
-        if not len(h):
-            return dk
+        first = phi
     else:
         d2 = geometry.second_derivative(h, grid)
-    rho = d2[ncurv:]
-    rho += h
-    if not rho.min() > 0.0:
-        raise StepRejected("support profile lost convexity in a stage")
-    k_h = 1.0 / rho  # the law is elementwise: one law.g call serves all support rows
-    dh = -law.g(k_h) * k_h
-    return np.concatenate((dk, dh)) if ncurv else dh
+    if len(h):
+        rho = d2[ncurv:]
+        rho += h
+        if not rho.min() > 0.0:
+            raise StepRejected("support profile lost convexity in a stage")
+        kappa_h = 1.0 / rho
+        g_h, k_h, unit = _law_rows(law, kappa_h, inv, unit)  # one call serves all rows
+        blocks.append((g_h, k_h, kappa_h))
+        phi_h = g_h * kappa_h
+        if frame:
+            phi_h *= 1.0 / unit
+        else:
+            phi_h *= -1.0
+        if not ncurv:
+            first = phi_h
+    m = float(np.add.reduce(first[0])) / grid.n if frame else 0.0
+    rows = []
+    if ncurv:
+        if frame:  # kappa (kappa (Phi_l'' + Phi_l) - m)
+            dk = d2[:ncurv]
+            dk += phi
+            dk *= kappa
+            dk -= m
+            dk *= kappa
+        else:
+            dk = kappa * kappa
+            dk *= d2[:ncurv] + phi
+        rows.append(dk)
+    if len(h):
+        if frame:  # m eta - Phi_l
+            dh = m * h
+            dh -= phi_h
+        else:
+            dh = phi_h
+        rows.append(dh)
+    return (rows[0] if len(rows) == 1 else np.concatenate(rows)), m, unit, blocks
 
 
 def _cfl_base(grid):
@@ -268,27 +366,32 @@ def _step_scale(grid):
 def _curvatures(y, ncurv, rho):
     """The curvature of each row of the stack ``y``, as a list of rows: a
     curvature row is its own (a view of y), a support row's is 1 / (h'' + h),
-    ``rho`` stacking h'' + h of the support rows (None when there are none).
-    The rows are views of the step's arrays; a snapshot copies the ones it
-    keeps (see ``run``)."""
+    ``rho`` stacking h'' + h of the support rows (None when there are none)."""
     return list(y) if rho is None else [*y[:ncurv], *(1.0 / rho)]
 
 
-def _stiffness(ks, law, scale):
-    """S = max(k^2 Phi'(k)) over the curvature rows ``ks``, the diffusion rate that sets the step.
+def _stiffness(stage, lam, law, scale):
+    """S = max kappa^2 Phi_l'(kappa) over the rows of a _rhs result ``stage``.
 
-    Raises SpeedLawDomainError unless ``scale`` / S is a finite positive step.
+    That is max kappa^2 Phi'(k) / G(1/lambda) with k = kappa / lambda, from
+    the G the right-hand side formed; with lam = 1 and the physical
+    equations' unit 1 it is the physical max k^2 Phi'(k).  Raises
+    SpeedLawDomainError unless ``scale`` over the physical rate
+    max k^2 Phi'(k) = S G(1/lambda) / lambda^2, and over S, is a finite
+    positive step: the physical time must stay representable.
     """
-    stiffness = 0.0
-    for k in ks:
-        with np.errstate(over="ignore"):  # an infinite rate is refused below
-            # Phi' = G' k + G as law.phi_prime forms it, without its k > 0
-            # check: every caller has already refused k <= 0
-            rate = (k * k * (law.g_prime(k) * k + law.g(k))).max()
-        if not 0.0 < scale / rate < math.inf:  # numpy gives inf on 0, no raise
-            raise SpeedLawDomainError(f"{law.label}: no finite step at k_max = "
-                                      f"{k.max():.3e}", abscissa=float(k.max()))
-        stiffness = max(stiffness, float(rate))
+    _, _, unit, blocks = stage
+    rate = 0.0
+    for g, k, kappa in blocks:
+        # Phi' = G' k + G as law.phi_prime forms it, without its k > 0
+        # check: _rhs has already refused k <= 0
+        rate = max(rate, float((kappa * kappa * (law.g_prime(k) * k + g)).max()))
+    stiffness, physical = rate / unit, rate / (lam * lam)
+    if not (physical > 0.0 and 0.0 < scale / physical < math.inf
+            and stiffness > 0.0 and scale / stiffness < math.inf):
+        k_max = max(float(k.max()) for _, k, _ in blocks)
+        raise SpeedLawDomainError(f"{law.label}: no finite step at k_max = {k_max:.3e}",
+                                  abscissa=k_max)
     return stiffness
 
 
@@ -324,12 +427,17 @@ def _etd_coefficients(n, scale):
     and Cox & Matthews' f1, f2, f3 divided by dt, plus scale * sigma (dt times
     the linear part moved into N) and 1 - sigma (the symbol of h'' + h).
     They depend on (n, scale) only; a run reuses the full step's and
-    builds one per halving and per step clipped to the snapshot cadence.
+    builds one per step length and per step clipped to the snapshot cadence
+    or the area floor.
     """
     sigma = geometry.second_derivative_symbol(n)
     z = -scale * sigma
     q, phi1, phi2, phi3 = _phi_functions(z)
-    tables = (np.exp(z), np.exp(0.5 * z), q,
+    # a decay factor below 1e-20 moves no row by a rounding unit: it is
+    # flushed to 0, so that the long steps of a round curve do not fill
+    # the spectra with subnormal numbers, on which arithmetic is slow
+    e, e_half = (np.where(f < 1e-20, 0.0, f) for f in (np.exp(z), np.exp(0.5 * z)))
+    tables = (e, e_half, q,
               phi1 - 3.0 * phi2 + 4.0 * phi3, phi2 - 2.0 * phi3, 4.0 * phi3 - phi2,
               scale * sigma, 1.0 - sigma)
     # stored complex: numpy casts a real factor of a complex array to complex
@@ -340,50 +448,67 @@ def _etd_coefficients(n, scale):
     return tables
 
 
-def _etd(y, y_hat, r_hat, ncurv, dt, coefficients, grid, law):
+def _etd(y, y_hat, start, ncurv, dt, coefficients, grid, law, ell=None):
     """One ETDRK4 step of every row, with its local error estimate.
 
-    ``y_hat`` is rfft(y), ``r_hat`` rfft(_rhs(y)) (None to compute it here)
-    and ``coefficients`` the step's _etd_coefficients.  The linear part
-    L = -S sigma is integrated exactly; N = rhs - L y is built on _rhs, so a
-    stage that leaves the domain of a row is rejected there, as is a result
-    with k <= 0 or h'' + h <= 0 in any row.  Returns (y, rho, y_hat, r_hat,
-    error) of the result, or raises StepRejected; ``rho`` stacks the result's
-    h'' + h of the support rows, or is None when there are none.  ``error`` is the largest over the
-    rows of |f3 (N(y_new) - N(c))| relative to the row's largest |y_new|,
-    where c is the last stage, at the same time as y_new: swapping N(c) for
-    N(y_new) in the last weight gives a third-order step (the embedded pair
-    of classical RK4 with its first-same-as-last stage), so ``error`` is
-    O(dt^4) where N is smooth and grows with the stiff part that L leaves
-    in N.  N(y_new) is the next step's first stage, so the estimate costs
-    no extra right-hand side on an accepted step.  Each stage's dt N is
+    ``y_hat`` is rfft(y), ``start`` the step's first stage, (rfft(dy), *rest)
+    of _rhs(y) (None to compute it here), ``coefficients`` the step's
+    _etd_coefficients, and ``ell`` log lambda in the frame (None for a
+    physical step of length dt).  The linear part L = -S sigma is integrated
+    exactly; N = rhs - L y is built on _rhs, so a stage that leaves the
+    domain of a row is rejected there, as is a result with k <= 0 or
+    h'' + h <= 0 in any row.  log lambda takes the same formulas at
+    sigma = 0, classical RK4, from each stage's m, and so do the flux
+    integrals, from each stage's rates.  Returns (y, rho, y_hat, end, error,
+    ell, flux) of the result, or raises StepRejected: ``rho`` stacks the
+    result's h'' + h of the support rows, or is None when there are none;
+    ``end`` is the result's first stage for the next step; ``flux`` is the
+    step's increment of the flux integrals (None for a physical step).
+    ``error`` is the largest over the rows of |f3 (N(y_new) - N(c))|
+    relative to the row's largest |y_new|, where c is the last stage, at the
+    same time as y_new: swapping N(c) for N(y_new) in the last weight gives
+    a third-order step (the embedded pair of classical RK4 with its
+    first-same-as-last stage), so ``error`` is O(dt^4) where N is smooth and
+    grows with the stiff part that L leaves in N; in the frame log lambda's
+    own such estimate, which is also its relative error in lambda, counts as
+    one more row.  N(y_new) is the next step's first stage, so the estimate
+    costs no extra right-hand side on an accepted step.  Each stage's dt N is
     dt rfft(rhs) + scale sigma v for its spectrum v; the sums are formed in
     place, in the order of the ETDRK4 formulas.
     """
     e, e_half, q, f1, f2, f3, linear, helmholtz = coefficients
     n = grid.n
     rfft, irfft = geometry.rfft, geometry.irfft
+    frame = ell is not None
 
-    if r_hat is None:
-        r_hat = rfft(_rhs(y, ncurv, grid, law))
-    nv = r_hat * dt
+    if start is None:
+        start = _rhs(y, ncurv, grid, law, ell)
+        start = (rfft(start[0]),) + start[1:]
+    half = 0.5 * dt
+    nv = start[0] * dt
     nv += linear * y_hat
     e_half_v = e_half * y_hat
     a_hat = q * nv
     a_hat += e_half_v
-    na = rfft(_rhs(irfft(a_hat, n), ncurv, grid, law))
+    ell_a = ell - half * start[1] if frame else None
+    a = _rhs(irfft(a_hat, n), ncurv, grid, law, ell_a)
+    na = rfft(a[0])
     na *= dt
     na += linear * a_hat
     b_hat = q * na
     b_hat += e_half_v
-    nb = rfft(_rhs(irfft(b_hat, n), ncurv, grid, law))
+    ell_b = ell - half * a[1] if frame else None
+    b = _rhs(irfft(b_hat, n), ncurv, grid, law, ell_b)
+    nb = rfft(b[0])
     nb *= dt
     nb += linear * b_hat
     c_hat = 2.0 * nb
     c_hat -= nv
     c_hat *= q
     c_hat += e_half * a_hat
-    nc = rfft(_rhs(irfft(c_hat, n), ncurv, grid, law))
+    ell_c = ell - dt * b[1] if frame else None
+    c = _rhs(irfft(c_hat, n), ncurv, grid, law, ell_c)
+    nc = rfft(c[0])
     nc *= dt
     nc += linear * c_hat
     new_hat = e * y_hat
@@ -402,71 +527,185 @@ def _etd(y, y_hat, r_hat, ncurv, dt, coefficients, grid, law):
         raise StepRejected("curvature lost positivity over a full step")
     if rho is not None and not rho.min() > 0.0:
         raise StepRejected("support profile lost convexity over a full step")
-    new_r_hat = rfft(_rhs(new, ncurv, grid, law))
-    estimate = new_r_hat * dt
+    flux = None
+    if frame:
+        sixth, third = dt / 6.0, dt / 3.0
+        ms = start[1], a[1], b[1], c[1]
+        units = start[2], a[2], b[2], c[2]
+        lams = [math.exp(l) for l in (ell, ell_a, ell_b, ell_c)]
+        # the first row's oint Phi dtheta t_tau, 2 pi m lambda (the sum of
+        # Phi_l is m's, and Phi(k) = Phi_l(kappa) G(1/lambda) / lambda), and
+        # its oint G dtheta t_tau, of G at the stages, with the stages' weights
+        phi_rates = [2.0 * math.pi * m * lam for m, lam in zip(ms, lams)]
+        g_sums = np.add.reduce(np.array([s[3][0][0][0] for s in (start, a, b, c)]), axis=1)
+        g_rates = [grid.dtheta * total * lam * lam / unit
+                   for total, lam, unit in zip(g_sums.tolist(), lams, units)]
+        flux = tuple(sixth * (r[0] + r[3]) + third * (r[1] + r[2]) for r in (phi_rates, g_rates))
+        ell -= sixth * (ms[0] + ms[3]) + third * (ms[1] + ms[2])
+    end = _rhs(new, ncurv, grid, law, ell)
+    end = (rfft(end[0]),) + end[1:]
+    estimate = end[0] * dt
     estimate += linear * new_hat
     estimate -= nc
     estimate *= f3
     estimate = irfft(estimate, n)
     error = float((np.abs(estimate).max(axis=1) / np.abs(new).max(axis=1)).max())
-    return new, rho, new_hat, new_r_hat, error
+    if frame:
+        error = max(error, abs(dt * (c[1] - end[1])) / 6.0)
+    return new, rho, new_hat, end, error, ell, flux
 
 
-def _march(y, ncurv, k, grid, law, clock):
-    """Advance the rows of one flow with shared ETDRK4 steps, yielding each accepted one.
+def _elapsed(ell, ell_new, m, m_new, dtau, law):
+    """The run time over a step: the integral of t_tau = lambda^2 / G(1/lambda).
 
-    A full step has dt * S = _step_scale(grid), S the stiffness over all
-    rows.  A step is rejected, and retried at half the dt, when a row leaves
-    its domain or the step's error estimate exceeds ETD_TOLERANCE; after a
-    shortened step whose estimate is below ETD_TOLERANCE / 32 the next step
-    is twice as long again, up to the full step.  Where the full step is
-    ETD_STEP (n >= 128), a step of full length or longer sets the next one:
-    twice the full step where its estimate, scaled to a full step by
-    16^level since it is O(dt^4), is below ETD_GROW, the full step
-    otherwise.  No step is longer than twice the full one; on n <= 64 the
-    full step is the RK4 stability bound and is never exceeded.  A step
-    clipped to a cadence mark leaves the level as it was.  ``clock`` keeps the
-    run time, the CFL clock and the step counters, and a step that would
-    pass the clock's next cadence mark is clipped to land on it.  ``k``
-    holds the curvature rows of ``y`` (see _curvatures), from which S is read.
-    Yields (t, y, k, on_cadence) per accepted step; returns, ending the
-    iteration, once halving pushes dt below 1e-14 of the elapsed time (or of
-    the first dt), which callers report as convexity loss.
+    log lambda over the step is the cubic Hermite of its values ``ell`` and
+    ``ell_new`` and its rates -m and -m_new at the ends, exact where it is
+    linear, as on a circle.  The integral is summed by 8-point
+    Gauss-Legendre on two halves of the step, in one law.g call with the
+    one-panel rule's nodes; returns None, a step to reject, unless the two
+    sums agree to _T_QUADRATURE_RTOL.
+    """
+    lam = np.exp(_T_HERMITE @ np.array((-dtau * m, ell_new - ell, -dtau * m_new)))
+    lam *= math.exp(ell)
+    rate = lam * lam
+    rate /= law.g(1.0 / lam)
+    coarse, fine = (_T_WEIGHTS @ rate).tolist()
+    if not abs(coarse - fine) <= _T_QUADRATURE_RTOL * fine:
+        return None
+    return dtau * fine
+
+
+class _State:
+    """An accepted state of a march, in the frame: ``y`` holds kappa and eta,
+    ``kappa`` the curvature of each row of a _rhs result ``stage`` at y, ``lam``
+    is lambda and ``t`` the physical time; ``flux`` holds the flux integrals
+    of the first row up to t.  ``k_max`` lists the physical largest
+    curvature of the first ``n_floors`` rows, those with an area floor, and
+    ``area(i)`` the physical area of row i, computed once per state and only
+    when asked for."""
+
+    __slots__ = ("t", "lam", "y", "kappa", "flux", "on_cadence", "k_max", "_grid", "_areas")
+
+    def __init__(self, t, lam, y, stage, flux, on_cadence, grid, n_floors):
+        self.t, self.lam, self.y, self.flux = t, lam, y, flux
+        self.kappa = [row for _, _, kappa in stage[3] for row in kappa]
+        self.on_cadence, self._grid = on_cadence, grid
+        self.k_max = [float(row.max()) / lam for row in self.kappa[:n_floors]]
+        self._areas = {}
+
+    def area(self, i):
+        if i not in self._areas:
+            self._areas[i] = self.lam * self.lam * float(_support_area_from_k(self.kappa[i],
+                                                                            self._grid))
+        return self._areas[i]
+
+    def curvature(self, i):
+        """The physical curvature of row i, a new array."""
+        return self.kappa[i] / self.lam
+
+    def support(self, i):
+        """The physical support function of support row i, a new array."""
+        return self.y[i] * self.lam
+
+
+def _floor_step(state, stage, floors, horizon, grid):
+    """The tau step after which the first row to cross its floor is predicted
+    to land at _FLOOR_LANDING times it, or inf where no row can reach its
+    floor within the tau step ``horizon``.
+
+    A row's area A falls at the rate oint G dtheta t_tau, so over dtau it
+    is predicted as A exp(-dtau oint G dtheta t_tau / A).  Blaschke's bound
+    A >= pi / k_max^2 bounds that from below without A, and only a row whose
+    bound may fall to twice its floor within ``horizon`` pays for its area.
+    """
+    _, _, unit, blocks = stage
+    g_rows = [row for g, _, _ in blocks for row in g]
+    best = math.inf
+    for i, floor in enumerate(floors):
+        loss = grid.dtheta * float(np.add.reduce(g_rows[i])) * state.lam ** 2 / unit
+        bound = math.pi / (state.k_max[i] * state.k_max[i])
+        if bound * math.exp(-horizon * loss / bound) > 2.0 * floor:
+            continue
+        area = state.area(i)
+        best = min(best, math.log(area / (_FLOOR_LANDING * floor)) * area / loss)
+    return best
+
+
+def _march(y, ncurv, k, grid, law, clock, floors):
+    """Advance the rows of one flow with shared ETDRK4 steps in the frame,
+    yielding each accepted state (_State).
+
+    ``y`` holds the physical rows and ``k`` their curvatures (see
+    _curvatures); lambda starts as L / (2 pi) of the first row.  A full step
+    has dtau * S = _step_scale(grid), S the stiffness over all rows.  A step
+    is rejected, and retried at half the length, when a row leaves its
+    domain, the step's error estimate exceeds ETD_TOLERANCE or its t
+    quadrature has not converged.  After a shortened step whose estimate is
+    below ETD_TOLERANCE / 32 the next step is twice as long again, up to the
+    full step; where the full step is ETD_STEP (n >= 128), a step of full
+    length or longer whose estimate is below ETD_GROW is followed by one
+    twice as long, with no cap, and on n <= 64 the full step is the RK4
+    stability bound and is never exceeded.  ``clock`` keeps the run time, the
+    CFL clock and the step counters; a step that would pass the clock's next
+    cadence mark is clipped to land on it, and one that would take a row
+    below its area floor (``floors``, of the first rows) is clipped to land
+    just past it (_floor_step).  A clipped step leaves the length of the
+    next one as it was.  Returns, ending the iteration, once halving pushes
+    dtau below 1e-14 of the elapsed tau (or of the first dtau), or when the
+    initial state is outside the domain; callers report either as
+    convexity loss.
     """
     cfl_base = _cfl_base(grid)
     full = _step_scale(grid)
     grows = full == ETD_STEP  # else it is the RK4 stability bound (n <= 64)
+    lam = float(np.mean(1.0 / k[0]))  # L / (2 pi) of the first row
+    ell = math.log(lam)
+    y = np.concatenate((y[:ncurv] * lam, y[ncurv:] * (1.0 / lam)))
     y_hat = geometry.rfft(y)
-    r_hat = None
-    first_dt = None
-    level = 0  # the step is full / 2^level, level >= -1
+    try:
+        start = _rhs(y, ncurv, grid, law, ell)
+    except StepRejected:
+        return
+    start = (geometry.rfft(start[0]),) + start[1:]
+    state = _State(0.0, lam, y, start, (0.0, 0.0), True, grid, len(floors))
+    tau, first = 0.0, None
+    level = 0  # the step is full / 2^level
     while True:
-        stiffness = _stiffness(k, law, full)
+        stiffness = _stiffness(start, lam, law, full)
+        horizon = clock.plan(full / 2 ** level / cfl_base)[0] * cfl_base / stiffness
+        landing = _floor_step(state, start, floors, horizon, grid) * stiffness / cfl_base
         while True:
             units, on_cadence = clock.plan(full / 2 ** level / cfl_base)
+            clipped = on_cadence or landing < units
+            if landing < units:
+                units, on_cadence = landing, False
             scale = units * cfl_base
-            dt = scale / stiffness
-            if first_dt is None:
-                first_dt = dt
+            dtau = scale / stiffness
+            if first is None:
+                first = dtau
             try:
-                result = _etd(y, y_hat, r_hat, ncurv, dt,
-                              _etd_coefficients(grid.n, scale), grid, law)
-                if result[-1] <= ETD_TOLERANCE:
-                    break
+                result = _etd(y, y_hat, start, ncurv, dtau, _etd_coefficients(grid.n, scale),
+                              grid, law, ell)
+                if result[4] <= ETD_TOLERANCE:
+                    dt = _elapsed(ell, result[5], start[1], result[3][1], dtau, law)
+                    if dt is not None:
+                        break
             except StepRejected:
                 pass
             clock.rejected += 1
             level += 1
-            if 0.5 * dt < 1e-14 * max(clock.t, first_dt):
+            if 0.5 * dtau < 1e-14 * max(tau, first):
                 return
-        y, rho, y_hat, r_hat, error = result
-        k = _curvatures(y, ncurv, rho)
-        if level > 0 and not on_cadence and error < ETD_TOLERANCE / 32.0:
+        y, _, y_hat, start, error, ell, flux = result
+        lam = math.exp(ell)
+        if not clipped and (error < ETD_TOLERANCE / 32.0 if level > 0
+                            else grows and error < ETD_GROW):
             level -= 1
-        elif level <= 0 and not on_cadence and grows:
-            level = -1 if error * 16.0 ** level < ETD_GROW else 0
+        tau += dtau
         clock.advance(dt, units, on_cadence)
-        yield clock.t, y, k, on_cadence
+        state = _State(clock.t, lam, y, start, (state.flux[0] + flux[0], state.flux[1] + flux[1]),
+                       on_cadence, grid, len(floors))
+        yield state
 
 
 def _stack(profile):
@@ -481,12 +720,12 @@ def _stack(profile):
 
 def rhs_curvature(kp, law):
     """dk/dt = k^2 (Phi'' + Phi) on the grid; raises StepRejected unless k > 0."""
-    return _rhs(kp.k[None], 1, kp.grid, law)[0]
+    return _rhs(kp.k[None], 1, kp.grid, law)[0][0]
 
 
 def rhs_support(sp, law):
     """dh/dt = -Phi(k), k = (h'' + h)^-1; raises StepRejected unless h'' + h > 0."""
-    return _rhs(sp.h[None], 0, sp.grid, law)[0]
+    return _rhs(sp.h[None], 0, sp.grid, law)[0][0]
 
 
 def stable_dt(profile, law):
@@ -495,22 +734,26 @@ def stable_dt(profile, law):
     That is the classical RK4 stability bound of the profile, and the unit
     in which ``snapshot_every`` counts.
     """
+    y, ncurv, _ = _stack(profile)
     cfl_base = _cfl_base(profile.grid)
-    return cfl_base / _stiffness(_stack(profile)[2], law, cfl_base)
+    return cfl_base / _stiffness(_rhs(y, ncurv, profile.grid, law), 1.0, law, cfl_base)
 
 
 def step(state, law, dt):
     """One ETDRK4 step of size ``dt``; raises StepRejected instead of mutating anything.
 
-    This is a run's step, with S = max k^2 Phi'(k) of ``state`` and the
-    tables of dt S, but without error control: the caller picks dt.  A step
-    is rejected when any stage, or the result, produces k <= 0 (curvature
+    This is a physical step, the run's right-hand side with lambda frozen
+    at 1 and m = 0, with S = max k^2 Phi'(k) of ``state`` and the tables of
+    dt S, but without error control: the caller picks dt.  A step is
+    rejected when any stage, or the result, produces k <= 0 (curvature
     form) or h'' + h <= 0 (support form); a non-convex support ``state``
     raises ConvexityLossError.
     """
-    y, ncurv, k = _stack(state)
-    scale = dt * _stiffness(k, law, dt)
-    new = _etd(y, geometry.rfft(y), None, ncurv, dt, _etd_coefficients(state.grid.n, scale),
+    y, ncurv, _ = _stack(state)
+    start = _rhs(y, ncurv, state.grid, law)
+    scale = dt * _stiffness(start, 1.0, law, dt)
+    start = (geometry.rfft(start[0]),) + start[1:]
+    new = _etd(y, geometry.rfft(y), start, ncurv, dt, _etd_coefficients(state.grid.n, scale),
                state.grid, law)[0]
     return type(state)(state.grid, new[0], state.t + dt)
 
@@ -577,13 +820,13 @@ def _support_area_from_k(k, grid):
 class _Clock:
     """The run time t (Kahan-compensated), the CFL clock and the step counters of a march.
 
-    The CFL clock counts CFL units, dt S / cfl_base per step: one unit is one
-    RK4 step at the CFL bound 0.4 dtheta^2 / (2 S).  A step that would pass
-    the next multiple of ``every`` is clipped to end on it, where a snapshot
-    falls; ``since`` counts the units after the last one.  ``steps`` counts
-    accepted steps, ``dt_min`` and ``dt_max`` bound their lengths,
-    ``units_max`` is the longest in CFL units (its dt S over cfl_base), and
-    ``rejected`` counts rejected step attempts.
+    The CFL clock counts CFL units, dtau S / cfl_base per step: one unit is
+    one RK4 step at the CFL bound 0.4 dtheta^2 / (2 S).  A step that would
+    pass the next multiple of ``every`` is clipped to end on it, where a
+    snapshot falls; ``since`` counts the units after the last one.
+    ``steps`` counts accepted steps, ``dt_min`` and ``dt_max`` bound their
+    lengths in t, ``units_max`` is the longest in CFL units (its dtau S
+    over cfl_base), and ``rejected`` counts rejected step attempts.
     """
 
     def __init__(self, every=math.inf):
@@ -616,17 +859,18 @@ class _Clock:
         self.units_max = max(self.units_max, units)
 
 
-def _stop_reason(ks, floors, grid, config, clock):
+def _stop_reason(state, floors, config, clock):
     """area-floor, curvature-cap or step-limit after a step, in that tie-break order.
 
     The area floor and the curvature cap are judged on the first
-    len(floors) curvature rows ``ks``, row i against the area floors[i].  Blaschke's rolling theorem gives A >= pi / k_max^2, so a
-    row's exact Fourier area is computed only once that bound fails to
-    clear its floor by 2x.
+    len(floors) rows of ``state``, row i against the area floors[i].
+    Blaschke's rolling theorem gives A >= pi / k_max^2, so a row's exact
+    Fourier area is computed only once that bound fails to clear its floor
+    by 2x.
     """
-    k_maxes = [float(k.max()) for k in ks[:len(floors)]]
-    for k, k_max, floor in zip(ks, k_maxes, floors):
-        if math.pi / (k_max * k_max) <= 2.0 * floor and _support_area_from_k(k, grid) <= floor:
+    k_maxes = state.k_max
+    for i, (k_max, floor) in enumerate(zip(k_maxes, floors)):
+        if math.pi / (k_max * k_max) <= 2.0 * floor and state.area(i) <= floor:
             return STOP_AREA_FLOOR
     if max(k_maxes) >= config.curvature_cap:
         return STOP_CURVATURE_CAP
@@ -635,22 +879,22 @@ def _stop_reason(ks, floors, grid, config, clock):
     return None
 
 
-def _drive(steps, floors, grid, config, clock, record):
-    """Take the accepted steps of a _march until a stop test fires; returns the stop reason.
+def _drive(steps, floors, config, clock, record):
+    """Take the accepted states of a _march until a stop test fires; returns the stop reason.
 
-    ``record(t, y, k)`` keeps the state on every cadence mark and at the
+    ``record(state)`` keeps the state on every cadence mark and at the
     stop, and returns the stop reason its failure sets (None if it keeps
-    it); a failure ends the run.  When step halving ends the march, the
-    last accepted state is recorded and the reason is convexity-loss.
+    it); a failure ends the run.  When the march ends, the last accepted
+    state is recorded and the reason is convexity-loss.
     """
-    on_cadence = True  # the caller records the initial state
-    for t, y, k, on_cadence in steps:
-        stop = _stop_reason(k, floors, grid, config, clock)
-        if on_cadence or stop is not None:
-            stop = record(t, y, k) or stop
+    state = None  # the caller records the initial state
+    for state in steps:
+        stop = _stop_reason(state, floors, config, clock)
+        if state.on_cadence or stop is not None:
+            stop = record(state) or stop
         if stop is not None:
             return stop
-    return (None if on_cadence else record(t, y, k)) or STOP_CONVEXITY_LOSS
+    return (None if state is None or state.on_cadence else record(state)) or STOP_CONVEXITY_LOSS
 
 
 def run(config):
@@ -682,29 +926,15 @@ def run(config):
 
     snapshots = []
     disagreement = [] if config.formulation == "both" else None
-    flux = [0.0, 0.0]
 
-    def flux_rates(k):
-        # oint Phi dtheta and oint G dtheta of the first row
-        g = law.g(k[0])
-        return float(g @ k[0]) * grid.dtheta, float(g.sum()) * grid.dtheta
-
-    def integrated(steps, rates):
-        # the flux integrals, by the trapezoid rule over the accepted steps
-        t_prev = 0.0
-        for t, y, k, on_cadence in steps:
-            new_rates = flux_rates(k)
-            flux[:] = [f + 0.5 * (t - t_prev) * (a + b) for f, a, b in zip(flux, rates, new_rates)]
-            t_prev, rates = t, new_rates
-            yield t, y, k, on_cadence
-
-    def take_snapshot(t, y, k):
-        """Summarize the state and append its Snapshot, which keeps copies of
-        its rows: y and k are views of the step's last inverse transform,
-        which also holds rows a snapshot does not keep (h'' + h of a support
-        row), and a view would keep that whole array alive."""
-        kp = CurvatureProfile(grid, k[0].copy(), t)
-        sp = SupportProfile(grid, y[-1].copy(), t) if len(y) > ncurv else None
+    def take_snapshot(t, k, h, flux):
+        """Summarize the physical state, curvature rows ``k`` and support
+        row ``h`` (None when no support row evolves), and append its
+        Snapshot, which keeps its own rows: the arrays passed in hold no
+        other rows (a view of a step's array would keep that whole array
+        alive)."""
+        kp = CurvatureProfile(grid, k[0], t)
+        sp = SupportProfile(grid, h, t) if h is not None else None
         # a curvature row is summarized with the support solved from it, also
         # when h evolves beside it; Snapshot.support keeps the evolved h
         solved = geometry.support_from_curvature(kp) if ncurv else sp
@@ -712,13 +942,14 @@ def run(config):
         start = snapshots[-1].summary.radii_bases if snapshots else None
         summary = geometry.summarize(kp, solved, start)
         snapshots.append(Snapshot(t=t, curvature=kp, support=solved if sp is None else sp,
-                                  summary=summary, flux=tuple(flux)))
+                                  summary=summary, flux=flux))
         if disagreement is not None:
             disagreement.append(float(np.max(np.abs(k[0] - k[1]))))
 
-    def record(t, y, k):
+    def record(state):
         try:
-            take_snapshot(t, y, k)
+            take_snapshot(state.t, [state.curvature(i) for i in range(len(state.kappa))],
+                          state.support(-1) if len(state.y) > ncurv else None, state.flux)
         except (ConvexityLossError, NotClosedError):
             return STOP_CONVEXITY_LOSS
         except DegenerateProfileError:
@@ -728,11 +959,11 @@ def run(config):
     y = np.array(rows)
     h = y[ncurv:]
     k = _curvatures(y, ncurv, geometry.second_derivative(h, grid) + h if len(h) else None)
-    take_snapshot(0.0, y, k)
+    take_snapshot(0.0, [row.copy() for row in k], h[-1].copy() if len(h) else None, (0.0, 0.0))
     floors = [config.area_floor * _support_area_from_k(k[0], grid)]
     clock = _Clock(config.snapshot_every)
-    steps = integrated(_march(y, ncurv, k, grid, law, clock), flux_rates(k))
-    stop_reason = _drive(steps, floors, grid, config, clock, record)
+    stop_reason = _drive(_march(y, ncurv, k, grid, law, clock, floors), floors, config, clock,
+                         record)
     traj = Trajectory(snapshots=snapshots, stop_reason=stop_reason, config=config,
                       hypothesis_report=hyp, roundness_expected=hyp.all_ok,
                       step_count=clock.steps, rejected_count=clock.rejected,
@@ -755,16 +986,12 @@ def estimate_blowup(traj):
     tail(k) = int_k^inf dx/(G(x) x^3); the bracket collapses for circles.
 
     The raw bounds are rigorous for the exact flow but the recorded state
-    carries numerical error, so the bracket is widened by an allowance for
-    the integrator's accumulated bias, O((lambda dt)^4) per unit of
-    log-curvature growth with lambda the smooth-mode linearization rate,
-    plus a 1e-11 relative floor for floating-point accumulation in t.  The
-    step is the longest any of the run's steps took, the trajectory's
-    dt_s_max (twice the full step where steps doubled), and at least the
-    full ETDRK4 step, dt S = _step_scale, which is also the step of an
-    exact trajectory that took none; on the mean mode, where sigma = 0,
-    ETDRK4 is classical RK4, so lambda dt = dt S (1 + 2 Phi / (k Phi')) as
-    for an RK4 step of that size.
+    carries numerical error, so the bracket is widened by a 1e-11 relative
+    floor for floating-point accumulation in t.  The stepper's bias in the
+    mean mode, which the bracket once allowed for, is gone: the run steps
+    in the normalized frame, where a circle is a fixed point and t comes
+    from a quadrature exact for it.  The error of a non-round phase and the
+    spatial error are not allowed for (ROADMAP item 7).
     """
     law = traj.config.law
     last = traj.snapshots[-1]
@@ -776,13 +1003,7 @@ def estimate_blowup(traj):
     t_last = last.t
     lo_raw = t_last + law.tail_mass(last.summary.k_max)
     hi_raw = t_last + law.tail_mass(last.summary.k_min)
-
-    k_last = last.summary.k_max
-    lam_dt = (max(traj.dt_s_max, _step_scale(last.curvature.grid))
-              * (1.0 + 2.0 * law.phi(k_last) / (k_last * law.phi_prime(k_last))))
-    bias = 2.0 * lam_dt ** 4 * math.log(max(k_last / k_max0, math.e)) \
-        * (hi_raw - t_last)
-    pad = max(1e-11 * max(abs(hi_raw), abs(t_last)), bias)
+    pad = 1e-11 * max(abs(hi_raw), abs(t_last))
     lo = max(lo_raw - pad, t_last + 0.5 * (lo_raw - t_last))
     hi = hi_raw + pad
     method = "closed-form" if law.tail_integral is not None else "quadrature"
@@ -843,15 +1064,14 @@ def containment_run(config, inner):
     y = np.array([outer.h, inner.h])
     k = _curvatures(y, 0, np.array(rhos))
     floors = [config.area_floor * _support_area_from_k(row, grid) for row in k]
-    times, gaps = [], []
+    times, gaps = [0.0], [float(np.min(gap0))]
 
-    def record(t, y, k):
-        times.append(t)
-        gaps.append(float(np.min(y[0] - y[1])))
+    def record(state):
+        times.append(state.t)
+        gaps.append(float(np.min(state.y[0] - state.y[1])) * state.lam)
 
-    record(0.0, y, k)
     clock = _Clock(config.snapshot_every)
-    stop_reason = _drive(_march(y, 0, k, grid, config.law, clock), floors, grid, config,
+    stop_reason = _drive(_march(y, 0, k, grid, config.law, clock, floors), floors, config,
                          clock, record)
     ok = [g >= -tol for g in gaps]
     return ContainmentReport(times=times, min_gap=gaps, ok=ok,

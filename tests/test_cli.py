@@ -19,6 +19,8 @@ from curveflow.geometry import AngleGrid, SupportProfile
 from curveflow.oracle import circle_profile
 from curveflow.speed_law import power_law
 
+from conftest import scaled_rhs
+
 
 def run_main(args):
     return main(args)
@@ -157,7 +159,7 @@ def test_containment_subcommand_stops(tmp_path, args, stop_reason):
 
 
 def test_containment_convexity_loss_exits_3(tmp_path, monkeypatch):
-    def always_reject(y, ncurv, grid, law):
+    def always_reject(*args):
         raise StepRejected("forced")
 
     monkeypatch.setattr(flow, "_rhs", always_reject)
@@ -391,6 +393,21 @@ def test_overflowing_probes_exit_3_without_warnings(tmp_path, args, expected):
     assert run_main(args + out) == expected
 
 
+def test_a_tiny_circle_is_an_ordinary_run(tmp_path):
+    # k^2 (Phi'' + Phi) = k^5 would overflow near k = 4e61 in physical
+    # variables; in the normalized frame kappa stays 1 and the run reaches
+    # its floor with every monitor passing and no numpy warning
+    out = tmp_path / "tiny"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_main(["run", "--law", "power:3", "--curve", "circle:1e-61", "--n", "32",
+                         "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["stop_reason"] == "area-floor"
+    assert all(m["status"] == "pass" for m in summary["monitors"])
+
+
 @pytest.mark.filterwarnings("error")
 def test_gradient_estimate_of_a_phi_whose_square_overflows(tmp_path):
     # Phi is about 1e180 on this circle: Phi^2 is beyond the float range
@@ -407,7 +424,7 @@ def test_gradient_estimate_of_a_phi_whose_square_overflows(tmp_path):
 def test_a_failed_monitor_exits_1_and_still_writes(tmp_path, monkeypatch):
     # a 2% error in the stepper's right-hand side breaks the evolution identities
     rhs = flow._rhs
-    monkeypatch.setattr(flow, "_rhs", lambda *args: 1.02 * rhs(*args))
+    monkeypatch.setattr(flow, "_rhs", lambda *args: scaled_rhs(1.02, rhs(*args)))
     spec = RunSpec(curve="ellipse:2,1", n=64, area_floor=0.5)
     assert cli.execute_run(spec, tmp_path) == cli.EXIT_MONITOR_FAIL
     summary = json.loads((tmp_path / "summary.json").read_text())

@@ -20,6 +20,8 @@ from curveflow.flow import FlowConfig, run
 from curveflow.geometry import AngleGrid
 from curveflow.speed_law import power_law
 
+from conftest import scaled_rhs
+
 
 @pytest.fixture(scope="module")
 def exact_circle():
@@ -121,6 +123,22 @@ def test_ratio_asymptotics_on_deep_run(ellipse_run):
     assert report.extras["max_abs_k_rin_minus_1"][-1] < 0.05
 
 
+def test_ratio_asymptotics_reports_how_fast_the_curve_turns_round():
+    # mode 2 of 1 - k_min/k_max decays as k_max^(1 - 3p) under G = k^(p-1):
+    # slope -5 at p = 2, reported beside its prediction and not judged
+    g = AngleGrid(128)
+    traj = run(FlowConfig(law=power_law(2), initial=oracle.ellipse_profile(2.0, 1.0, g),
+                          area_floor=1e-3, snapshot_every=200))
+    report = monitor_ratio_asymptotics(traj)
+    assert report.status == "pass"
+    assert report.extras["turn_round_slope_predicted"] == pytest.approx(-5.0, rel=1e-12)
+    assert abs(report.extras["turn_round_slope"] + 5.0) < 0.01
+    # a shallow run has no snapshot in the linear regime to fit
+    shallow = run(FlowConfig(law=power_law(2), initial=oracle.ellipse_profile(2.0, 1.0, g),
+                             area_floor=0.5, snapshot_every=200))
+    assert monitor_ratio_asymptotics(shallow).extras["turn_round_slope"] is None
+
+
 def test_blowup_integral_on_deep_ellipse(ellipse_run):
     report = monitor_blowup_integral(ellipse_run)
     assert report.status == "pass"
@@ -197,7 +215,7 @@ def test_evolution_identities_catch_a_scaled_rhs(monkeypatch, formulation):
     assert report.extras["worst_mismatch"] < 1e-5
 
     rhs = flow._rhs
-    monkeypatch.setattr(flow, "_rhs", lambda *args: 1.02 * rhs(*args))
+    monkeypatch.setattr(flow, "_rhs", lambda *args: scaled_rhs(1.02, rhs(*args)))
     report = monitor_evolution_identities(run(config))
     assert report.status == "fail"
     assert report.extras["worst_mismatch"] > 0.01

@@ -70,8 +70,9 @@ def test_rhs_support_matches_definition_on_ellipse():
 def test_rhs_rejects_a_stage_that_is_not_convex():
     g = AngleGrid(64)
     h = 1.0 + 0.5 * np.cos(2.0 * g.theta)  # h'' + h = 1 - 1.5 cos(2 theta)
-    with pytest.raises(StepRejected, match="lost convexity in a stage"):
-        flow._rhs(h[None], 0, g, power_law(1))
+    for ell in (None, 0.0):  # the physical and the frame equations
+        with pytest.raises(StepRejected, match="lost convexity in a stage"):
+            flow._rhs(h[None], 0, g, power_law(1), ell)
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +124,14 @@ def test_step_rejects_oversized_dt_without_mutation():
     (0, "support profile lost convexity over a full step")])
 def test_etd_rejects_a_result_that_leaves_the_domain(monkeypatch, ncurv, message):
     # every stage is inside the domain, but the rows fall by about 1 from 0.1
-    monkeypatch.setattr(flow, "_rhs", lambda y, *args: -np.ones_like(y))
     g = AngleGrid(32)
     y = np.full((1, g.n), 0.1)
-    with pytest.raises(StepRejected, match=message):
-        flow._etd(y, np.fft.rfft(y), None, ncurv, 1.0, flow._etd_coefficients(g.n, 1.0),
-                  g, power_law(1))
+    blocks = [(y, y, y)]
+    monkeypatch.setattr(flow, "_rhs", lambda y, *args: (-np.ones_like(y), 0.0, 1.0, blocks))
+    for ell in (None, 0.0):  # a physical step and a step in the frame
+        with pytest.raises(StepRejected, match=message):
+            flow._etd(y, np.fft.rfft(y), None, ncurv, 1.0, flow._etd_coefficients(g.n, 1.0),
+                      g, power_law(1), ell)
 
 
 def test_step_preserves_closure():
@@ -180,15 +183,49 @@ def test_stacked_stage_matches_per_row_rhs():
     rho = geometry.second_derivative(sp.h, g) + sp.h
     by_def_h = -(law.g(1.0 / rho) * (1.0 / rho))
 
-    pair = flow._rhs(np.array([kp.k, sp.h]), 1, g, law)
+    pair = flow._rhs(np.array([kp.k, sp.h]), 1, g, law)[0]
     assert np.array_equal(pair[0], rhs_curvature(kp, law))
     assert np.array_equal(pair[0], by_def_k)
     assert np.array_equal(pair[1], rhs_support(sp, law))
     assert np.array_equal(pair[1], by_def_h)
 
-    two = flow._rhs(np.array([sp.h, other.h]), 0, g, law)
+    two = flow._rhs(np.array([sp.h, other.h]), 0, g, law)[0]
     assert np.array_equal(two[0], rhs_support(sp, law))
     assert np.array_equal(two[1], rhs_support(other, law))
+
+    # in the frame, rows stack the same way: the support row of the pair
+    # equals the lone one, and both forms share m, the first row's
+    frame_pair = flow._rhs(np.array([kp.k, sp.h]), 1, g, law, 0.0)
+    frame_k = flow._rhs(kp.k[None], 1, g, law, 0.0)
+    assert np.array_equal(frame_pair[0][0], frame_k[0][0])
+    assert frame_pair[1] == frame_k[1]
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 3.0])
+def test_frame_rhs_is_the_rescaled_physical_rhs(p):
+    # with k = kappa / lambda, h = lambda eta and dtau = dt G(1/lambda) / lambda^2:
+    # kappa_tau = lambda^3 / G(1/lambda) k_t - m kappa and
+    # eta_tau = lambda / G(1/lambda) h_t + m eta, with m the mean of Phi_l(kappa)
+    g = AngleGrid(128)
+    law = power_law(p)
+    kp = oracle.ellipse_profile(2.0, 1.0, g)
+    sp = geometry.support_from_curvature(kp)
+    lam = 0.37
+    unit = law.g(1.0 / lam)
+    dy, m, frame_unit, _ = flow._rhs(np.array([lam * kp.k, sp.h / lam]), 1, g, law,
+                                     math.log(lam))
+    assert frame_unit == pytest.approx(unit, rel=1e-15)
+    assert m == pytest.approx(float(np.mean(law.phi(kp.k))) * lam / unit, rel=1e-13)
+    physical = flow._rhs(np.array([kp.k, sp.h]), 1, g, law)[0]
+    scale = np.max(np.abs(dy), axis=1)
+    assert np.max(np.abs(dy[0] - (lam ** 3 / unit * physical[0] - m * lam * kp.k))) \
+        <= 1e-12 * scale[0]
+    assert np.max(np.abs(dy[1] - (lam / unit * physical[1] + m * sp.h / lam))) \
+        <= 1e-12 * scale[1]
+    # a circle, kappa = 1, is a fixed point whatever lambda is
+    circle = flow._rhs(np.ones((1, g.n)), 1, g, law, math.log(lam))
+    assert circle[1] == pytest.approx(1.0, rel=1e-15)
+    assert np.max(np.abs(circle[0])) <= 1e-14
 
 
 def test_stacked_step_matches_per_row_steps():
@@ -199,8 +236,7 @@ def test_stacked_step_matches_per_row_steps():
     stack = np.array([kp.k, sp.h, other.h])
     # a run's full step of the stack, S taken over all three rows
     scale = flow._step_scale(g)
-    rho = geometry.second_derivative(stack[1:], g) + stack[1:]
-    dt = scale / flow._stiffness(flow._curvatures(stack, 1, rho), law, scale)
+    dt = scale / flow._stiffness(flow._rhs(stack, 1, g, law), 1.0, law, scale)
     coefficients = flow._etd_coefficients(g.n, scale)
 
     def etd(rows, ncurv):
@@ -247,21 +283,21 @@ def test_etd_contour_means_match_series_and_closed_forms(n):
 
 
 def _etd_to(y, ncurv, grid, law, eps, t_end):
-    """ETDRK4 steps with dt S = eps from t = 0, the last one clipped to land on t_end."""
-    h = y[ncurv:]
-    rho = geometry.second_derivative(h, grid) + h if len(h) else None
+    """Physical ETDRK4 steps with dt S = eps from t = 0, the last one clipped
+    to land on t_end."""
     y_hat = np.fft.rfft(y)
-    r_hat = np.fft.rfft(flow._rhs(y, ncurv, grid, law))
+    start = flow._rhs(y, ncurv, grid, law)
+    start = (np.fft.rfft(start[0]),) + start[1:]
     t = 0.0
     while t < t_end:
-        stiffness = flow._stiffness(flow._curvatures(y, ncurv, rho), law, eps)
+        stiffness = flow._stiffness(start, 1.0, law, eps)
         dt, scale = eps / stiffness, eps
         if t + dt >= t_end:
             dt = t_end - t
             scale = dt * stiffness
         coefficients = flow._etd_coefficients(grid.n, scale)
-        y, rho, y_hat, r_hat, _ = flow._etd(y, y_hat, r_hat, ncurv, dt, coefficients,
-                                            grid, law)
+        y, _, y_hat, start, _, _, _ = flow._etd(y, y_hat, start, ncurv, dt, coefficients,
+                                                grid, law)
         t = t_end if t + dt >= t_end else t + dt
     return y[0]
 
@@ -271,13 +307,13 @@ def test_etd_error_estimate_is_fourth_order():
     g = AngleGrid(128)
     law = power_law(1)
     y = oracle.ellipse_profile(2.0, 1.0, g).k[None]
-    stiffness = flow._stiffness(y, law, 1.0)
+    stiffness = flow._stiffness(flow._rhs(y, 1, g, law), 1.0, law, 1.0)
     errors = []
     for level in range(4):
         scale = flow.ETD_STEP / 2 ** level
         coefficients = flow._etd_coefficients(g.n, scale)
         errors.append(flow._etd(y, np.fft.rfft(y), None, 1, scale / stiffness,
-                                coefficients, g, law)[-1])
+                                coefficients, g, law)[4])
     assert errors[0] < flow.ETD_TOLERANCE  # the full step is accepted here
     for coarse, fine in zip(errors, errors[1:]):
         assert 14.0 <= coarse / fine <= 17.0
@@ -299,6 +335,46 @@ def test_etd_convergence_order(p, formulation, t_end, min_slope, max_slope):
     fine = np.max(np.abs(finals[1] - finals[2]))
     slope = math.log2(coarse / fine)
     assert min_slope <= slope <= max_slope
+
+
+def _frame_to(k, grid, law, eps, tau_end):
+    """ETDRK4 steps in the frame with dtau S = eps from the curvature ``k``,
+    the last one clipped to land on tau_end; returns kappa there and the
+    run time t that the steps' quadratures sum."""
+    ell = math.log(float(np.mean(1.0 / k)))
+    y = math.exp(ell) * k[None]
+    y_hat = np.fft.rfft(y)
+    start = flow._rhs(y, 1, grid, law, ell)
+    start = (np.fft.rfft(start[0]),) + start[1:]
+    tau = t = 0.0
+    while tau < tau_end:
+        stiffness = flow._stiffness(start, math.exp(ell), law, eps)
+        dtau, scale = eps / stiffness, eps
+        if tau + dtau >= tau_end:
+            dtau = tau_end - tau
+            scale = dtau * stiffness
+        coefficients = flow._etd_coefficients(grid.n, scale)
+        y, _, y_hat, end, _, ell_new, _ = flow._etd(y, y_hat, start, 1, dtau, coefficients,
+                                                    grid, law, ell)
+        t += flow._elapsed(ell, ell_new, start[1], end[1], dtau, law)
+        ell, start = ell_new, end
+        tau = tau_end if tau + dtau >= tau_end else tau + dtau
+    return y[0], t
+
+
+@pytest.mark.parametrize("p", [0.5, 1])
+def test_frame_convergence_order(p):
+    # as test_etd_convergence_order, in the frame: the run's eps, then eps/2
+    # and eps/4, to a fixed tau, where kappa and the run time t both
+    # converge at fourth order
+    g = AngleGrid(128)
+    k = oracle.ellipse_profile(2.0, 1.0, g).k
+    eps = flow.ETD_STEP
+    finals = [_frame_to(k, g, power_law(p), eps / 2 ** i, 1.5) for i in range(3)]
+    for values in ([kappa for kappa, _ in finals], [t for _, t in finals]):
+        coarse = np.max(np.abs(values[0] - values[1]))
+        fine = np.max(np.abs(values[1] - values[2]))
+        assert 3.7 <= math.log2(coarse / fine) <= 4.3
 
 
 def _record_steps(monkeypatch):
@@ -334,22 +410,46 @@ def test_snapshots_land_on_the_cfl_clock(monkeypatch, n):
             units_since = 0.0
     assert spans == pytest.approx([50.0] * len(interior), rel=1e-12, abs=0.0)
     assert units_since < 50.0
-    if n == 64:  # a full step is one CFL unit here, as an RK4 step is
-        assert all(units == 1.0 for _, units, _ in ticks)
+    if n == 64:  # a full step is one CFL unit here, as an RK4 step is,
+        # but for the last one, which lands on the area floor
+        assert all(units == 1.0 for _, units, _ in ticks[:-1]) and ticks[-1][1] < 1.0
     else:  # fewer than half the steps an RK4 run takes on the same clock
         assert len(ticks) < 0.5 * 50.0 * (len(interior) + 1)
 
 
 def test_round_tail_steps_double_past_the_full_step(monkeypatch):
+    # a circle is a fixed point of the frame: its estimates stay at
+    # rounding, so its steps double from the full step, with no cap, until
+    # the cadence (500 CFL units) clips them
     ticks = _record_steps(monkeypatch)
     g = AngleGrid(128)
     traj = run(FlowConfig(law=power_law(2), initial=circle_kp(1.0, n=128), area_floor=1e-3))
     assert traj.stop_reason == flow.STOP_AREA_FLOOR
-    assert traj.step_count == len(ticks) <= 2400  # 4,611 at a fixed full step
+    assert traj.step_count == len(ticks) <= 40  # 4,611 at a fixed full step
     scales = [units * flow._cfl_base(g) for _, units, _ in ticks]
-    assert max(scales) <= 2.0 * flow.ETD_STEP * (1.0 + 1e-12)
-    assert sum(s > 1.5 * flow.ETD_STEP for s in scales) > 0.9 * len(scales)
-    assert traj.dt_s_max == max(scales) == pytest.approx(2.0 * flow.ETD_STEP, rel=1e-12)
+    assert scales[:5] == pytest.approx([flow.ETD_STEP * 2 ** i for i in range(5)], rel=1e-12)
+    cadence = 500 * flow._cfl_base(g)
+    assert max(scales) == pytest.approx(cadence, rel=1e-12)
+    assert sum(s > 0.99 * cadence for s in scales) > 0.5 * len(scales)
+    assert traj.dt_s_max == max(scales)
+
+
+def test_uncapped_circle_steps_to_the_floor(monkeypatch):
+    # without a cadence only the area floor bounds a step: the circle's
+    # steps double from the full step to the floor, exact to rounding
+    ticks = _record_steps(monkeypatch)
+    traj = run(FlowConfig(law=power_law(1), initial=circle_kp(1.0, n=128),
+                          snapshot_every=10 ** 9))
+    assert traj.stop_reason == flow.STOP_AREA_FLOOR
+    assert traj.step_count == len(ticks) <= 20
+    longest = max(units for _, units, _ in ticks) * flow._cfl_base(AngleGrid(128))
+    assert longest >= 512 * flow.ETD_STEP * (1.0 - 1e-12)
+    # R(t)^2 = 1 - 2t
+    err = max(float(np.max(np.abs(s.curvature.k * math.sqrt(1.0 - 2.0 * s.t) - 1.0)))
+              for s in traj.snapshots)
+    assert err < 1e-12
+    est = traj.omega_estimate
+    assert est.omega_lo <= 0.5 <= est.omega_hi
 
 
 def _march_with_estimates(monkeypatch, estimates, every):
@@ -359,7 +459,7 @@ def _march_with_estimates(monkeypatch, estimates, every):
 
     def scripted(*args):
         result = etd(*args)
-        return (*result[:-1], estimates.pop(0))
+        return (*result[:4], estimates.pop(0), *result[5:])
 
     monkeypatch.setattr(flow, "_etd", scripted)
     ticks = _record_steps(monkeypatch)
@@ -367,38 +467,56 @@ def _march_with_estimates(monkeypatch, estimates, every):
     full = flow.ETD_STEP / flow._cfl_base(g)
     kp = circle_kp(1.0, n=128)
     clock = flow._Clock(every * full)
-    for _ in zip(range(len(estimates)), flow._march(kp.k[None], 1, kp.k[None], g,
-                                                    power_law(1), clock)):
-        pass
+    for _ in flow._march(kp.k[None], 1, kp.k[None], g, power_law(1), clock, []):
+        if not estimates:
+            break
     return [(round(units / full, 9), on_cadence) for _, units, on_cadence in ticks]
 
 
-def test_step_grows_only_while_its_scaled_estimate_is_below_etd_grow(monkeypatch):
+def test_step_grows_only_while_its_estimate_is_below_etd_grow(monkeypatch):
     grow = flow.ETD_GROW
-    # a long step's estimate, scaled to a full step, is 1/16 of its own
-    estimates = [0.0, 16.0 * grow, grow, 0.99 * grow, 15.8 * grow, 16.0 * grow, 0.0]
+    # the raw estimate of each step decides: below ETD_GROW the next step is
+    # twice as long, with no cap, and otherwise it keeps its length
+    estimates = [0.0, 16.0 * grow, grow, 0.99 * grow, 1e3 * grow, 0.0, 0.0, 0.0]
     assert _march_with_estimates(monkeypatch, estimates, math.inf) == [
-        (1.0, False), (2.0, False), (1.0, False), (1.0, False), (2.0, False),
-        (2.0, False), (1.0, False)]
+        (1.0, False), (2.0, False), (2.0, False), (2.0, False), (4.0, False),
+        (4.0, False), (8.0, False), (16.0, False)]
 
 
 def test_step_clipped_to_a_cadence_mark_keeps_its_level(monkeypatch):
-    # marks every 4.5 full steps: the long step that would pass 4.5 is
-    # clipped, and its estimate, far above ETD_GROW, does not end the
-    # doubling; the full step clipped at 9 does not start it
-    estimates = [0.0, 0.0, 1e-9, 0.0, 1e-9, 0.0, 0.0, 0.0]
+    # marks every 4.5 full steps: the step of 4 that would pass 4.5 is
+    # clipped, and its estimate, below ETD_GROW, does not double the next
+    # one; nor does the step of 8 clipped at 9, or those clipped after it
+    estimates = [0.0] * 7
     assert _march_with_estimates(monkeypatch, estimates, 4.5) == [
-        (1.0, False), (2.0, False), (1.5, True), (2.0, False), (2.0, False),
-        (0.5, True), (1.0, False), (2.0, False)]
+        (1.0, False), (2.0, False), (1.5, True), (4.0, False), (0.5, True),
+        (4.5, True), (4.5, True)]
+
+
+def test_shortened_step_redoubles_up_to_the_full_step(monkeypatch):
+    # a rejected step halves; the shortened steps double again while their
+    # estimates are below ETD_TOLERANCE / 32, and from the full step on
+    # while they are below ETD_GROW
+    tol = flow.ETD_TOLERANCE
+    estimates = [2.0 * tol, tol / 16.0, tol / 64.0, tol / 64.0, 0.0, 0.0]
+    assert _march_with_estimates(monkeypatch, estimates, math.inf) == [
+        (0.5, False), (0.5, False), (1.0, False), (1.0, False), (2.0, False)]
 
 
 def test_full_step_does_not_grow_on_coarse_grids(monkeypatch):
     # on n <= 64 the full step is the RK4 stability bound: every step is
-    # one CFL unit, and the count is the one of a fixed full step
+    # one CFL unit, and the count is the one of a fixed full step; only the
+    # last one, clipped to land on the area floor, is shorter
     ticks = _record_steps(monkeypatch)
     traj = run(FlowConfig(law=power_law(1), initial=circle_kp(1.0, n=64)))
-    assert traj.step_count == 1789
-    assert all(units == 1.0 for _, units, _ in ticks)
+    # A/A0 = lambda^2 / lambda0^2 = e^(-2 tau) reaches 1e-3 at
+    assert traj.step_count == 1792
+    assert all(units == 1.0 for _, units, _ in ticks[:-1])
+    # tau = ln(1000) / 2, 1791.8 CFL units of 0.4 dtheta^2 / 2, and it
+    # lands 1e-6 below the floor
+    tau = math.log(1000.0 / (1.0 - 1e-6)) / 2.0
+    assert ticks[-1][1] == pytest.approx(tau / flow._cfl_base(AngleGrid(64)) - 1791.0,
+                                         rel=1e-6)
     assert traj.dt_s_max == flow._step_scale(AngleGrid(64))
 
 
@@ -446,15 +564,17 @@ def test_area_gate_keeps_the_stop_step(p):
     traj = run(config)
     assert traj.stop_reason == flow.STOP_AREA_FLOOR
     # reference: the exact area on every step
-    floor = config.area_floor * traj.snapshots[0].summary.area
+    floor = config.area_floor * flow._support_area_from_k(kp.k, g)
     steps = 0
     clock = flow._Clock(config.snapshot_every)
-    for t, y, _, _ in flow._march(kp.k[None], 1, kp.k[None], g, law, clock):
+    for state in flow._march(kp.k[None], 1, kp.k[None], g, law, clock, [floor]):
         steps += 1
-        if flow._support_area_from_k(y[0], g) <= floor:
+        if state.lam ** 2 * flow._support_area_from_k(state.kappa[0], g) <= floor:
             break
     assert traj.step_count == steps
-    assert traj.last.t == t
+    assert traj.last.t == state.t
+    # the last step lands just past the floor
+    assert (1.0 - 1e-5) * floor <= traj.last.summary.area <= floor
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +699,7 @@ def test_drivers_match_numpy_transforms_bit_for_bit(monkeypatch, driver):
 def test_run_convexity_loss_is_a_stop_not_a_crash(monkeypatch, driver):
     # the parabolic smoothing makes genuine convexity loss unreachable from
     # valid data, so exhaust the rejection/halving path directly
-    def always_reject(y, ncurv, grid, law):
+    def always_reject(*args):
         raise StepRejected("forced")
 
     rhs = flow._rhs
@@ -713,29 +833,30 @@ def test_estimate_blowup_circle_bracket():
     assert traj.last.t < est.omega_lo <= est.omega_mid <= est.omega_hi
 
 
-@pytest.mark.parametrize("n, lo, hi", [(64, 0.7499999972284386, 0.7500000027715614),
-                                       (128, 0.7499999989838205, 0.7500000010161795)])
-def test_estimate_blowup_of_an_exact_trajectory_uses_the_full_step(n, lo, hi):
-    # an exact trajectory took no steps: its allowance is that of a full
-    # step, and its bracket, wide here by that allowance, the one of a
-    # fixed full step
+@pytest.mark.parametrize("n", [64, 128])
+def test_estimate_blowup_of_an_exact_trajectory_pads_only_for_rounding(n):
+    # an exact trajectory's raw bracket collapses onto omega = 3/4; it is
+    # widened by the 1e-11 relative rounding floor alone, on any grid
     traj = oracle.circle_trajectory(1.0, 1.0 / 3.0, [0.0, 0.736], n=n)
-    assert traj.dt_s_max == 0.0
     est = estimate_blowup(traj)
-    assert (est.omega_lo, est.omega_hi) == (lo, hi)
+    assert est.omega_lo == pytest.approx(0.75 - 0.75e-11, rel=1e-15)
+    assert est.omega_hi == pytest.approx(0.75 + 0.75e-11, rel=1e-15)
 
 
-def test_blowup_allowance_reads_the_longest_step(tmp_path):
-    # a floor where the allowance, not the 1e-11 rounding floor, sets the width
+def test_blowup_bracket_does_not_read_the_longest_step(tmp_path):
+    # the run's circle steps end clipped to the cadence, 500 CFL units, far
+    # past the full step: the bracket needs no allowance for them, its
+    # width is the rounding floor's, and it holds the exact omega
     spec = cli.RunSpec(law="power:1", curve="circle:1", n=128, area_floor=5e-3)
     assert cli.execute_run(spec, tmp_path) == 0
     steps = json.loads((tmp_path / "summary.json").read_text())["steps"]
-    assert steps["dt_s_max"] == pytest.approx(2.0 * flow.ETD_STEP, rel=1e-12)
+    g = AngleGrid(128)
+    assert steps["dt_s_max"] == pytest.approx(500 * flow._cfl_base(g), rel=1e-12)
     traj = run(FlowConfig(law=power_law(1), initial=circle_kp(1.0, n=128), area_floor=5e-3))
     assert traj.dt_s_max == steps["dt_s_max"]
     est = traj.omega_estimate
-    at_full = estimate_blowup(dataclasses.replace(traj, dt_s_max=0.0))
-    assert est.omega_hi - est.omega_lo > at_full.omega_hi - at_full.omega_lo
+    assert estimate_blowup(dataclasses.replace(traj, dt_s_max=0.0)) == est
+    assert est.omega_hi - est.omega_lo == pytest.approx(1e-11, rel=1e-3)
     assert est.omega_lo <= 0.5 <= est.omega_hi
 
 
