@@ -122,21 +122,24 @@ def _gauss_legendre(points):
 
 
 def _t_quadrature():
-    """(hermite, weights) of the run time over one step.
+    """(hermite, weights) of the integrals over one step.
 
     ``hermite`` holds, at the 8 Gauss-Legendre nodes of [0, 1] and then at
     the 16 of its two halves, the cubic Hermite basis of log lambda past its
     start: its columns multiply dtau (log lambda)' at the start, the step's
-    change of log lambda and dtau (log lambda)' at the end.  The rows of
-    ``weights`` weigh the 24 nodes by the one-panel rule and by the
-    two-panel rule.
+    change of log lambda and dtau (log lambda)' at the end.  The columns of
+    ``weights`` weigh the 24 nodes by the one-panel rule, by the two-panel
+    rule, and by the two-panel rule times each of the quadratic Lagrange
+    basis polynomials through 0, 1/2 and 1.
     """
     nodes, weights = _gauss_legendre(8)
     s = np.concatenate((nodes, 0.5 * nodes, 0.5 + 0.5 * nodes))
     hermite = np.column_stack((s * (1.0 - s) ** 2, s * s * (3.0 - 2.0 * s), s * s * (s - 1.0)))
     zeros = np.zeros_like(weights)
-    weights = np.array([np.concatenate((weights, zeros, zeros)),
-                        np.concatenate((zeros, 0.5 * weights, 0.5 * weights))])
+    one_panel = np.concatenate((weights, zeros, zeros))
+    two_panel = np.concatenate((zeros, 0.5 * weights, 0.5 * weights))
+    weights = np.column_stack((one_panel, two_panel, two_panel * (2.0 * s - 1.0) * (s - 1.0),
+                               two_panel * 4.0 * s * (1.0 - s), two_panel * s * (2.0 * s - 1.0)))
     for table in (hermite, weights):
         table.setflags(write=False)
     return hermite, weights
@@ -459,11 +462,13 @@ def _etd(y, y_hat, start, ncurv, dt, coefficients, grid, law, ell=None):
     domain of a row is rejected there, as is a result with k <= 0 or
     h'' + h <= 0 in any row.  log lambda takes the same formulas at
     sigma = 0, classical RK4, from each stage's m, and so do the flux
-    integrals, from each stage's rates.  Returns (y, rho, y_hat, end, error,
-    ell, flux) of the result, or raises StepRejected: ``rho`` stacks the
-    result's h'' + h of the support rows, or is None when there are none;
-    ``end`` is the result's first stage for the next step; ``flux`` is the
-    step's increment of the flux integrals (None for a physical step).
+    integrals' shape factors, of the law's rates at each stage (see
+    _elapsed).  Returns (y, rho, y_hat, end, error, ell, shape) of the
+    result, or raises StepRejected: ``rho`` stacks the result's h'' + h of
+    the support rows, or is None when there are none; ``end`` is the
+    result's first stage for the next step; ``shape`` holds the shape
+    factors of the two fluxes at the step's start, middle and end (None for
+    a physical step).
     ``error`` is the largest over the rows of |f3 (N(y_new) - N(c))|
     relative to the row's largest |y_new|, where c is the last stage, at the
     same time as y_new: swapping N(c) for N(y_new) in the last weight gives
@@ -527,21 +532,21 @@ def _etd(y, y_hat, start, ncurv, dt, coefficients, grid, law, ell=None):
         raise StepRejected("curvature lost positivity over a full step")
     if rho is not None and not rho.min() > 0.0:
         raise StepRejected("support profile lost convexity over a full step")
-    flux = None
+    shape = None
     if frame:
-        sixth, third = dt / 6.0, dt / 3.0
-        ms = start[1], a[1], b[1], c[1]
-        units = start[2], a[2], b[2], c[2]
-        lams = [math.exp(l) for l in (ell, ell_a, ell_b, ell_c)]
-        # the first row's oint Phi dtheta t_tau, 2 pi m lambda (the sum of
-        # Phi_l is m's, and Phi(k) = Phi_l(kappa) G(1/lambda) / lambda), and
-        # its oint G dtheta t_tau, of G at the stages, with the stages' weights
-        phi_rates = [2.0 * math.pi * m * lam for m, lam in zip(ms, lams)]
-        g_sums = np.add.reduce(np.array([s[3][0][0][0] for s in (start, a, b, c)]), axis=1)
-        g_rates = [grid.dtheta * total * lam * lam / unit
-                   for total, lam, unit in zip(g_sums.tolist(), lams, units)]
-        flux = tuple(sixth * (r[0] + r[3]) + third * (r[1] + r[2]) for r in (phi_rates, g_rates))
-        ell -= sixth * (ms[0] + ms[3]) + third * (ms[1] + ms[2])
+        # the first row's oint Phi dtheta t_tau / lambda and oint G dtheta
+        # t_tau / lambda^2 at the stages, from the G they formed: 2 pi each
+        # on a circle, and for a power law set by the shape alone
+        stages, ells = (start, a, b, c), (ell, ell_a, ell_b, ell_c)
+        g = np.array([s[3][0][0][0] for s in stages])
+        g_k = np.add.reduce(g * np.array([s[3][0][1][0] for s in stages]), axis=1).tolist()
+        g_sum = np.add.reduce(g, axis=1).tolist()
+        phi_shape = [grid.dtheta * x * math.exp(l) / s[2] for x, l, s in zip(g_k, ells, stages)]
+        g_shape = [grid.dtheta * x / s[2] for x, s in zip(g_sum, stages)]
+        # their values at the step's start, middle and end, which the RK4
+        # weights take, as log lambda's rates do
+        shape = [(v[0], 0.5 * (v[1] + v[2]), v[3]) for v in (phi_shape, g_shape)]
+        ell -= dt / 6.0 * (start[1] + 2.0 * (a[1] + b[1]) + c[1])
     end = _rhs(new, ncurv, grid, law, ell)
     end = (rfft(end[0]),) + end[1:]
     estimate = end[0] * dt
@@ -552,27 +557,35 @@ def _etd(y, y_hat, start, ncurv, dt, coefficients, grid, law, ell=None):
     error = float((np.abs(estimate).max(axis=1) / np.abs(new).max(axis=1)).max())
     if frame:
         error = max(error, abs(dt * (c[1] - end[1])) / 6.0)
-    return new, rho, new_hat, end, error, ell, flux
+    return new, rho, new_hat, end, error, ell, shape
 
 
-def _elapsed(ell, ell_new, m, m_new, dtau, law):
-    """The run time over a step: the integral of t_tau = lambda^2 / G(1/lambda).
+def _elapsed(ell, ell_new, m, m_new, dtau, law, shape):
+    """(dt, flux) over a step: the run time, the integral of
+    t_tau = lambda^2 / G(1/lambda), and the flux integrals of oint Phi dtheta
+    and oint G dtheta.
 
     log lambda over the step is the cubic Hermite of its values ``ell`` and
     ``ell_new`` and its rates -m and -m_new at the ends, exact where it is
-    linear, as on a circle.  The integral is summed by 8-point
+    linear, as on a circle.  The integrals are summed by 8-point
     Gauss-Legendre on two halves of the step, in one law.g call with the
     one-panel rule's nodes; returns None, a step to reject, unless the two
-    sums agree to _T_QUADRATURE_RTOL.
+    rules agree on dt to _T_QUADRATURE_RTOL.  The fluxes' rates are lambda
+    and lambda^2 times their ``shape`` factors (_etd), which are taken
+    quadratic through their values at the step's start, middle and end:
+    where lambda stays put that is the RK4 weights' rule, and on a circle,
+    where the factors are constant, it is exact however long the step.
     """
     lam = np.exp(_T_HERMITE @ np.array((-dtau * m, ell_new - ell, -dtau * m_new)))
     lam *= math.exp(ell)
-    rate = lam * lam
-    rate /= law.g(1.0 / lam)
-    coarse, fine = (_T_WEIGHTS @ rate).tolist()
+    square = lam * lam
+    (coarse, fine, _, _, _), *moments = (np.array([square / law.g(1.0 / lam), lam, square])
+                                         @ _T_WEIGHTS).tolist()
     if not abs(coarse - fine) <= _T_QUADRATURE_RTOL * fine:
         return None
-    return dtau * fine
+    flux = tuple(dtau * sum(u * v for u, v in zip(moment[2:], factors))
+                 for moment, factors in zip(moments, shape))
+    return dtau * fine, flux
 
 
 class _State:
@@ -687,8 +700,9 @@ def _march(y, ncurv, k, grid, law, clock, floors):
                 result = _etd(y, y_hat, start, ncurv, dtau, _etd_coefficients(grid.n, scale),
                               grid, law, ell)
                 if result[4] <= ETD_TOLERANCE:
-                    dt = _elapsed(ell, result[5], start[1], result[3][1], dtau, law)
-                    if dt is not None:
+                    elapsed = _elapsed(ell, result[5], start[1], result[3][1], dtau, law,
+                                       result[6])
+                    if elapsed is not None:
                         break
             except StepRejected:
                 pass
@@ -696,7 +710,8 @@ def _march(y, ncurv, k, grid, law, clock, floors):
             level += 1
             if 0.5 * dtau < 1e-14 * max(tau, first):
                 return
-        y, _, y_hat, start, error, ell, flux = result
+        y, _, y_hat, start, error, ell, _ = result
+        dt, flux = elapsed
         lam = math.exp(ell)
         if not clipped and (error < ETD_TOLERANCE / 32.0 if level > 0
                             else grows and error < ETD_GROW):

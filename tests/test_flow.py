@@ -354,9 +354,9 @@ def _frame_to(k, grid, law, eps, tau_end):
             dtau = tau_end - tau
             scale = dtau * stiffness
         coefficients = flow._etd_coefficients(grid.n, scale)
-        y, _, y_hat, end, _, ell_new, _ = flow._etd(y, y_hat, start, 1, dtau, coefficients,
-                                                    grid, law, ell)
-        t += flow._elapsed(ell, ell_new, start[1], end[1], dtau, law)
+        y, _, y_hat, end, _, ell_new, shape = flow._etd(y, y_hat, start, 1, dtau, coefficients,
+                                                        grid, law, ell)
+        t += flow._elapsed(ell, ell_new, start[1], end[1], dtau, law, shape)[0]
         ell, start = ell_new, end
         tau = tau_end if tau + dtau >= tau_end else tau + dtau
     return y[0], t
