@@ -127,10 +127,12 @@ def _t_quadrature():
     ``hermite`` holds, at the 8 Gauss-Legendre nodes of [0, 1] and then at
     the 16 of its two halves, the cubic Hermite basis of log lambda past its
     start: its columns multiply dtau (log lambda)' at the start, the step's
-    change of log lambda and dtau (log lambda)' at the end.  The columns of
+    change of log lambda and dtau (log lambda)' at the end.  The rows of
     ``weights`` weigh the 24 nodes by the one-panel rule, by the two-panel
     rule, and by the two-panel rule times each of the quadratic Lagrange
-    basis polynomials through 0, 1/2 and 1.
+    basis polynomials through 0, 1/2 and 1 (rows, so that each use is a
+    matrix-vector product: a matrix product would load BLAS's gemm code,
+    a quarter of a megabyte resident).
     """
     nodes, weights = _gauss_legendre(8)
     s = np.concatenate((nodes, 0.5 * nodes, 0.5 + 0.5 * nodes))
@@ -138,8 +140,8 @@ def _t_quadrature():
     zeros = np.zeros_like(weights)
     one_panel = np.concatenate((weights, zeros, zeros))
     two_panel = np.concatenate((zeros, 0.5 * weights, 0.5 * weights))
-    weights = np.column_stack((one_panel, two_panel, two_panel * (2.0 * s - 1.0) * (s - 1.0),
-                               two_panel * 4.0 * s * (1.0 - s), two_panel * s * (2.0 * s - 1.0)))
+    weights = np.array([one_panel, two_panel, two_panel * (2.0 * s - 1.0) * (s - 1.0),
+                        two_panel * 4.0 * s * (1.0 - s), two_panel * s * (2.0 * s - 1.0)])
     for table in (hermite, weights):
         table.setflags(write=False)
     return hermite, weights
@@ -223,7 +225,7 @@ class Trajectory:
 
     ``dt_min`` and ``dt_max`` bound the accepted steps' lengths in the
     physical time, and ``dt_s_max`` is the longest step's dtau S, equal to
-    its dt max k^2 Phi'(k), in the units of ETD_STEP; it is 0.0 where no
+    its dt max k^2 Phi'(k) and ETD_STEP for a full step; it is 0.0 where no
     step was taken (an exact trajectory of oracle.circle_trajectory).
     """
 
@@ -579,12 +581,11 @@ def _elapsed(ell, ell_new, m, m_new, dtau, law, shape):
     lam = np.exp(_T_HERMITE @ np.array((-dtau * m, ell_new - ell, -dtau * m_new)))
     lam *= math.exp(ell)
     square = lam * lam
-    (coarse, fine, _, _, _), *moments = (np.array([square / law.g(1.0 / lam), lam, square])
-                                         @ _T_WEIGHTS).tolist()
+    coarse, fine = (_T_WEIGHTS[:2] @ (square / law.g(1.0 / lam))).tolist()
     if not abs(coarse - fine) <= _T_QUADRATURE_RTOL * fine:
         return None
-    flux = tuple(dtau * sum(u * v for u, v in zip(moment[2:], factors))
-                 for moment, factors in zip(moments, shape))
+    flux = tuple(dtau * sum(u * v for u, v in zip((_T_WEIGHTS[2:] @ rate).tolist(), factors))
+                 for rate, factors in zip((lam, square), shape))
     return dtau * fine, flux
 
 
