@@ -122,17 +122,17 @@ def _gauss_legendre(points):
 
 
 def _t_quadrature():
-    """(hermite, weights) of the integrals over one step.
+    """(hermite, rules, lagrange) of the integrals over one step.
 
     ``hermite`` holds, at the 8 Gauss-Legendre nodes of [0, 1] and then at
     the 16 of its two halves, the cubic Hermite basis of log lambda past its
     start: its columns multiply dtau (log lambda)' at the start, the step's
     change of log lambda and dtau (log lambda)' at the end.  The rows of
-    ``weights`` weigh the 24 nodes by the one-panel rule, by the two-panel
-    rule, and by the two-panel rule times each of the quadratic Lagrange
-    basis polynomials through 0, 1/2 and 1 (rows, so that each use is a
-    matrix-vector product: a matrix product would load BLAS's gemm code,
-    a quarter of a megabyte resident).
+    ``rules`` weigh the 24 nodes by the one-panel rule and by the two-panel
+    rule, and those of ``lagrange`` by the two-panel rule times each of the
+    quadratic Lagrange basis polynomials through 0, 1/2 and 1 (rows, so
+    that each use is a matrix-vector product: a matrix product would load
+    BLAS's gemm code, a quarter of a megabyte resident).
     """
     nodes, weights = _gauss_legendre(8)
     s = np.concatenate((nodes, 0.5 * nodes, 0.5 + 0.5 * nodes))
@@ -140,14 +140,15 @@ def _t_quadrature():
     zeros = np.zeros_like(weights)
     one_panel = np.concatenate((weights, zeros, zeros))
     two_panel = np.concatenate((zeros, 0.5 * weights, 0.5 * weights))
-    weights = np.array([one_panel, two_panel, two_panel * (2.0 * s - 1.0) * (s - 1.0),
-                        two_panel * 4.0 * s * (1.0 - s), two_panel * s * (2.0 * s - 1.0)])
-    for table in (hermite, weights):
+    rules = np.array([one_panel, two_panel])
+    lagrange = np.array([two_panel * (2.0 * s - 1.0) * (s - 1.0), two_panel * 4.0 * s * (1.0 - s),
+                         two_panel * s * (2.0 * s - 1.0)])
+    for table in (hermite, rules, lagrange):
         table.setflags(write=False)
-    return hermite, weights
+    return hermite, rules, lagrange
 
 
-_T_HERMITE, _T_WEIGHTS = _t_quadrature()
+_T_HERMITE, _T_RULES, _T_LAGRANGE = _t_quadrature()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -266,14 +267,15 @@ def _law_rows(law, kappa, inv, unit):
         k = kappa * inv if inv != 1.0 else kappa
         return law.g(k), k, unit
     size = kappa.size
-    k = np.empty(size + 1)  # flat: a 2-D buffer costs more to slice than to fill
-    np.multiply(kappa.reshape(size), inv, out=k[:size])
-    k[size] = inv
-    g = law.g(k)
+    buffer = np.empty(size + 1)  # flat: a 2-D buffer costs more to slice than to fill
+    k = buffer[:size].reshape(kappa.shape)
+    np.multiply(kappa, inv, out=k)
+    buffer[size] = inv
+    g = law.g(buffer)
     unit = float(g[size])
     if not 0.0 < unit < math.inf:
         raise StepRejected(f"G(1/lambda) = {unit!r} in a stage")
-    return g[:size].reshape(kappa.shape), k[:size].reshape(kappa.shape), unit
+    return g[:size].reshape(kappa.shape), k, unit
 
 
 def _rhs(y, ncurv, grid, law, ell=None):
@@ -537,18 +539,17 @@ def _etd(y, y_hat, start, ncurv, dt, coefficients, grid, law, ell=None):
     shape = None
     if frame:
         # the first row's oint Phi dtheta t_tau / lambda and oint G dtheta
-        # t_tau / lambda^2 at the stages, from the G they formed: 2 pi each
-        # on a circle, and for a power law set by the shape alone
-        stages, ells = (start, a, b, c), (ell, ell_a, ell_b, ell_c)
-        g = np.array([s[3][0][0][0] for s in stages])
-        g_k = np.add.reduce(g * np.array([s[3][0][1][0] for s in stages]), axis=1).tolist()
-        g_sum = np.add.reduce(g, axis=1).tolist()
-        phi_shape = [grid.dtheta * x * math.exp(l) / s[2] for x, l, s in zip(g_k, ells, stages)]
-        g_shape = [grid.dtheta * x / s[2] for x, s in zip(g_sum, stages)]
-        # their values at the step's start, middle and end, which the RK4
-        # weights take, as log lambda's rates do
-        shape = [(v[0], 0.5 * (v[1] + v[2]), v[3]) for v in (phi_shape, g_shape)]
-        ell -= dt / 6.0 * (start[1] + 2.0 * (a[1] + b[1]) + c[1])
+        # t_tau / lambda^2 at the stages: 2 pi m, and the sum of the G the
+        # stage formed over G(1/lambda); 2 pi each on a circle, and for a
+        # power law set by the shape alone.  Their values at the step's
+        # start, middle and end are what the RK4 weights take, as log
+        # lambda's rates do.
+        m = (start[1], a[1], b[1], c[1])
+        g_shape = [grid.dtheta * float(np.add.reduce(s[3][0][0][0])) / s[2]
+                   for s in (start, a, b, c)]
+        shape = ((2.0 * math.pi * m[0], math.pi * (m[1] + m[2]), 2.0 * math.pi * m[3]),
+                 (g_shape[0], 0.5 * (g_shape[1] + g_shape[2]), g_shape[3]))
+        ell -= dt / 6.0 * (m[0] + 2.0 * (m[1] + m[2]) + m[3])
     end = _rhs(new, ncurv, grid, law, ell)
     end = (rfft(end[0]),) + end[1:]
     estimate = end[0] * dt
@@ -581,12 +582,14 @@ def _elapsed(ell, ell_new, m, m_new, dtau, law, shape):
     lam = np.exp(_T_HERMITE @ np.array((-dtau * m, ell_new - ell, -dtau * m_new)))
     lam *= math.exp(ell)
     square = lam * lam
-    coarse, fine = (_T_WEIGHTS[:2] @ (square / law.g(1.0 / lam))).tolist()
+    coarse, fine = (_T_RULES @ (square / law.g(1.0 / lam))).tolist()
     if not abs(coarse - fine) <= _T_QUADRATURE_RTOL * fine:
         return None
-    flux = tuple(dtau * sum(u * v for u, v in zip((_T_WEIGHTS[2:] @ rate).tolist(), factors))
-                 for rate, factors in zip((lam, square), shape))
-    return dtau * fine, flux
+    flux = []
+    for rate, (start, middle, end) in zip((lam, square), shape):
+        u_start, u_middle, u_end = (_T_LAGRANGE @ rate).tolist()
+        flux.append(dtau * (u_start * start + u_middle * middle + u_end * end))
+    return dtau * fine, tuple(flux)
 
 
 class _State:
