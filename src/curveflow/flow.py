@@ -24,8 +24,8 @@ dt max k^2 Phi'(k), so a full step is dtau S = ETD_STEP in either variable
 (or the RK4 bound 0.4 dtheta^2 / 2 where that is longer, n <= 64), and
 the snapshot cadence counts CFL units, dtau S / (0.4 dtheta^2 / 2).  Every
 step carries an embedded error estimate that rejects, halves and re-grows
-it; on n >= 128 steps double without a cap while the estimate allows, and
-the cadence and the area floor clip them.  Every transform goes through
+it; on every grid steps double without a cap while the estimate allows,
+and the cadence and the area floor clip them.  Every transform goes through
 geometry.rfft / irfft, numpy's FFT kernels without numpy's Python wrapper:
 a curvature-form step makes 17.  ``run`` and ``containment_run`` read
 each row through its physical curvature and share one stop test
@@ -56,7 +56,7 @@ from .errors import (
     StepRejected,
 )
 from .geometry import CurvatureProfile, SupportProfile
-from .speed_law import PROBES, check_hypotheses
+from .speed_law import PROBES, check_hypotheses, gauss_legendre
 
 STOP_AREA_FLOOR = "area-floor"
 STOP_CURVATURE_CAP = "curvature-cap"
@@ -75,12 +75,12 @@ ASYMPTOTIC_GROWTH = 10.0  # k_max / k_max(0) where the blow-up laws are judged
 # kappa^2 Phi_l'(kappa), or one CFL unit, the RK4 step 0.4 dtheta^2 / (2 S),
 # where that is longer (n <= 64).
 ETD_STEP = 0.0015
-# On n >= 128, a step whose error estimate is below ETD_GROW is followed by
-# one twice as long, with no cap.  Growth stops where the estimate reaches
-# it, so the steps of a non-round curve carry local errors of 1e-10 to
-# 1.6e-9.  Growing up to the 3e-8 at which shortened steps re-double lets
-# the two forms of the n = 512 ellipse drift 1.9e-4 apart, past criterion
-# 10's 1e-5, while 1e-10 keeps them 8.5e-7 apart.
+# A step whose error estimate is below ETD_GROW is followed by one twice as
+# long, with no cap.  Growth stops where the estimate reaches it, so the
+# steps of a non-round curve carry local errors of 1e-10 to 1.6e-9.
+# Growing up to the 3e-8 at which shortened steps re-double lets the two
+# forms of the n = 512 ellipse drift 1.9e-4 apart, past criterion 10's
+# 1e-5, while 1e-10 keeps them 8.5e-7 apart.
 ETD_GROW = 1e-10
 # Largest accepted local error estimate of a step, relative to each row's
 # largest value.  On the p = 4 ellipse, the stiffest law and curve the
@@ -103,24 +103,6 @@ _FLOOR_LANDING = 1.0 - 1e-6
 _T_QUADRATURE_RTOL = 1e-12
 
 
-def _gauss_legendre(points):
-    """Nodes and weights of the Gauss-Legendre rule on [0, 1].
-
-    Newton's iteration on the Legendre three-term recurrence, from the
-    usual cos(pi (i - 1/4) / (points + 1/2)) guesses, converges in a few
-    steps; it is elementwise numpy, where the eigensolver of Golub & Welsch
-    would load LAPACK, a megabyte resident in every run.
-    """
-    x = np.cos(np.pi * (np.arange(1, points + 1) - 0.25) / (points + 0.5))
-    for _ in range(8):
-        p_prev, p = np.ones_like(x), x
-        for j in range(2, points + 1):
-            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-        slope = points * (x * p - p_prev) / (x * x - 1.0)
-        x = x - p / slope
-    return 0.5 * (1.0 - x), 1.0 / ((1.0 - x * x) * slope * slope)
-
-
 def _t_quadrature():
     """(hermite, rules, lagrange) of the integrals over one step.
 
@@ -134,7 +116,7 @@ def _t_quadrature():
     that each use is a matrix-vector product: a matrix product would load
     BLAS's gemm code, a quarter of a megabyte resident).
     """
-    nodes, weights = _gauss_legendre(8)
+    nodes, weights = gauss_legendre(8)
     s = np.concatenate((nodes, 0.5 * nodes, 0.5 + 0.5 * nodes))
     hermite = np.column_stack((s * (1.0 - s) ** 2, s * s * (3.0 - 2.0 * s), s * s * (s - 1.0)))
     zeros = np.zeros_like(weights)
@@ -258,26 +240,6 @@ class Trajectory:
 # the stepper core
 # ---------------------------------------------------------------------------
 
-def _law_rows(law, kappa, inv, unit):
-    """(G, k, unit) of the rows ``kappa``: G at the physical curvature
-    k = kappa * inv, in one law.g call.  Where ``unit`` is None that call also
-    takes 1/lambda = inv, and ``unit`` is G there, G(1/lambda); a stage
-    where it is not a positive finite number is rejected."""
-    if unit is not None:
-        k = kappa * inv if inv != 1.0 else kappa
-        return law.g(k), k, unit
-    size = kappa.size
-    buffer = np.empty(size + 1)  # flat: a 2-D buffer costs more to slice than to fill
-    k = buffer[:size].reshape(kappa.shape)
-    np.multiply(kappa, inv, out=k)
-    buffer[size] = inv
-    g = law.g(buffer)
-    unit = float(g[size])
-    if not 0.0 < unit < math.inf:
-        raise StepRejected(f"G(1/lambda) = {unit!r} in a stage")
-    return g[:size].reshape(kappa.shape), k, unit
-
-
 def _rhs(y, ncurv, grid, law, ell=None):
     """Right-hand sides of all rows of the (B, n) stack ``y`` at one stage.
 
@@ -288,8 +250,9 @@ def _rhs(y, ncurv, grid, law, ell=None):
     their t rates: the same equations with lambda = 1, G(1/lambda) taken as
     1 and m = 0.  The arrays the rows differentiate, Phi_l(kappa) and eta,
     go through one stacked second_derivative call, and each form makes one
-    law.g call, the first one also at 1/lambda.  Raises StepRejected when a
-    stage leaves the domain of any row.
+    law.g call; the frame makes one more, at 1/lambda.  Raises StepRejected
+    when a stage leaves the domain of any row, or when G(1/lambda) is not a
+    positive finite number.
 
     Returns (dy, m, unit, blocks): m is the mean of Phi_l over the first
     row (0 for the physical equations), ``unit`` is G(1/lambda), and
@@ -298,13 +261,19 @@ def _rhs(y, ncurv, grid, law, ell=None):
     """
     kappa, h = y[:ncurv], y[ncurv:]
     frame = ell is not None
-    inv, unit = (math.exp(-ell), None) if frame else (1.0, 1.0)
+    inv, unit = 1.0, 1.0
+    if frame:
+        inv = math.exp(-ell)
+        unit = float(law.g(inv))
+        if not 0.0 < unit < math.inf:
+            raise StepRejected(f"G(1/lambda) = {unit!r} in a stage")
     blocks = []
     if ncurv:
         # positivity guard is NaN-safe; law.g needs no further validation here
         if not kappa.min() > 0.0:
             raise StepRejected("curvature lost positivity in a stage")
-        g, k, unit = _law_rows(law, kappa, inv, unit)
+        k = kappa * inv if frame else kappa
+        g = law.g(k)
         blocks.append((g, k, kappa))
         phi = g * kappa
         if frame:
@@ -319,7 +288,8 @@ def _rhs(y, ncurv, grid, law, ell=None):
         if not rho.min() > 0.0:
             raise StepRejected("support profile lost convexity in a stage")
         kappa_h = 1.0 / rho
-        g_h, k_h, unit = _law_rows(law, kappa_h, inv, unit)  # one call serves all rows
+        k_h = kappa_h * inv if frame else kappa_h
+        g_h = law.g(k_h)  # one call serves all rows
         blocks.append((g_h, k_h, kappa_h))
         phi_h = g_h * kappa_h
         if frame:
@@ -362,10 +332,8 @@ def _step_scale(grid):
     The RK4 bound is longer on grids of n <= 64 only.  There the explicit
     part of the step stays within the stability bound an RK4 step obeys,
     every mode has dt S sigma(m) <= 0.4 pi^2 / 2, and the error estimate
-    rejects the step where it is not accurate; a run then takes one step
-    per CFL unit, as RK4 did, and never a longer one.  On the finer grids,
-    where the full step is ETD_STEP, _march doubles it where the error
-    estimate allows.
+    rejects the step where it is not accurate.  On every grid _march
+    doubles the full step where the error estimate allows.
     """
     return max(ETD_STEP, _cfl_base(grid))
 
@@ -659,22 +627,19 @@ def _march(y, ncurv, k, grid, law, clock, floors):
     domain, the step's error estimate exceeds ETD_TOLERANCE or its t
     quadrature has not converged.  After a shortened step whose estimate is
     below ETD_TOLERANCE / 32 the next step is twice as long again, up to the
-    full step; where the full step is ETD_STEP (n >= 128), a step of full
-    length or longer whose estimate is below ETD_GROW is followed by one
-    twice as long, with no cap, and on n <= 64 the full step is the RK4
-    stability bound and is never exceeded.  ``clock`` keeps the run time, the
-    CFL clock and the step counters; a step that would pass the clock's next
-    cadence mark is clipped to land on it, and one that would take a row
-    below its area floor (``floors``, of the first rows) is clipped to land
-    just past it (_floor_step).  A clipped step leaves the length of the
-    next one as it was.  Returns, ending the iteration, once halving pushes
-    dtau below 1e-14 of the elapsed tau (or of the first dtau), or when the
-    initial state is outside the domain; callers report either as
-    convexity loss.
+    full step, and a step of full length or longer whose estimate is below
+    ETD_GROW is followed by one twice as long, with no cap.  ``clock`` keeps
+    the run time, the CFL clock and the step counters; a step that would
+    pass the clock's next cadence mark is clipped to land on it, and one
+    that would take a row below its area floor (``floors``, of the first
+    rows) is clipped to land just past it (_floor_step).  A clipped step
+    leaves the length of the next one as it was.  Returns, ending the
+    iteration, once halving pushes dtau below 1e-14 of the elapsed tau (or
+    of the first dtau), or when the initial state is outside the domain;
+    callers report either as convexity loss.
     """
     cfl_base = _cfl_base(grid)
     full = _step_scale(grid)
-    grows = full == ETD_STEP  # else it is the RK4 stability bound (n <= 64)
     lam = float(np.mean(1.0 / k[0]))  # L / (2 pi) of the first row
     ell = math.log(lam)
     y = np.concatenate((y[:ncurv] * lam, y[ncurv:] * (1.0 / lam)))
@@ -717,8 +682,7 @@ def _march(y, ncurv, k, grid, law, clock, floors):
         y, _, y_hat, start, error, ell, _ = result
         dt, flux = elapsed
         lam = math.exp(ell)
-        if not clipped and (error < ETD_TOLERANCE / 32.0 if level > 0
-                            else grows and error < ETD_GROW):
+        if not clipped and error < (ETD_TOLERANCE / 32.0 if level > 0 else ETD_GROW):
             level -= 1
         tau += dtau
         clock.advance(dt, units, on_cadence)
@@ -788,7 +752,7 @@ def _support_form(profile):
     return profile
 
 
-def _check_law(law, k_lo, k_hi, curvature_row=False):
+def _check_law(law, k_lo, k_hi):
     """Probe ``law`` on [k_lo, k_hi] before the first step of ``run`` or
     ``containment_run``; returns the HypothesisReport of ``check_hypotheses``
     on its ``PROBES`` probes.
@@ -796,23 +760,12 @@ def _check_law(law, k_lo, k_hi, curvature_row=False):
     Both go through here once, so they refuse a law by one rule:
     ``check_hypotheses`` raises SpeedLawDomainError where G is not finite or
     G or Phi' underflows.  On the same probes, Phi' <= 0 then raises
-    HypothesisViolationError, since the flow is not parabolic there; and,
-    when a curvature row evolves, a k^2 Phi(k) that is 0 or subnormal raises
-    SpeedLawDomainError: the curvature form's right-hand side k^2 (Phi'' + Phi)
-    underflows there, and the state would stand still while t advances.
+    HypothesisViolationError, since the flow is not parabolic there.
     """
     report = check_hypotheses(law, k_lo, k_hi)
     probes = np.geomspace(k_lo, k_hi, PROBES)
     with np.errstate(over="ignore"):  # an overflow is _stiffness's to judge
-        g = law.g(probes)
-        phi_prime = law.g_prime(probes) * probes + g  # law.phi_prime, reusing G
-        underflow = np.abs(probes * probes * (g * probes)) < np.finfo(float).tiny
-    if curvature_row and underflow.any():
-        k = float(probes[underflow][0])
-        raise SpeedLawDomainError(
-            f"{law.label}: k^2 Phi(k) underflows at k={k!r}; the curvature "
-            "form's right-hand side cannot be evaluated there in floating point",
-            abscissa=k)
+        phi_prime = law.g_prime(probes) * probes + law.g(probes)  # law.phi_prime
     if np.min(phi_prime) <= 0.0:
         raise HypothesisViolationError(
             f"{law.label}: Phi'(k) <= 0 on the working range; the flow is not "
@@ -941,7 +894,7 @@ def run(config):
         rows.append(_support_form(config.initial).h)
 
     # validate the law on the curvature range this run can visit
-    hyp = _check_law(law, k_min0 / 2.0, config.curvature_cap, curvature_row=bool(ncurv))
+    hyp = _check_law(law, k_min0 / 2.0, config.curvature_cap)
 
     snapshots = []
     disagreement = [] if config.formulation == "both" else None
@@ -1006,10 +959,9 @@ def estimate_blowup(traj):
 
     The raw bounds are rigorous for the exact flow but the recorded state
     carries numerical error, so the bracket is widened by a 1e-11 relative
-    floor for floating-point accumulation in t.  The stepper's bias in the
-    mean mode, which the bracket once allowed for, is gone: the run steps
-    in the normalized frame, where a circle is a fixed point and t comes
-    from a quadrature exact for it.  The error of a non-round phase and the
+    floor for floating-point accumulation in t.  The run steps in the
+    normalized frame, where a circle is a fixed point and t comes from a
+    quadrature exact for it.  The error of a non-round phase and the
     spatial error are not allowed for (ROADMAP item 7).
     """
     law = traj.config.law

@@ -254,7 +254,16 @@ def test_degenerate_snapshot_is_a_stop_not_a_crash(tmp_path, monkeypatch):
         clean.append(args)
         return summarize(*args, **kwargs)
 
+    marks = []  # the step counts at which the clean run lands on a cadence mark
+    advance = flow._Clock.advance
+
+    def recording(clock, dt, units, on_cadence):
+        advance(clock, dt, units, on_cadence)
+        if on_cadence:
+            marks.append(clock.steps)
+
     monkeypatch.setattr(geometry, "summarize", counted)
+    monkeypatch.setattr(flow._Clock, "advance", recording)
     assert cli.execute_run(spec, tmp_path / "clean") == 0
     final = json.loads((tmp_path / "clean" / "summary.json").read_text())
     # a snapshot whose curve does not close has lost convexity
@@ -274,7 +283,8 @@ def test_degenerate_snapshot_is_a_stop_not_a_crash(tmp_path, monkeypatch):
         assert cli.execute_run(spec, out) == cli.EXIT_RUNTIME
         summary = json.loads((out / "summary.json").read_text())
         assert summary["stop_reason"] == stop_reason
-        assert summary["steps"]["count"] == 10
+        # the third snapshot, the second cadence mark's, fails
+        assert summary["steps"]["count"] == marks[1]
         # the state whose snapshot failed is not summarized a second time
         assert len(calls) == 3
         # the snapshots before the failing one are kept, in order
@@ -302,11 +312,9 @@ def test_degenerate_snapshot_is_a_stop_not_a_crash(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("args, expected", [
-    # area pi R^2 overflows: the initial snapshot is degenerate (support
-    # form, as in curvature form k^3 underflows on the probes first)
+    # area pi R^2 overflows: the initial snapshot is degenerate, in support
+    # form and in curvature form
     (["run", "--curve", "circle:1.3407807929942596e+154", "--scheme", "support"], 3),
-    # k^2 Phi(k) = k^3 underflows to 0 on the law's probes: the curvature
-    # form's right-hand side would freeze the state
     (["run", "--curve", "circle:6.748370691814794e+161"], 3),
     # h = R overflows in the Fourier support solve (support form, as above)
     (["run", "--curve", "circle:5.617791046444737e+306", "--scheme", "support"], 3),
@@ -365,11 +373,11 @@ def test_coarse_cadence_passes_the_evolution_identities(tmp_path):
     # G' = 0 x^-1 and G'' = 0 x^-2 at p = 1: zero, though x^-2 overflows
     (["check-law", "--law", "power:1", "--range", "1e-300,1e-170"], 0),
     # k^2 Phi(k) = k^3 is 0 (1e-330) or subnormal (1e-315) on the lower
-    # probes: the curvature form's right-hand side underflows and the state
-    # would stand still while t advances
-    (["run", "--curve", "circle:1e110", "--n", "32", "--max-steps", "5"], 3),
-    (["run", "--curve", "circle:1e105", "--n", "32", "--max-steps", "5"], 3),
-    # k^3 = 1e-300 is normal; the support form evolves no curvature row
+    # probes, but the run steps kappa = lambda k, which stays near 1: the
+    # curvature form integrates these circles as it does 1e100, and so
+    # does the support form
+    (["run", "--curve", "circle:1e110", "--n", "32", "--max-steps", "5"], 0),
+    (["run", "--curve", "circle:1e105", "--n", "32", "--max-steps", "5"], 0),
     (["run", "--curve", "circle:1e100", "--n", "32", "--max-steps", "5"], 0),
     (["run", "--curve", "circle:1e110", "--scheme", "support", "--n", "32",
       "--max-steps", "5"], 0),

@@ -228,6 +228,21 @@ def test_frame_rhs_is_the_rescaled_physical_rhs(p):
     assert np.max(np.abs(circle[0])) <= 1e-14
 
 
+@pytest.mark.parametrize("unit", [0.0, math.inf])
+def test_frame_rhs_rejects_a_stage_without_a_finite_positive_g_at_one_over_lambda(unit):
+    # G is 1 on the rows, finite and positive, but ``unit`` at the scalar
+    # 1/lambda: no time scale dtau / dt, whichever forms the stack holds
+    g = AngleGrid(32)
+    law = dataclasses.replace(power_law(1),
+                              g=lambda x: unit if np.ndim(x) == 0 else np.ones(np.shape(x)))
+    kp = circle_kp(2.0, n=32)
+    sp = geometry.support_from_curvature(kp)
+    for y, ncurv in ((kp.k[None] * 2.0, 1), (sp.h[None] / 2.0, 0),
+                     (np.array([kp.k * 2.0, sp.h / 2.0]), 1)):
+        with pytest.raises(StepRejected, match=r"G\(1/lambda\) = "):
+            flow._rhs(y, ncurv, g, law, math.log(2.0))
+
+
 def test_stacked_step_matches_per_row_steps():
     g = AngleGrid(128)
     kp = oracle.ellipse_profile(2.0, 1.0, g)
@@ -410,7 +425,8 @@ def test_snapshots_land_on_the_cfl_clock(monkeypatch, n):
             units_since = 0.0
     assert spans == pytest.approx([50.0] * len(interior), rel=1e-12, abs=0.0)
     assert units_since < 50.0
-    if n == 64:  # a full step is one CFL unit here, as an RK4 step is,
+    if n == 64:  # a full step is one CFL unit here, as an RK4 step is, and
+        # this ellipse's estimates stay above ETD_GROW: every step is full
         # but for the last one, which lands on the area floor
         assert all(units == 1.0 for _, units, _ in ticks[:-1]) and ticks[-1][1] < 1.0
     else:  # fewer than half the steps an RK4 run takes on the same clock
@@ -503,21 +519,24 @@ def test_shortened_step_redoubles_up_to_the_full_step(monkeypatch):
         (0.5, False), (0.5, False), (1.0, False), (1.0, False), (2.0, False)]
 
 
-def test_full_step_does_not_grow_on_coarse_grids(monkeypatch):
-    # on n <= 64 the full step is the RK4 stability bound: every step is
-    # one CFL unit, and the count is the one of a fixed full step; only the
-    # last one, clipped to land on the area floor, is shorter
+def test_full_step_grows_on_coarse_grids(monkeypatch):
+    # on n <= 64 the full step is the RK4 stability bound, one CFL unit;
+    # the circle's steps double from it while the estimate allows, as they
+    # double from ETD_STEP on n >= 128, and stay exact to rounding
     ticks = _record_steps(monkeypatch)
-    traj = run(FlowConfig(law=power_law(1), initial=circle_kp(1.0, n=64)))
-    # A/A0 = lambda^2 / lambda0^2 = e^(-2 tau) reaches 1e-3 at
-    assert traj.step_count == 1792
-    assert all(units == 1.0 for _, units, _ in ticks[:-1])
-    # tau = ln(1000) / 2, 1791.8 CFL units of 0.4 dtheta^2 / 2, and it
-    # lands 1e-6 below the floor
-    tau = math.log(1000.0 / (1.0 - 1e-6)) / 2.0
-    assert ticks[-1][1] == pytest.approx(tau / flow._cfl_base(AngleGrid(64)) - 1791.0,
-                                         rel=1e-6)
-    assert traj.dt_s_max == flow._step_scale(AngleGrid(64))
+    for n in (32, 64):
+        ticks.clear()
+        traj = run(FlowConfig(law=power_law(1), initial=circle_kp(1.0, n=n)))
+        assert flow._step_scale(AngleGrid(n)) == flow._cfl_base(AngleGrid(n))
+        assert traj.stop_reason == flow.STOP_AREA_FLOOR
+        assert traj.step_count == len(ticks) <= 20
+        assert [units for _, units, _ in ticks[:4]] == [1.0, 2.0, 4.0, 8.0]
+        # R(t)^2 = 1 - 2t
+        err = max(float(np.max(np.abs(s.curvature.k * math.sqrt(1.0 - 2.0 * s.t) - 1.0)))
+                  for s in traj.snapshots)
+        assert err < 1e-12
+        est = traj.omega_estimate
+        assert est.omega_lo <= 0.5 <= est.omega_hi
 
 
 def test_rejected_steps_are_counted(monkeypatch, tmp_path):
@@ -892,31 +911,36 @@ def test_containment_curvature_cap_stop():
     assert report.min_gap[-1] == pytest.approx(exact, abs=1e-6)
 
 
-def test_containment_step_limit_stop():
+def test_containment_step_limit_stop(monkeypatch):
     g = AngleGrid(64)
     outer = SupportProfile(g, np.full(g.n, 2.0))
     inner = SupportProfile(g, np.full(g.n, 1.0))
     config = FlowConfig(law=power_law(1), initial=outer, max_steps=10, snapshot_every=5,
                         formulation="support")
+    ticks = _record_steps(monkeypatch)
     report = containment_run(config, inner)
     assert report.stop_reason == flow.STOP_STEP_LIMIT
-    assert len(report.times) == 3  # t = 0 and steps 5 and 10
+    assert len(ticks) == 10 and ticks[-1][2]
+    # t = 0 and every step that lands on a cadence mark, the last one included
+    assert report.times == [0.0] + [t for t, _, on_cadence in ticks if on_cadence]
     assert report.all_ok
 
 
-def test_containment_step_limit_off_cadence_records_the_final_gap():
+def test_containment_step_limit_off_cadence_records_the_final_gap(monkeypatch):
     g = AngleGrid(64)
     outer = SupportProfile(g, np.full(g.n, 2.0))
     inner = SupportProfile(g, np.full(g.n, 1.0))
-    every = containment_run(FlowConfig(law=power_law(1), initial=outer, max_steps=10,
-                                       snapshot_every=1, formulation="support"), inner)
+    ticks = _record_steps(monkeypatch)
     report = containment_run(FlowConfig(law=power_law(1), initial=outer, max_steps=10,
-                                        snapshot_every=4, formulation="support"), inner)
-    assert report.stop_reason == every.stop_reason == flow.STOP_STEP_LIMIT
-    assert len(every.times) == 11
-    # steps 0, 4 and 8 on the cadence, then the final state at step 10
-    assert report.times == [every.times[i] for i in (0, 4, 8, 10)]
-    assert report.min_gap == [every.min_gap[i] for i in (0, 4, 8, 10)]
+                                        snapshot_every=20, formulation="support"), inner)
+    assert report.stop_reason == flow.STOP_STEP_LIMIT
+    assert len(ticks) == 10 and not ticks[-1][2]
+    # t = 0 and the steps on a cadence mark, then the final state at step 10
+    marks = [t for t, _, on_cadence in ticks if on_cadence]
+    assert marks and report.times == [0.0, *marks, ticks[-1][0]]
+    # each gap is the exact one of its state, sqrt(4 - 2t) - sqrt(1 - 2t)
+    exact = [math.sqrt(4.0 - 2.0 * t) - math.sqrt(1.0 - 2.0 * t) for t in report.times]
+    assert report.min_gap == pytest.approx(exact, abs=1e-9)
 
 
 def test_containment_identical_curves():
@@ -1005,9 +1029,9 @@ def test_run_and_containment_refuse_a_law_at_one_gate(monkeypatch):
     # through one gate, and refuse it at the same abscissa
     gate, ranges = flow._check_law, []
 
-    def counted(law, k_lo, k_hi, curvature_row=False):
+    def counted(law, k_lo, k_hi):
         ranges.append((k_lo, k_hi))
-        return gate(law, k_lo, k_hi, curvature_row)
+        return gate(law, k_lo, k_hi)
 
     monkeypatch.setattr(flow, "_check_law", counted)
     g = AngleGrid(32)
