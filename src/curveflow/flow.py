@@ -56,7 +56,7 @@ from .errors import (
     StepRejected,
 )
 from .geometry import CurvatureProfile, SupportProfile
-from .speed_law import PROBES, check_hypotheses, gauss_legendre
+from .speed_law import check_hypotheses, gauss_legendre
 
 STOP_AREA_FLOOR = "area-floor"
 STOP_CURVATURE_CAP = "curvature-cap"
@@ -272,12 +272,11 @@ def _rhs(y, ncurv, grid, law, ell=None):
         # positivity guard is NaN-safe; law.g needs no further validation here
         if not kappa.min() > 0.0:
             raise StepRejected("curvature lost positivity in a stage")
-        k = kappa * inv if frame else kappa
+        k = kappa * inv
         g = law.g(k)
         blocks.append((g, k, kappa))
         phi = g * kappa
-        if frame:
-            phi *= 1.0 / unit
+        phi *= 1.0 / unit
         d2 = geometry.second_derivative(np.concatenate((phi, h)) if len(h) else phi, grid)
         first = phi
     else:
@@ -288,14 +287,11 @@ def _rhs(y, ncurv, grid, law, ell=None):
         if not rho.min() > 0.0:
             raise StepRejected("support profile lost convexity in a stage")
         kappa_h = 1.0 / rho
-        k_h = kappa_h * inv if frame else kappa_h
+        k_h = kappa_h * inv
         g_h = law.g(k_h)  # one call serves all rows
         blocks.append((g_h, k_h, kappa_h))
         phi_h = g_h * kappa_h
-        if frame:
-            phi_h *= 1.0 / unit
-        else:
-            phi_h *= -1.0
+        phi_h *= 1.0 / unit
         if not ncurv:
             first = phi_h
     m = float(np.add.reduce(first[0])) / grid.n if frame else 0.0
@@ -307,16 +303,13 @@ def _rhs(y, ncurv, grid, law, ell=None):
             dk *= kappa
             dk -= m
             dk *= kappa
-        else:
+        else:  # k^2 (Phi'' + Phi), in the order of the definition
             dk = kappa * kappa
             dk *= d2[:ncurv] + phi
         rows.append(dk)
-    if len(h):
-        if frame:  # m eta - Phi_l
-            dh = m * h
-            dh -= phi_h
-        else:
-            dh = phi_h
+    if len(h):  # m eta - Phi_l
+        dh = m * h
+        dh -= phi_h
         rows.append(dh)
     return (rows[0] if len(rows) == 1 else np.concatenate(rows)), m, unit, blocks
 
@@ -400,7 +393,7 @@ def _etd_coefficients(n, scale):
 
     With z = dt L = -scale * sigma per bin: e^z, e^(z/2), Q = (e^(z/2) - 1)/z
     and Cox & Matthews' f1, f2, f3 divided by dt, plus scale * sigma (dt times
-    the linear part moved into N) and 1 - sigma (the symbol of h'' + h).
+    the linear part moved into N).
     They depend on (n, scale) only; a run reuses the full step's and
     builds one per step length and per step clipped to the snapshot cadence
     or the area floor.
@@ -414,7 +407,7 @@ def _etd_coefficients(n, scale):
     e, e_half = (np.where(f < 1e-20, 0.0, f) for f in (np.exp(z), np.exp(0.5 * z)))
     tables = (e, e_half, q,
               phi1 - 3.0 * phi2 + 4.0 * phi3, phi2 - 2.0 * phi3, 4.0 * phi3 - phi2,
-              scale * sigma, 1.0 - sigma)
+              scale * sigma)
     # stored complex: numpy casts a real factor of a complex array to complex
     # on every product, and the cast table gives the same bits
     tables = tuple(table.astype(complex) for table in tables)
@@ -431,16 +424,14 @@ def _etd(y, y_hat, start, ncurv, dt, coefficients, grid, law, ell=None):
     _etd_coefficients, and ``ell`` log lambda in the frame (None for a
     physical step of length dt).  The linear part L = -S sigma is integrated
     exactly; N = rhs - L y is built on _rhs, so a stage that leaves the
-    domain of a row is rejected there, as is a result with k <= 0 or
-    h'' + h <= 0 in any row.  log lambda takes the same formulas at
-    sigma = 0, classical RK4, from each stage's m, and so do the flux
-    integrals' shape factors, of the law's rates at each stage (see
-    _elapsed).  Returns (y, rho, y_hat, end, error, ell, shape) of the
-    result, or raises StepRejected: ``rho`` stacks the result's h'' + h of
-    the support rows, or is None when there are none; ``end`` is the
-    result's first stage for the next step; ``shape`` holds the shape
-    factors of the two fluxes at the step's start, middle and end (None for
-    a physical step).
+    domain of a row raises StepRejected there.  The result is judged the
+    same way, once: its _rhs is ``end``, the next step's first stage, which
+    refuses k <= 0 or h'' + h <= 0 in any row.  log lambda takes the same
+    formulas at sigma = 0, classical RK4, from each stage's m, and so do
+    the flux integrals' shape factors, of the law's rates at each stage (see
+    _elapsed).  Returns (y, y_hat, end, error, ell, shape) of the result:
+    ``shape`` holds the shape factors of the two fluxes at the step's
+    start, middle and end (None for a physical step).
     ``error`` is the largest over the rows of |f3 (N(y_new) - N(c))|
     relative to the row's largest |y_new|, where c is the last stage, at the
     same time as y_new: swapping N(c) for N(y_new) in the last weight gives
@@ -453,7 +444,7 @@ def _etd(y, y_hat, start, ncurv, dt, coefficients, grid, law, ell=None):
     dt rfft(rhs) + scale sigma v for its spectrum v; the sums are formed in
     place, in the order of the ETDRK4 formulas.
     """
-    e, e_half, q, f1, f2, f3, linear, helmholtz = coefficients
+    e, e_half, q, f1, f2, f3, linear = coefficients
     n = grid.n
     rfft, irfft = geometry.rfft, geometry.irfft
     frame = ell is not None
@@ -495,15 +486,7 @@ def _etd(y, y_hat, start, ncurv, dt, coefficients, grid, law, ell=None):
     stage_sum *= f2
     new_hat += stage_sum
     new_hat += f3 * nc
-    if len(y) == ncurv:
-        new, rho = irfft(new_hat, n), None
-    else:  # the support rows' h'' + h comes out of the same inverse transform
-        out = irfft(np.concatenate((new_hat, helmholtz * new_hat[ncurv:])), n)
-        new, rho = out[:len(y)], out[len(y):]
-    if ncurv and not new[:ncurv].min() > 0.0:
-        raise StepRejected("curvature lost positivity over a full step")
-    if rho is not None and not rho.min() > 0.0:
-        raise StepRejected("support profile lost convexity over a full step")
+    new = irfft(new_hat, n)
     shape = None
     if frame:
         # the first row's oint Phi dtheta t_tau / lambda and oint G dtheta
@@ -528,7 +511,7 @@ def _etd(y, y_hat, start, ncurv, dt, coefficients, grid, law, ell=None):
     error = float((np.abs(estimate).max(axis=1) / np.abs(new).max(axis=1)).max())
     if frame:
         error = max(error, abs(dt * (c[1] - end[1])) / 6.0)
-    return new, rho, new_hat, end, error, ell, shape
+    return new, new_hat, end, error, ell, shape
 
 
 def _elapsed(ell, ell_new, m, m_new, dtau, law, shape):
@@ -540,19 +523,19 @@ def _elapsed(ell, ell_new, m, m_new, dtau, law, shape):
     ``ell_new`` and its rates -m and -m_new at the ends, exact where it is
     linear, as on a circle.  The integrals are summed by 8-point
     Gauss-Legendre on two halves of the step, in one law.g call with the
-    one-panel rule's nodes; returns None, a step to reject, unless the two
-    rules agree on dt to _T_QUADRATURE_RTOL.  The fluxes' rates are lambda
-    and lambda^2 times their ``shape`` factors (_etd), which are taken
-    quadratic through their values at the step's start, middle and end:
-    where lambda stays put that is the RK4 weights' rule, and on a circle,
-    where the factors are constant, it is exact however long the step.
+    one-panel rule's nodes; raises StepRejected unless the two rules agree
+    on dt to _T_QUADRATURE_RTOL.  The fluxes' rates are lambda and lambda^2
+    times their ``shape`` factors (_etd), which are taken quadratic through
+    their values at the step's start, middle and end: where lambda stays
+    put that is the RK4 weights' rule, and on a circle, where the factors
+    are constant, it is exact however long the step.
     """
     lam = np.exp(_T_HERMITE @ np.array((-dtau * m, ell_new - ell, -dtau * m_new)))
     lam *= math.exp(ell)
     square = lam * lam
     coarse, fine = (_T_RULES @ (square / law.g(1.0 / lam))).tolist()
     if not abs(coarse - fine) <= _T_QUADRATURE_RTOL * fine:
-        return None
+        raise StepRejected("the t quadrature has not converged")
     flux = []
     for rate, (start, middle, end) in zip((lam, square), shape):
         u_start, u_middle, u_end = (_T_LAGRANGE @ rate).tolist()
@@ -623,11 +606,13 @@ def _march(y, ncurv, k, grid, law, clock, floors):
     ``y`` holds the physical rows and ``k`` their curvatures (see
     _curvatures); lambda starts as L / (2 pi) of the first row.  A full step
     has dtau * S = _step_scale(grid), S the stiffness over all rows.  A step
-    is rejected, and retried at half the length, when a row leaves its
-    domain, the step's error estimate exceeds ETD_TOLERANCE or its t
-    quadrature has not converged.  After a shortened step whose estimate is
-    below ETD_TOLERANCE / 32 the next step is twice as long again, up to the
-    full step, and a step of full length or longer whose estimate is below
+    is rejected, and retried at half the length, when it raises
+    StepRejected, which it does for three reasons: a stage, the result's
+    own included, leaves a row's domain (_rhs), the step's error estimate
+    exceeds ETD_TOLERANCE, or its t quadrature has not converged
+    (_elapsed).  After a shortened step whose estimate is below
+    ETD_TOLERANCE / 32 the next step is twice as long again, up to the full
+    step, and a step of full length or longer whose estimate is below
     ETD_GROW is followed by one twice as long, with no cap.  ``clock`` keeps
     the run time, the CFL clock and the step counters; a step that would
     pass the clock's next cadence mark is clipped to land on it, and one
@@ -666,21 +651,18 @@ def _march(y, ncurv, k, grid, law, clock, floors):
             if first is None:
                 first = dtau
             try:
-                result = _etd(y, y_hat, start, ncurv, dtau, _etd_coefficients(grid.n, scale),
-                              grid, law, ell)
-                if result[4] <= ETD_TOLERANCE:
-                    elapsed = _elapsed(ell, result[5], start[1], result[3][1], dtau, law,
-                                       result[6])
-                    if elapsed is not None:
-                        break
+                new, new_hat, end, error, ell_new, shape = _etd(
+                    y, y_hat, start, ncurv, dtau, _etd_coefficients(grid.n, scale), grid, law, ell)
+                if not error <= ETD_TOLERANCE:
+                    raise StepRejected("the error estimate exceeds ETD_TOLERANCE")
+                dt, flux = _elapsed(ell, ell_new, start[1], end[1], dtau, law, shape)
+                break
             except StepRejected:
-                pass
-            clock.rejected += 1
-            level += 1
-            if 0.5 * dtau < 1e-14 * max(tau, first):
-                return
-        y, _, y_hat, start, error, ell, _ = result
-        dt, flux = elapsed
+                clock.rejected += 1
+                level += 1
+                if 0.5 * dtau < 1e-14 * max(tau, first):
+                    return
+        y, y_hat, start, ell = new, new_hat, end, ell_new
         lam = math.exp(ell)
         if not clipped and error < (ETD_TOLERANCE / 32.0 if level > 0 else ETD_GROW):
             level -= 1
@@ -755,18 +737,16 @@ def _support_form(profile):
 def _check_law(law, k_lo, k_hi):
     """Probe ``law`` on [k_lo, k_hi] before the first step of ``run`` or
     ``containment_run``; returns the HypothesisReport of ``check_hypotheses``
-    on its ``PROBES`` probes.
+    on its ``speed_law.PROBES`` probes.
 
     Both go through here once, so they refuse a law by one rule:
     ``check_hypotheses`` raises SpeedLawDomainError where G is not finite or
-    G or Phi' underflows.  On the same probes, Phi' <= 0 then raises
-    HypothesisViolationError, since the flow is not parabolic there.
+    G or Phi' underflows.  A report whose smallest Phi' is <= 0 then raises
+    HypothesisViolationError, since the flow is not parabolic there; a NaN
+    Phi' (an overflow) is _stiffness's to judge.
     """
     report = check_hypotheses(law, k_lo, k_hi)
-    probes = np.geomspace(k_lo, k_hi, PROBES)
-    with np.errstate(over="ignore"):  # an overflow is _stiffness's to judge
-        phi_prime = law.g_prime(probes) * probes + law.g(probes)  # law.phi_prime
-    if np.min(phi_prime) <= 0.0:
+    if report.min_phi_prime <= 0.0:
         raise HypothesisViolationError(
             f"{law.label}: Phi'(k) <= 0 on the working range; the flow is not "
             "parabolic and cannot be integrated")

@@ -303,11 +303,15 @@ def support_from_curvature(kp):
     the result at the origin; any other closed solution differs by a rigid
     translation.  Rejects profiles whose closure residual exceeds
     ``CLOSURE_GATE`` times the length, since projecting away a large first
-    harmonic would silently translate a curve that does not exist.
+    harmonic would silently translate a curve that does not exist.  A curve
+    whose length or support overflows raises DegenerateProfileError.
     """
-    c, s = closure_residual(kp)
+    with np.errstate(over="ignore"):  # a length beyond float range is judged below
+        c, s = closure_residual(kp)
+        length = length_of(kp)
+    if not math.isfinite(length):
+        raise DegenerateProfileError("the curve length overflowed: curve too large")
     residual = math.hypot(c, s)
-    length = length_of(kp)
     if residual > CLOSURE_GATE * length:
         raise NotClosedError(
             f"closure residual {residual:.3e} exceeds {CLOSURE_GATE:g} * L = "

@@ -130,8 +130,10 @@ class HypothesisReport:
     """Outcome of probing (H1)/(H2) on a finite curvature range.
 
     ``witness_c0`` is the minimal constant with G'(x)*x <= C0*G(x) over the
-    upper half of the probe range (clamped at zero).  When a flag is false,
-    ``worst_violation`` > 0 and ``witness_x`` records an offending abscissa.
+    upper half of the probe range (clamped at zero), and ``min_phi_prime``
+    the smallest Phi' over the probes (NaN where a probe's Phi' is).  When a
+    flag is false, ``worst_violation`` > 0 and ``witness_x`` records an
+    offending abscissa.
     """
 
     h1_ok: bool
@@ -141,6 +143,7 @@ class HypothesisReport:
     x_lo: float
     x_hi: float
     worst_violation: float
+    min_phi_prime: float
     witness_x: Optional[float] = None
 
     @property
@@ -280,5 +283,6 @@ def check_hypotheses(law, x_lo, x_hi, n_probes=PROBES):
         x_lo=x_lo,
         x_hi=x_hi,
         worst_violation=worst,
+        min_phi_prime=float(np.min(phi_prime)),
         witness_x=witness,
     )

@@ -337,7 +337,8 @@ def test_degenerate_snapshot_is_a_stop_not_a_crash(tmp_path, monkeypatch):
         "stencil-underflow", "sweep-member"])
 def test_unrepresentable_inputs_end_with_an_exit_code(tmp_path, args, expected):
     out = tmp_path / "extreme"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = run_main(args + ["--n", "32", "--max-steps", "20", "--out", str(out)])
     assert code == expected
     if args[0] == "sweep":
