@@ -48,6 +48,7 @@ from .geometry import (
     GeometrySummary,
     PlaneCurve,
     SupportProfile,
+    area_from_curvature,
     area_from_support,
     area_of,
     closure_residual,

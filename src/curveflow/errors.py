@@ -49,4 +49,4 @@ class HypothesisViolationError(CurveFlowError, ValueError):
 
 
 class StepRejected(CurveFlowError):
-    """An integrator step produced a non-convex intermediate state; retry with smaller dt."""
+    """A stage left the domain, or the error estimate or t quadrature failed; retry shorter."""

@@ -27,9 +27,9 @@ step carries an embedded error estimate that rejects, halves and re-grows
 it; on every grid steps double without a cap while the estimate allows,
 and the cadence and the area floor clip them.  Every transform goes through
 geometry.rfft / irfft, numpy's FFT kernels without numpy's Python wrapper:
-a curvature-form step makes 17.  ``run`` and ``containment_run`` read
-each row through its physical curvature and share one stop test
-(``_drive``), gated by Blaschke's A >= pi / k_max^2.  ``step`` takes one
+a curvature-form step makes 17.  ``run`` and ``containment_run`` hand
+their rows to ``_drive``, which builds, clocks and stops the march by one
+stop test, gated by Blaschke's A >= pi / k_max^2.  ``step`` takes one
 physical ETDRK4 step at a dt of the caller's choosing, ``stable_dt`` gives
 one CFL unit, and the ``rhs_*`` functions give the physical right-hand
 sides.
@@ -331,13 +331,6 @@ def _step_scale(grid):
     return max(ETD_STEP, _cfl_base(grid))
 
 
-def _curvatures(y, ncurv, rho):
-    """The curvature of each row of the stack ``y``, as a list of rows: a
-    curvature row is its own (a view of y), a support row's is 1 / (h'' + h),
-    ``rho`` stacking h'' + h of the support rows (None when there are none)."""
-    return list(y) if rho is None else [*y[:ncurv], *(1.0 / rho)]
-
-
 def _stiffness(stage, lam, law, scale):
     """S = max kappa^2 Phi_l'(kappa) over the rows of a _rhs result ``stage``.
 
@@ -420,16 +413,16 @@ def _etd(y, y_hat, start, ncurv, dt, coefficients, grid, law, ell=None):
     """One ETDRK4 step of every row, with its local error estimate.
 
     ``y_hat`` is rfft(y), ``start`` the step's first stage, (rfft(dy), *rest)
-    of _rhs(y) (None to compute it here), ``coefficients`` the step's
-    _etd_coefficients, and ``ell`` log lambda in the frame (None for a
-    physical step of length dt).  The linear part L = -S sigma is integrated
-    exactly; N = rhs - L y is built on _rhs, so a stage that leaves the
-    domain of a row raises StepRejected there.  The result is judged the
-    same way, once: its _rhs is ``end``, the next step's first stage, which
-    refuses k <= 0 or h'' + h <= 0 in any row.  log lambda takes the same
-    formulas at sigma = 0, classical RK4, from each stage's m, and so do
-    the flux integrals' shape factors, of the law's rates at each stage (see
-    _elapsed).  Returns (y, y_hat, end, error, ell, shape) of the result:
+    of _rhs(y), ``coefficients`` the step's _etd_coefficients, and ``ell``
+    log lambda in the frame (None for a physical step of length dt).  The
+    linear part L = -S sigma is integrated exactly; N = rhs - L y is built on
+    _rhs, so a stage that leaves the domain of a row raises StepRejected
+    there.  The result is judged the same way, once: its _rhs is ``end``,
+    the next step's first stage, which refuses k <= 0 or h'' + h <= 0 in any
+    row.  log lambda takes the same formulas at sigma = 0, classical RK4,
+    from each stage's m, and so do the flux integrals' shape factors, of the
+    law's rates at each stage (see _elapsed).  Returns (y, y_hat, end,
+    error, ell, shape) of the result:
     ``shape`` holds the shape factors of the two fluxes at the step's
     start, middle and end (None for a physical step).
     ``error`` is the largest over the rows of |f3 (N(y_new) - N(c))|
@@ -448,10 +441,6 @@ def _etd(y, y_hat, start, ncurv, dt, coefficients, grid, law, ell=None):
     n = grid.n
     rfft, irfft = geometry.rfft, geometry.irfft
     frame = ell is not None
-
-    if start is None:
-        start = _rhs(y, ncurv, grid, law, ell)
-        start = (rfft(start[0]),) + start[1:]
     half = 0.5 * dt
     nv = start[0] * dt
     nv += linear * y_hat
@@ -563,8 +552,8 @@ class _State:
 
     def area(self, i):
         if i not in self._areas:
-            self._areas[i] = self.lam * self.lam * float(_support_area_from_k(self.kappa[i],
-                                                                            self._grid))
+            self._areas[i] = self.lam * self.lam * geometry.area_from_curvature(self.kappa[i],
+                                                                              self._grid)
         return self._areas[i]
 
     def curvature(self, i):
@@ -603,25 +592,26 @@ def _march(y, ncurv, k, grid, law, clock, floors):
     """Advance the rows of one flow with shared ETDRK4 steps in the frame,
     yielding each accepted state (_State).
 
-    ``y`` holds the physical rows and ``k`` their curvatures (see
-    _curvatures); lambda starts as L / (2 pi) of the first row.  A full step
-    has dtau * S = _step_scale(grid), S the stiffness over all rows.  A step
-    is rejected, and retried at half the length, when it raises
-    StepRejected, which it does for three reasons: a stage, the result's
-    own included, leaves a row's domain (_rhs), the step's error estimate
-    exceeds ETD_TOLERANCE, or its t quadrature has not converged
-    (_elapsed).  After a shortened step whose estimate is below
-    ETD_TOLERANCE / 32 the next step is twice as long again, up to the full
-    step, and a step of full length or longer whose estimate is below
-    ETD_GROW is followed by one twice as long, with no cap.  ``clock`` keeps
-    the run time, the CFL clock and the step counters; a step that would
-    pass the clock's next cadence mark is clipped to land on it, and one
-    that would take a row below its area floor (``floors``, of the first
-    rows) is clipped to land just past it (_floor_step).  A clipped step
-    leaves the length of the next one as it was.  Returns, ending the
-    iteration, once halving pushes dtau below 1e-14 of the elapsed tau (or
-    of the first dtau), or when the initial state is outside the domain;
-    callers report either as convexity loss.
+    ``y`` holds the physical rows and ``k`` their curvatures; lambda starts
+    as L / (2 pi) of the first row.  A full step has dtau * S =
+    _step_scale(grid), S the stiffness over all rows.  A step is rejected,
+    and retried at half the length, when it raises StepRejected, which it
+    does for three reasons: a stage, the result's own included, leaves a
+    row's domain (_rhs), the step's error estimate exceeds ETD_TOLERANCE, or
+    its t quadrature has not converged (_elapsed).  After a shortened step
+    whose estimate is below ETD_TOLERANCE / 32 the next step is twice as
+    long again, up to the full step, and a step of full length or longer
+    whose estimate is below ETD_GROW is followed by one twice as long, with
+    no cap.  ``clock`` keeps the run time, the CFL clock and the step
+    counters.  Each attempt is planned once: it is clipped to land on the
+    clock's next cadence mark if it would pass it, and just past a row's
+    area floor (``floors``, of the first rows) if it would take the row
+    below it (_floor_step); a row that test skips for a halved attempt
+    cannot reach its floor within it.  A clipped step leaves the length of
+    the next one as it was.  Returns, ending the iteration, once halving
+    pushes dtau below 1e-14 of the elapsed tau (or of the first dtau), or
+    when the initial state is outside the domain; _drive reports either as
+    convexity loss.
     """
     cfl_base = _cfl_base(grid)
     full = _step_scale(grid)
@@ -639,10 +629,10 @@ def _march(y, ncurv, k, grid, law, clock, floors):
     level = 0  # the step is full / 2^level
     while True:
         stiffness = _stiffness(start, lam, law, full)
-        horizon = clock.plan(full / 2 ** level / cfl_base)[0] * cfl_base / stiffness
-        landing = _floor_step(state, start, floors, horizon, grid) * stiffness / cfl_base
         while True:
             units, on_cadence = clock.plan(full / 2 ** level / cfl_base)
+            landing = _floor_step(state, start, floors, units * cfl_base / stiffness,
+                                  grid) * stiffness / cfl_base
             clipped = on_cadence or landing < units
             if landing < units:
                 units, on_cadence = landing, False
@@ -674,12 +664,13 @@ def _march(y, ncurv, k, grid, law, clock, floors):
 
 
 def _stack(profile):
-    """(y, ncurv, k): one profile as a one-row stack, its count of curvature
-    rows, and its curvature (raises ConvexityLossError unless h'' + h > 0)."""
+    """(y, ncurv): one profile as a one-row stack and its count of curvature
+    rows; a support profile raises ConvexityLossError unless h'' + h > 0."""
     if isinstance(profile, CurvatureProfile):
-        return profile.k[None], 1, profile.k[None]
+        return profile.k[None], 1
     if isinstance(profile, SupportProfile):
-        return profile.h[None], 0, 1.0 / geometry.curvature_radius(profile)[None]
+        geometry.curvature_radius(profile)  # the convexity check
+        return profile.h[None], 0
     raise TypeError(f"cannot step a {type(profile)}")
 
 
@@ -699,7 +690,7 @@ def stable_dt(profile, law):
     That is the classical RK4 stability bound of the profile, and the unit
     in which ``snapshot_every`` counts.
     """
-    y, ncurv, _ = _stack(profile)
+    y, ncurv = _stack(profile)
     cfl_base = _cfl_base(profile.grid)
     return cfl_base / _stiffness(_rhs(y, ncurv, profile.grid, law), 1.0, law, cfl_base)
 
@@ -712,9 +703,12 @@ def step(state, law, dt):
     dt S, but without error control: the caller picks dt.  A step is
     rejected when any stage, or the result, produces k <= 0 (curvature
     form) or h'' + h <= 0 (support form); a non-convex support ``state``
-    raises ConvexityLossError.
+    raises ConvexityLossError, and a dt that is not positive and finite
+    ValueError.
     """
-    y, ncurv, _ = _stack(state)
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    y, ncurv = _stack(state)
     start = _rhs(y, ncurv, state.grid, law)
     scale = dt * _stiffness(start, 1.0, law, dt)
     start = (geometry.rfft(start[0]),) + start[1:]
@@ -753,35 +747,19 @@ def _check_law(law, k_lo, k_hi):
     return report
 
 
-def _support_area_from_k(k, grid):
-    """Area of the closed curve with curvature k, without leaving Fourier space.
-
-    With h the spectral solution of h'' + h = 1/k (kernel modes dropped) and
-    the solve self-adjoint, A = (1/2) oint h (h''+h) dtheta reduces to a
-    weighted sum of |rho_hat|^2 over the Helmholtz symbol.
-    """
-    n = grid.n
-    fh = geometry.rfft(1.0 / k)
-    fh[1] = 0.0
-    helm = geometry._fourier_tables(n)[3]
-    power = (fh.real * fh.real + fh.imag * fh.imag) / helm
-    total = power[0] + 2.0 * float(np.sum(power[1:-1])) + power[-1]
-    return 0.5 * grid.dtheta * total / n
-
-
 class _Clock:
     """The run time t (Kahan-compensated), the CFL clock and the step counters of a march.
 
-    The CFL clock counts CFL units, dtau S / cfl_base per step: one unit is
-    one RK4 step at the CFL bound 0.4 dtheta^2 / (2 S).  A step that would
-    pass the next multiple of ``every`` is clipped to end on it, where a
-    snapshot falls; ``since`` counts the units after the last one.
-    ``steps`` counts accepted steps, ``dt_min`` and ``dt_max`` bound their
-    lengths in t, ``units_max`` is the longest in CFL units (its dtau S
-    over cfl_base), and ``rejected`` counts rejected step attempts.
+    _drive makes one per march.  The CFL clock counts CFL units, dtau S /
+    cfl_base per step, one RK4 step at the CFL bound 0.4 dtheta^2 / (2 S)
+    each.  A step that would pass the next multiple of ``every`` is clipped
+    to end on it, where a snapshot falls; ``since`` counts the units after
+    the last one.  ``steps`` counts accepted steps, ``dt_min`` and ``dt_max``
+    bound their lengths in t, ``units_max`` is the longest in CFL units (its
+    dtau S over cfl_base), and ``rejected`` counts rejected step attempts.
     """
 
-    def __init__(self, every=math.inf):
+    def __init__(self, every):
         self.every = every
         self.t = 0.0
         self._c = 0.0
@@ -831,22 +809,30 @@ def _stop_reason(state, floors, config, clock):
     return None
 
 
-def _drive(steps, floors, config, clock, record):
-    """Take the accepted states of a _march until a stop test fires; returns the stop reason.
+def _drive(y, k, config, n_floors, record):
+    """Build, clock and run the _march of the physical rows ``y`` (any curvature
+    row first), of curvatures ``k``, under ``config`` until a stop test fires.
 
-    ``record(state)`` keeps the state on every cadence mark and at the
-    stop, and returns the stop reason its failure sets (None if it keeps
+    Returns (stop_reason, clock), the march's _Clock.  Each of the first
+    ``n_floors`` rows has an area floor, ``area_floor`` times its initial
+    area.  ``record(state)`` keeps the state on every cadence mark and at
+    the stop, and returns the stop reason its failure sets (None if it keeps
     it); a failure ends the run.  When the march ends, the last accepted
     state is recorded and the reason is convexity-loss.
     """
+    grid = config.initial.grid
+    floors = [config.area_floor * geometry.area_from_curvature(row, grid) for row in k[:n_floors]]
+    clock = _Clock(config.snapshot_every)
     state = None  # the caller records the initial state
-    for state in steps:
+    for state in _march(y, int(config.formulation != "support"), k, grid, config.law, clock,
+                        floors):
         stop = _stop_reason(state, floors, config, clock)
         if state.on_cadence or stop is not None:
             stop = record(state) or stop
         if stop is not None:
-            return stop
-    return (None if state is None or state.on_cadence else record(state)) or STOP_CONVEXITY_LOSS
+            return stop, clock
+    stop = None if state is None or state.on_cadence else record(state)
+    return stop or STOP_CONVEXITY_LOSS, clock
 
 
 def run(config):
@@ -862,7 +848,6 @@ def run(config):
     With formulation="both" the two forms advance with shared time steps and
     their sup-norm curvature disagreement is recorded per snapshot.
     """
-    law = config.law
     grid = config.initial.grid
 
     # initial data in the forms this run evolves: the curvature row first
@@ -874,7 +859,7 @@ def run(config):
         rows.append(_support_form(config.initial).h)
 
     # validate the law on the curvature range this run can visit
-    hyp = _check_law(law, k_min0 / 2.0, config.curvature_cap)
+    hyp = _check_law(config.law, k_min0 / 2.0, config.curvature_cap)
 
     snapshots = []
     disagreement = [] if config.formulation == "both" else None
@@ -909,13 +894,10 @@ def run(config):
         return None
 
     y = np.array(rows)
-    h = y[ncurv:]
-    k = _curvatures(y, ncurv, geometry.second_derivative(h, grid) + h if len(h) else None)
+    h = y[ncurv:]  # a support row's curvature is 1 / (h'' + h)
+    k = [*y[:ncurv], *(1.0 / (geometry.second_derivative(h, grid) + h) if len(h) else ())]
     take_snapshot(0.0, [row.copy() for row in k], h[-1].copy() if len(h) else None, (0.0, 0.0))
-    floors = [config.area_floor * _support_area_from_k(k[0], grid)]
-    clock = _Clock(config.snapshot_every)
-    stop_reason = _drive(_march(y, ncurv, k, grid, law, clock, floors), floors, config, clock,
-                         record)
+    stop_reason, clock = _drive(y, k, config, 1, record)
     traj = Trajectory(snapshots=snapshots, stop_reason=stop_reason, config=config,
                       hypothesis_report=hyp, roundness_expected=hyp.all_ok,
                       step_count=clock.steps, rejected_count=clock.rejected,
@@ -1012,18 +994,14 @@ def containment_run(config, inner):
             f"outer profile does not contain inner at t=0 "
             f"(min gap {np.min(gap0):.3e} after Steiner centering)")
 
-    y = np.array([outer.h, inner.h])
-    k = _curvatures(y, 0, np.array(rhos))
-    floors = [config.area_floor * _support_area_from_k(row, grid) for row in k]
     times, gaps = [0.0], [float(np.min(gap0))]
 
     def record(state):
         times.append(state.t)
         gaps.append(float(np.min(state.y[0] - state.y[1])) * state.lam)
 
-    clock = _Clock(config.snapshot_every)
-    stop_reason = _drive(_march(y, 0, k, grid, config.law, clock, floors), floors, config,
-                         clock, record)
+    stop_reason, _ = _drive(np.array([outer.h, inner.h]), [1.0 / rho for rho in rhos], config,
+                            2, record)
     ok = [g >= -tol for g in gaps]
     return ContainmentReport(times=times, min_gap=gaps, ok=ok,
                              tol_contain=tol, stop_reason=stop_reason)

@@ -296,6 +296,26 @@ def area_from_support(sp):
     return 0.5 * periodic_integral(sp.h * rho, sp.grid)
 
 
+def _radius_spectrum(k):
+    """rfft of the curvature radius 1/k, the right-hand side of the support
+    solve h'' + h = 1/k, with its cos/sin kernel modes dropped: this pins the
+    Steiner point of the solution at the origin."""
+    fh = rfft(1.0 / k)
+    fh[1] = 0.0
+    return fh
+
+
+def area_from_curvature(k, grid):
+    """Area of the closed curve with curvature samples ``k``, in Fourier space:
+    with h solved as in ``support_from_curvature`` (whose closure and overflow
+    checks it skips), A = (1/2) oint h (h'' + h) dtheta is a sum of
+    |rho_hat|^2 over the Helmholtz symbol, the solve being self-adjoint."""
+    fh = _radius_spectrum(k)
+    power = (fh.real * fh.real + fh.imag * fh.imag) / _fourier_tables(grid.n)[3]
+    total = power[0] + 2.0 * float(np.sum(power[1:-1])) + power[-1]
+    return float(0.5 * grid.dtheta * total / grid.n)
+
+
 def support_from_curvature(kp):
     """Solve h'' + h = 1/k in Fourier space.
 
@@ -317,9 +337,7 @@ def support_from_curvature(kp):
             f"closure residual {residual:.3e} exceeds {CLOSURE_GATE:g} * L = "
             f"{CLOSURE_GATE * length:.3e}; profile is not a closed curve",
             residual=residual)
-    fh = rfft(1.0 / kp.k)
-    fh[1] = 0.0  # kernel mode: Steiner point pinned at the origin
-    h = irfft(fh / _fourier_tables(kp.grid.n)[3], kp.grid.n)
+    h = irfft(_radius_spectrum(kp.k) / _fourier_tables(kp.grid.n)[3], kp.grid.n)
     if not np.all(np.isfinite(h)):
         raise DegenerateProfileError("the support solve overflowed: curve too large")
     return SupportProfile(kp.grid, h, kp.t)

@@ -164,12 +164,13 @@ def power_law(p):
 
     p = 1 is the classical curve shortening flow, p = 1/3 the affine flow
     (note G is then decreasing, so (H1) fails and the roundness theory does
-    not apply).  Rejects p <= 0.  A derivative whose coefficient is 0 (G'
-    and G'' at p = 1, G'' at p = 2) is zeros, with no power evaluated.
+    not apply).  Rejects p unless 0 < p < inf.  A derivative whose
+    coefficient is 0 (G' and G'' at p = 1, G'' at p = 2) is zeros, with no
+    power evaluated.
     """
     p = float(p)
-    if not p > 0.0:
-        raise ValueError(f"power law exponent must be positive, got {p}")
+    if not 0.0 < p < np.inf:
+        raise ValueError(f"power law exponent must be positive and finite, got {p}")
     return SpeedLaw(
         g=lambda x: np.power(x, p - 1.0),
         g_prime=_monomial(p - 1.0, p - 2.0),

@@ -478,6 +478,7 @@ def test_usage_errors(tmp_path, monkeypatch):
     assert run_main(["run", "--no-such-flag"]) == 2
     assert run_main(["run", "--curve", "heptagon:3", "--n", "64"]) == 2
     assert run_main(["run", "--law", "mystery:1", "--n", "64"]) == 2
+    assert run_main(["run", "--law", "power:inf", "--n", "64"]) == 2
     assert run_main(["run", "--n", "63"]) == 2
     # fourier amplitudes that break convexity are a configuration error
     assert run_main(["run", "--curve", "fourier:5:0.2", "--n", "64"]) == 2

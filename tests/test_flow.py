@@ -119,13 +119,28 @@ def test_step_rejects_oversized_dt_without_mutation():
     assert np.min(accepted.k) > 0.0
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+def test_step_refuses_a_dt_that_is_not_positive_and_finite(monkeypatch, dt):
+    # the caller's dt is at fault, not the law: refused before any stage
+    monkeypatch.setattr(flow, "_rhs", None)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        step(circle_kp(1.0, n=32), power_law(1), dt)
+
+
+def _first_stage(y, ncurv, grid, law, ell=None):
+    """The first stage _etd takes at ``y``: (rfft(dy), *rest) of _rhs(y)."""
+    start = flow._rhs(y, ncurv, grid, law, ell)
+    return (np.fft.rfft(start[0]),) + start[1:]
+
+
 @pytest.mark.parametrize("ncurv, message", [
     (1, "curvature lost positivity in a stage"),
     (0, "support profile lost convexity in a stage")])
 def test_etd_rejects_a_result_that_leaves_the_domain(monkeypatch, ncurv, message):
-    # constant rows of 0.1 with rate 0 at the first three stages, which stay
-    # at 0.1, and -6 at the last, which takes the result to 0.1 - 1: the
-    # result's own _rhs, the fifth call, refuses it
+    # constant rows of 0.1 with rate 0 at the step's start (the first call)
+    # and its first two stages, which stay at 0.1, and -6 at the last, which
+    # takes the result to 0.1 - 1: the result's own _rhs, the fifth call,
+    # refuses it
     g = AngleGrid(32)
     y = np.full((1, g.n), 0.1)
     rhs, calls = flow._rhs, []
@@ -138,8 +153,9 @@ def test_etd_rejects_a_result_that_leaves_the_domain(monkeypatch, ncurv, message
     monkeypatch.setattr(flow, "_rhs", last_stage_falls)
     for ell in (None, 0.0):  # a physical step and a step in the frame
         calls.clear()
+        start = _first_stage(y, ncurv, g, power_law(1), ell)
         with pytest.raises(StepRejected, match=message):
-            flow._etd(y, np.fft.rfft(y), None, ncurv, 1.0, flow._etd_coefficients(g.n, 1.0),
+            flow._etd(y, np.fft.rfft(y), start, ncurv, 1.0, flow._etd_coefficients(g.n, 1.0),
                       g, power_law(1), ell)
         assert len(calls) == 5
 
@@ -265,7 +281,8 @@ def test_stacked_step_matches_per_row_steps():
     coefficients = flow._etd_coefficients(g.n, scale)
 
     def etd(rows, ncurv):
-        return flow._etd(rows, np.fft.rfft(rows), None, ncurv, dt, coefficients, g, law)
+        return flow._etd(rows, np.fft.rfft(rows), _first_stage(rows, ncurv, g, law), ncurv, dt,
+                         coefficients, g, law)
 
     y = etd(stack, 1)[0]
     assert np.array_equal(y[0], etd(kp.k[None], 1)[0][0])
@@ -306,8 +323,7 @@ def _etd_to(y, ncurv, grid, law, eps, t_end):
     """Physical ETDRK4 steps with dt S = eps from t = 0, the last one clipped
     to land on t_end."""
     y_hat = np.fft.rfft(y)
-    start = flow._rhs(y, ncurv, grid, law)
-    start = (np.fft.rfft(start[0]),) + start[1:]
+    start = _first_stage(y, ncurv, grid, law)
     t = 0.0
     while t < t_end:
         stiffness = flow._stiffness(start, 1.0, law, eps)
@@ -327,12 +343,13 @@ def test_etd_error_estimate_is_fourth_order():
     g = AngleGrid(128)
     law = power_law(1)
     y = oracle.ellipse_profile(2.0, 1.0, g).k[None]
-    stiffness = flow._stiffness(flow._rhs(y, 1, g, law), 1.0, law, 1.0)
+    start = _first_stage(y, 1, g, law)
+    stiffness = flow._stiffness(start, 1.0, law, 1.0)
     errors = []
     for level in range(4):
         scale = flow.ETD_STEP / 2 ** level
         coefficients = flow._etd_coefficients(g.n, scale)
-        errors.append(flow._etd(y, np.fft.rfft(y), None, 1, scale / stiffness,
+        errors.append(flow._etd(y, np.fft.rfft(y), start, 1, scale / stiffness,
                                 coefficients, g, law)[3])
     assert errors[0] < flow.ETD_TOLERANCE  # the full step is accepted here
     for coarse, fine in zip(errors, errors[1:]):
@@ -364,8 +381,7 @@ def _frame_to(k, grid, law, eps, tau_end):
     ell = math.log(float(np.mean(1.0 / k)))
     y = math.exp(ell) * k[None]
     y_hat = np.fft.rfft(y)
-    start = flow._rhs(y, 1, grid, law, ell)
-    start = (np.fft.rfft(start[0]),) + start[1:]
+    start = _first_stage(y, 1, grid, law, ell)
     tau = t = 0.0
     while tau < tau_end:
         stiffness = flow._stiffness(start, math.exp(ell), law, eps)
@@ -596,7 +612,7 @@ def test_spectral_area_obeys_the_blaschke_bound(n):
     for k in ks:
         # equality holds for circles, up to roundoff
         bound = math.pi / float(np.max(k)) ** 2
-        assert flow._support_area_from_k(k, g) >= (1.0 - 1e-12) * bound
+        assert geometry.area_from_curvature(k, g) >= (1.0 - 1e-12) * bound
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -608,12 +624,12 @@ def test_area_gate_keeps_the_stop_step(p):
     traj = run(config)
     assert traj.stop_reason == flow.STOP_AREA_FLOOR
     # reference: the exact area on every step
-    floor = config.area_floor * flow._support_area_from_k(kp.k, g)
+    floor = config.area_floor * geometry.area_from_curvature(kp.k, g)
     steps = 0
     clock = flow._Clock(config.snapshot_every)
     for state in flow._march(kp.k[None], 1, kp.k[None], g, law, clock, [floor]):
         steps += 1
-        if state.lam ** 2 * flow._support_area_from_k(state.kappa[0], g) <= floor:
+        if state.lam ** 2 * geometry.area_from_curvature(state.kappa[0], g) <= floor:
             break
     assert traj.step_count == steps
     assert traj.last.t == state.t

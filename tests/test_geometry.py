@@ -12,6 +12,7 @@ from curveflow.geometry import (
     AngleGrid,
     CurvatureProfile,
     SupportProfile,
+    area_from_curvature,
     area_from_support,
     area_of,
     closure_residual,
@@ -159,9 +160,12 @@ def test_lengths_and_areas():
         assert length_of(kp) == pytest.approx(TWO_PI * R, rel=1e-15)
     sp = SupportProfile(g, np.ones(g.n))
     assert area_from_support(sp) == pytest.approx(math.pi, abs=1e-12)
+    assert area_from_curvature(np.ones(g.n), g) == pytest.approx(math.pi, abs=1e-12)
     g512 = AngleGrid(512)
-    sp_e = support_from_curvature(oracle.ellipse_profile(2.0, 1.0, g512))
+    kp_e = oracle.ellipse_profile(2.0, 1.0, g512)
+    sp_e = support_from_curvature(kp_e)
     assert area_from_support(sp_e) == pytest.approx(2.0 * math.pi, abs=1e-8)
+    assert area_from_curvature(kp_e.k, g512) == pytest.approx(2.0 * math.pi, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_zero_coefficient_derivatives_are_exactly_zero():
 
 
 def test_power_law_rejects_nonpositive_exponent():
-    for p in (0.0, -1.0):
+    for p in (0.0, -1.0, math.inf):
         with pytest.raises(ValueError):
             power_law(p)
 
