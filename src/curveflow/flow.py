@@ -17,15 +17,23 @@ takes the rows' stages; t is a Gauss-Legendre quadrature over each step.
 
 One stepper core (``_march``) advances a (B, n) stack of rows, at most one
 curvature row first, with shared ETDRK4 steps (Cox & Matthews 2002, as in
-Kassam & Trefethen 2005): L = -S sigma(m), S the largest kappa^2 Phi_l'
-over the rows and sigma the symbol of -d^2/dtheta^2, is integrated exactly
-in Fourier space, and N = rhs - L y is built on ``_rhs``.  dtau S equals
-dt max k^2 Phi'(k), so a full step is dtau S = ETD_STEP in either variable
-(or the RK4 bound 0.4 dtheta^2 / 2 where that is longer, n <= 64), and
-the snapshot cadence counts CFL units, dtau S / (0.4 dtheta^2 / 2).  Every
-step carries an embedded error estimate that rejects, halves and re-grows
-it; on every grid steps double without a cap while the estimate allows,
-and the cadence and the area floor clip them.  Every transform goes through
+Kassam & Trefethen 2005): L = -(S / 2) sigma(m), S the largest
+kappa^2 Phi_l' over the rows and sigma the symbol of -d^2/dtheta^2, is
+integrated exactly in Fourier space, and N = rhs - L y is built on
+``_rhs``.  A constant-coefficient stabilizer of a variable diffusion rate
+a needs only half its largest value (Douglas & Dupont 1971; Smereka 2003).
+N keeps the rate a - S / 2 in sigma, at most S / 2 in size where
+L = -S sigma would leave up to S, and that stiffness in N sets the steps
+the error estimate accepts.  Where a row's rate is S, N holds as much as
+L and its high modes are only just damped; where the rate grows past S
+within a step, they grow until the error estimate halves the step.
+dtau S equals dt max k^2 Phi'(k), so a full step is dtau S = ETD_STEP in
+either variable (or the RK4 bound 0.4 dtheta^2 / 2 where that is longer,
+n <= 64), and the snapshot cadence counts CFL units,
+dtau S / (0.4 dtheta^2 / 2).  Every step carries an embedded error
+estimate that rejects, halves and re-grows it; on every grid steps double
+without a cap while the estimate allows, and the cadence and the area
+floor clip them.  Every transform goes through
 geometry.rfft / irfft, numpy's FFT kernels without numpy's Python wrapper:
 a curvature-form step makes 17.  ``run`` and ``containment_run`` hand
 their rows to ``_drive``, which builds, clocks and stops the march by one
@@ -77,16 +85,18 @@ ASYMPTOTIC_GROWTH = 10.0  # k_max / k_max(0) where the blow-up laws are judged
 ETD_STEP = 0.0015
 # A step whose error estimate is below ETD_GROW is followed by one twice as
 # long, with no cap.  Growth stops where the estimate reaches it, so the
-# steps of a non-round curve carry local errors of 1e-10 to 1.6e-9.
-# Growing up to the 3e-8 at which shortened steps re-double lets the two
-# forms of the n = 512 ellipse drift 1.9e-4 apart, past criterion 10's
-# 1e-5, while 1e-10 keeps them 8.5e-7 apart.
+# unclipped steps of the non-round n = 256 ellipse at p = 1 carry local
+# errors of 1.5e-10 to 3.4e-9 (5th to 95th percentile).  Growing up to the
+# 3e-8 at which shortened steps re-double lets the two forms of the n = 512
+# ellipse drift 2.2e-5 apart, past criterion 10's 1e-5, while 1e-10 keeps
+# them 1.4e-7 apart.
 ETD_GROW = 1e-10
 # Largest accepted local error estimate of a step, relative to each row's
-# largest value.  On the p = 4 ellipse, the stiffest law and curve the
-# tests run, 1e-5 lets the evolution identities drift past their 1% bound
-# (1.1%), while 1e-6 and 1e-7 give the same 0.75%: the run's figures have
-# converged at 1e-6.
+# largest value.  On the p = 4 2:1 ellipse at n = 128, the stiffest law and
+# curve the tests run, 1e-5, 1e-6 and 1e-7 miss its time-converged omega by
+# 3.5e-4, 2.8e-5 and 5.9e-7 in 3,340, 6,612 and 14,911 steps, and at n = 256
+# its evolution identities hold to 0.52%, 0.020% and 0.00063% against their
+# 1% bound.
 ETD_TOLERANCE = 1e-6
 _ETD_CONTOUR_POINTS = 32
 # The upper half of that circle around 0, for the radii 1 and 2 (rows),
@@ -323,10 +333,11 @@ def _step_scale(grid):
     """dt * S of a full ETDRK4 step: ETD_STEP, or the RK4 bound if longer.
 
     The RK4 bound is longer on grids of n <= 64 only.  There the explicit
-    part of the step stays within the stability bound an RK4 step obeys,
-    every mode has dt S sigma(m) <= 0.4 pi^2 / 2, and the error estimate
-    rejects the step where it is not accurate.  On every grid _march
-    doubles the full step where the error estimate allows.
+    part of the step stays within the stability bound an RK4 step obeys:
+    it carries a diffusion rate of at most S / 2 in size, so every mode
+    has dt (S / 2) sigma(m) <= 0.4 pi^2 / 4, and the error estimate rejects
+    the step where it is not accurate.  On every grid _march doubles the
+    full step where the error estimate allows.
     """
     return max(ETD_STEP, _cfl_base(grid))
 
@@ -384,15 +395,15 @@ def _phi_functions(z):
 def _etd_coefficients(n, scale):
     """ETDRK4 tables of a step with dt * S = ``scale`` on an n-point grid.
 
-    With z = dt L = -scale * sigma per bin: e^z, e^(z/2), Q = (e^(z/2) - 1)/z
-    and Cox & Matthews' f1, f2, f3 divided by dt, plus scale * sigma (dt times
-    the linear part moved into N).
+    With z = dt L = -(scale / 2) sigma per bin: e^z, e^(z/2),
+    Q = (e^(z/2) - 1)/z and Cox & Matthews' f1, f2, f3 divided by dt, plus
+    (scale / 2) sigma (dt times the linear part moved into N).
     They depend on (n, scale) only; a run reuses the full step's and
     builds one per step length and per step clipped to the snapshot cadence
     or the area floor.
     """
-    sigma = geometry.second_derivative_symbol(n)
-    z = -scale * sigma
+    linear = 0.5 * scale * geometry.second_derivative_symbol(n)
+    z = -linear
     q, phi1, phi2, phi3 = _phi_functions(z)
     # a decay factor below 1e-20 moves no row by a rounding unit: it is
     # flushed to 0, so that the long steps of a round curve do not fill
@@ -400,7 +411,7 @@ def _etd_coefficients(n, scale):
     e, e_half = (np.where(f < 1e-20, 0.0, f) for f in (np.exp(z), np.exp(0.5 * z)))
     tables = (e, e_half, q,
               phi1 - 3.0 * phi2 + 4.0 * phi3, phi2 - 2.0 * phi3, 4.0 * phi3 - phi2,
-              scale * sigma)
+              linear)
     # stored complex: numpy casts a real factor of a complex array to complex
     # on every product, and the cast table gives the same bits
     tables = tuple(table.astype(complex) for table in tables)
@@ -415,11 +426,11 @@ def _etd(y, y_hat, start, ncurv, dt, coefficients, grid, law, ell=None):
     ``y_hat`` is rfft(y), ``start`` the step's first stage, (rfft(dy), *rest)
     of _rhs(y), ``coefficients`` the step's _etd_coefficients, and ``ell``
     log lambda in the frame (None for a physical step of length dt).  The
-    linear part L = -S sigma is integrated exactly; N = rhs - L y is built on
-    _rhs, so a stage that leaves the domain of a row raises StepRejected
-    there.  The result is judged the same way, once: its _rhs is ``end``,
-    the next step's first stage, which refuses k <= 0 or h'' + h <= 0 in any
-    row.  log lambda takes the same formulas at sigma = 0, classical RK4,
+    linear part L = -(S / 2) sigma is integrated exactly; N = rhs - L y is
+    built on _rhs, so a stage that leaves the domain of a row raises
+    StepRejected there.  The result is judged the same way, once: its _rhs
+    is ``end``, the next step's first stage, which refuses k <= 0 or
+    h'' + h <= 0 in any row.  log lambda takes the same formulas at sigma = 0, classical RK4,
     from each stage's m, and so do the flux integrals' shape factors, of the
     law's rates at each stage (see _elapsed).  Returns (y, y_hat, end,
     error, ell, shape) of the result:
@@ -434,8 +445,8 @@ def _etd(y, y_hat, start, ncurv, dt, coefficients, grid, law, ell=None):
     own such estimate, which is also its relative error in lambda, counts as
     one more row.  N(y_new) is the next step's first stage, so the estimate
     costs no extra right-hand side on an accepted step.  Each stage's dt N is
-    dt rfft(rhs) + scale sigma v for its spectrum v; the sums are formed in
-    place, in the order of the ETDRK4 formulas.
+    dt rfft(rhs) + (scale / 2) sigma v for its spectrum v; the sums are
+    formed in place, in the order of the ETDRK4 formulas.
     """
     e, e_half, q, f1, f2, f3, linear = coefficients
     n = grid.n

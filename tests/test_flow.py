@@ -319,6 +319,25 @@ def test_etd_contour_means_match_series_and_closed_forms(n):
             assert f[0] == pytest.approx(1.0 / 6.0, rel=1e-14)
 
 
+def test_linear_part_is_half_the_stiffness():
+    # L = -(S / 2) sigma: a constant-coefficient stabilizer needs only half
+    # the largest diffusion rate, and the rest of it stays in N
+    n, scale = 128, flow.ETD_STEP
+    sigma = geometry.second_derivative_symbol(n)
+    e, _, _, _, _, _, linear = flow._etd_coefficients(n, scale)
+    assert np.array_equal(linear.real, 0.5 * scale * sigma)
+    decay = np.exp(-0.5 * scale * sigma)
+    assert np.array_equal(e.real, np.where(decay < 1e-20, 0.0, decay))
+    # the p = 4 ellipse, where kappa^2 Phi_l' spans the most, takes 11,039
+    # steps at L = -S sigma; L = -(S / 4) sigma is unstable, with 2,323
+    # rejections in 17,162 steps
+    g = AngleGrid(128)
+    traj = run(FlowConfig(law=power_law(4), initial=oracle.ellipse_profile(2.0, 1.0, g),
+                          area_floor=1e-3, snapshot_every=1000))
+    assert traj.stop_reason == flow.STOP_AREA_FLOOR
+    assert traj.step_count < 8000 and traj.rejected_count <= 10
+
+
 def _etd_to(y, ncurv, grid, law, eps, t_end):
     """Physical ETDRK4 steps with dt S = eps from t = 0, the last one clipped
     to land on t_end."""
@@ -446,10 +465,13 @@ def test_snapshots_land_on_the_cfl_clock(monkeypatch, n):
             units_since = 0.0
     assert spans == pytest.approx([50.0] * len(interior), rel=1e-12, abs=0.0)
     assert units_since < 50.0
-    if n == 64:  # a full step is one CFL unit here, as an RK4 step is, and
-        # this ellipse's estimates stay above ETD_GROW: every step is full
-        # but for the last one, which lands on the area floor
-        assert all(units == 1.0 for _, units, _ in ticks[:-1]) and ticks[-1][1] < 1.0
+    if n == 64:  # a full step is one CFL unit here, as an RK4 step is; no
+        # step is rejected, and where this ellipse's estimates drop below
+        # ETD_GROW steps double, so every step that neither a cadence mark
+        # nor the area floor (the last step) clipped is 2^j full steps
+        assert traj.rejected_count == 0
+        assert all(units >= 1.0 and math.log2(units).is_integer()
+                   for _, units, on_cadence in ticks[:-1] if not on_cadence)
     else:  # fewer than half the steps an RK4 run takes on the same clock
         assert len(ticks) < 0.5 * 50.0 * (len(interior) + 1)
 
