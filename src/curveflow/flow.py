@@ -28,12 +28,12 @@ the error estimate accepts.  Where a row's rate is S, N holds as much as
 L and its high modes are only just damped; where the rate grows past S
 within a step, they grow until the error estimate halves the step.
 dtau S equals dt max k^2 Phi'(k), so a full step is dtau S = ETD_STEP in
-either variable (or the RK4 bound 0.4 dtheta^2 / 2 where that is longer,
-n <= 64), and the snapshot cadence counts CFL units,
+either variable on every grid, and the snapshot cadence counts CFL units,
 dtau S / (0.4 dtheta^2 / 2).  Every step carries an embedded error
-estimate that rejects, halves and re-grows it; on every grid steps double
-without a cap while the estimate allows, and the cadence and the area
-floor clip them.  Every transform goes through
+estimate that rejects, halves and re-grows it; steps double without a cap
+while the estimate allows, and the cadence, the area floor and the
+curvature cap clip them, the last two to land just past the mark.  Every
+transform goes through
 geometry.rfft / irfft, numpy's FFT kernels without numpy's Python wrapper:
 a curvature-form step makes 17.  ``run`` and ``containment_run`` hand
 their rows to ``_drive``, which builds, clocks and stops the march by one
@@ -80,8 +80,7 @@ FORMULATIONS = ("curvature", "support", "both")
 ASYMPTOTIC_GROWTH = 10.0  # k_max / k_max(0) where the blow-up laws are judged
 
 # A full ETDRK4 step takes dtau = ETD_STEP / S with S the largest
-# kappa^2 Phi_l'(kappa), or one CFL unit, the RK4 step 0.4 dtheta^2 / (2 S),
-# where that is longer (n <= 64).
+# kappa^2 Phi_l'(kappa), on every grid.
 ETD_STEP = 0.0015
 # A step whose error estimate is below ETD_GROW is followed by one twice as
 # long, with no cap.  Growth stops where the estimate reaches it, so the
@@ -106,8 +105,10 @@ _ETD_CONTOUR_POINTS = 32
 _CONTOUR = np.outer((1.0, 2.0), np.exp(1j * np.pi * (
     np.arange(_ETD_CONTOUR_POINTS // 2) + 0.5) / (_ETD_CONTOUR_POINTS // 2)))
 _CONTOUR_EXP = (np.exp(_CONTOUR), np.exp(0.5 * _CONTOUR))
-# A step lands its first floor row's predicted area this far below the floor.
+# A step lands its first floor row's predicted area this far below the floor,
+# and its predicted k_max this far past the curvature cap.
 _FLOOR_LANDING = 1.0 - 1e-6
+_CAP_LANDING = 1.0 + 1e-7
 # A step's t quadrature has converged when its 8-point and two-panel
 # 8-point sums agree to this relative tolerance.
 _T_QUADRATURE_RTOL = 1e-12
@@ -150,7 +151,10 @@ class FlowConfig:
     ``area_floor`` is the fraction of the initial area at which the run
     stops; ``k_cap`` is a finite absolute curvature cap (default 1e6 times
     the initial maximum), checked against the initial k_max when the config
-    is built.  ``snapshot_every`` counts CFL units: a step of dt counts
+    is built.  The step that reaches either is clipped to land just past
+    it: a run stops within a relative 1e-6 of its cap wherever the log-rate
+    of k_max holds steady over that step, as on a circle.
+    ``snapshot_every`` counts CFL units: a step of dt counts
     dt S / (0.4 dtheta^2 / 2), S = max k^2 Phi'(k) (in the frame the run
     steps in, dtau times its own S, the same number), so one unit is one
     RK4 step at its CFL bound.  Steps are clipped to land on its multiples,
@@ -327,19 +331,6 @@ def _rhs(y, ncurv, grid, law, ell=None):
 def _cfl_base(grid):
     """dt * S of one CFL unit: the RK4 stability bound 0.4 dtheta^2 / 2."""
     return 0.4 * grid.dtheta ** 2 / 2.0
-
-
-def _step_scale(grid):
-    """dt * S of a full ETDRK4 step: ETD_STEP, or the RK4 bound if longer.
-
-    The RK4 bound is longer on grids of n <= 64 only.  There the explicit
-    part of the step stays within the stability bound an RK4 step obeys:
-    it carries a diffusion rate of at most S / 2 in size, so every mode
-    has dt (S / 2) sigma(m) <= 0.4 pi^2 / 4, and the error estimate rejects
-    the step where it is not accurate.  On every grid _march doubles the
-    full step where the error estimate allows.
-    """
-    return max(ETD_STEP, _cfl_base(grid))
 
 
 def _stiffness(stage, lam, law, scale):
@@ -547,18 +538,31 @@ class _State:
     """An accepted state of a march, in the frame: ``y`` holds kappa and eta,
     ``kappa`` the curvature of each row of a _rhs result ``stage`` at y, ``lam``
     is lambda and ``t`` the physical time; ``flux`` holds the flux integrals
-    of the first row up to t.  ``k_max`` lists the physical largest
-    curvature of the first ``n_floors`` rows, those with an area floor, and
-    ``area(i)`` the physical area of row i, computed once per state and only
-    when asked for."""
+    of the first row up to t.  For each of the first ``n_floors`` rows, those
+    with stop marks, ``k_max`` lists the physical largest curvature,
+    ``k_rate`` the rate in tau at which log k_max can grow and ``loss`` the
+    rate oint G dtheta t_tau at which the area falls; ``area(i)`` is the
+    physical area of row i, computed once per state and only when asked for.
 
-    __slots__ = ("t", "lam", "y", "kappa", "flux", "on_cadence", "k_max", "_grid", "_areas")
+    Where k is largest, Phi(k)_thth <= 0, so k_max grows at most at the
+    rate k_max^2 Phi(k_max) in t, as on a circle; in tau, log k_max grows
+    at most at kappa_max^2 G(k_max) / G(1/lambda), which is 1 on a circle."""
+
+    __slots__ = ("t", "lam", "y", "kappa", "flux", "on_cadence", "k_max", "k_rate", "loss",
+                 "_grid", "_areas")
 
     def __init__(self, t, lam, y, stage, flux, on_cadence, grid, n_floors):
+        _, _, unit, blocks = stage
         self.t, self.lam, self.y, self.flux = t, lam, y, flux
-        self.kappa = [row for _, _, kappa in stage[3] for row in kappa]
+        self.kappa = [row for _, _, kappa in blocks for row in kappa]
         self.on_cadence, self._grid = on_cadence, grid
-        self.k_max = [float(row.max()) / lam for row in self.kappa[:n_floors]]
+        g_rows = [row for g, _, _ in blocks for row in g]
+        self.k_max, self.k_rate, self.loss = [], [], []
+        for kappa, g in zip(self.kappa[:n_floors], g_rows):
+            peak = int(kappa.argmax())
+            self.k_max.append(float(kappa[peak]) / lam)
+            self.k_rate.append(float(kappa[peak]) ** 2 * float(g[peak]) / unit)
+            self.loss.append(grid.dtheta * float(np.add.reduce(g)) * lam ** 2 / unit)
         self._areas = {}
 
     def area(self, i):
@@ -576,22 +580,26 @@ class _State:
         return self.y[i] * self.lam
 
 
-def _floor_step(state, stage, floors, horizon, grid):
-    """The tau step after which the first row to cross its floor is predicted
-    to land at _FLOOR_LANDING times it, or inf where no row can reach its
-    floor within the tau step ``horizon``.
+def _floor_step(state, floors, cap, horizon):
+    """The tau step after which the first row to cross a stop mark is
+    predicted to land just past it, at _FLOOR_LANDING times its area floor
+    or at _CAP_LANDING times the curvature cap ``cap``, or inf where no row
+    can reach either within the tau step ``horizon``.
 
-    A row's area A falls at the rate oint G dtheta t_tau, so over dtau it
-    is predicted as A exp(-dtau oint G dtheta t_tau / A).  Blaschke's bound
-    A >= pi / k_max^2 bounds that from below without A, and only a row whose
-    bound may fall to twice its floor within ``horizon`` pays for its area.
+    A row's k_max is predicted as k_max exp(dtau k_rate), exact on a
+    circle, and a row whose prediction stays below the cap over
+    ``horizon`` costs one comparison.  Its area A is predicted as
+    A exp(-dtau loss / A).  Blaschke's bound A >= pi / k_max^2 bounds that
+    from below without A, and only a row whose bound may fall to twice its
+    floor within ``horizon`` pays for its area.
     """
-    _, _, unit, blocks = stage
-    g_rows = [row for g, _, _ in blocks for row in g]
     best = math.inf
     for i, floor in enumerate(floors):
-        loss = grid.dtheta * float(np.add.reduce(g_rows[i])) * state.lam ** 2 / unit
-        bound = math.pi / (state.k_max[i] * state.k_max[i])
+        k_max, loss = state.k_max[i], state.loss[i]
+        to_cap = math.log(cap / k_max)
+        if horizon * state.k_rate[i] >= to_cap:
+            best = min(best, (to_cap + math.log(_CAP_LANDING)) / state.k_rate[i])
+        bound = math.pi / (k_max * k_max)
         if bound * math.exp(-horizon * loss / bound) > 2.0 * floor:
             continue
         area = state.area(i)
@@ -599,14 +607,14 @@ def _floor_step(state, stage, floors, horizon, grid):
     return best
 
 
-def _march(y, ncurv, k, grid, law, clock, floors):
+def _march(y, ncurv, k, grid, law, clock, floors, cap=math.inf):
     """Advance the rows of one flow with shared ETDRK4 steps in the frame,
     yielding each accepted state (_State).
 
     ``y`` holds the physical rows and ``k`` their curvatures; lambda starts
-    as L / (2 pi) of the first row.  A full step has dtau * S =
-    _step_scale(grid), S the stiffness over all rows.  A step is rejected,
-    and retried at half the length, when it raises StepRejected, which it
+    as L / (2 pi) of the first row.  A full step has dtau * S = ETD_STEP,
+    S the stiffness over all rows.  A step is rejected, and retried at
+    half the length, when it raises StepRejected, which it
     does for three reasons: a stage, the result's own included, leaves a
     row's domain (_rhs), the step's error estimate exceeds ETD_TOLERANCE, or
     its t quadrature has not converged (_elapsed).  After a shortened step
@@ -615,17 +623,17 @@ def _march(y, ncurv, k, grid, law, clock, floors):
     whose estimate is below ETD_GROW is followed by one twice as long, with
     no cap.  ``clock`` keeps the run time, the CFL clock and the step
     counters.  Each attempt is planned once: it is clipped to land on the
-    clock's next cadence mark if it would pass it, and just past a row's
-    area floor (``floors``, of the first rows) if it would take the row
-    below it (_floor_step); a row that test skips for a halved attempt
-    cannot reach its floor within it.  A clipped step leaves the length of
-    the next one as it was.  Returns, ending the iteration, once halving
+    clock's next cadence mark if it would pass it, and just past a stop
+    mark of the first rows, an area floor (``floors``, one per row) or the
+    curvature cap ``cap`` (inf for none), if it would take a row past it
+    (_floor_step); a row that test skips for a halved attempt cannot reach
+    either mark within it.  A clipped step leaves the length of the next
+    one as it was.  Returns, ending the iteration, once halving
     pushes dtau below 1e-14 of the elapsed tau (or of the first dtau), or
     when the initial state is outside the domain; _drive reports either as
     convexity loss.
     """
     cfl_base = _cfl_base(grid)
-    full = _step_scale(grid)
     lam = float(np.mean(1.0 / k[0]))  # L / (2 pi) of the first row
     ell = math.log(lam)
     y = np.concatenate((y[:ncurv] * lam, y[ncurv:] * (1.0 / lam)))
@@ -637,13 +645,13 @@ def _march(y, ncurv, k, grid, law, clock, floors):
     start = (geometry.rfft(start[0]),) + start[1:]
     state = _State(0.0, lam, y, start, (0.0, 0.0), True, grid, len(floors))
     tau, first = 0.0, None
-    level = 0  # the step is full / 2^level
+    level = 0  # the step is ETD_STEP / 2^level
     while True:
-        stiffness = _stiffness(start, lam, law, full)
+        stiffness = _stiffness(start, lam, law, ETD_STEP)
         while True:
-            units, on_cadence = clock.plan(full / 2 ** level / cfl_base)
-            landing = _floor_step(state, start, floors, units * cfl_base / stiffness,
-                                  grid) * stiffness / cfl_base
+            units, on_cadence = clock.plan(ETD_STEP / 2 ** level / cfl_base)
+            landing = _floor_step(state, floors, cap,
+                                  units * cfl_base / stiffness) * stiffness / cfl_base
             clipped = on_cadence or landing < units
             if landing < units:
                 units, on_cadence = landing, False
@@ -826,7 +834,7 @@ def _drive(y, k, config, n_floors, record):
 
     Returns (stop_reason, clock), the march's _Clock.  Each of the first
     ``n_floors`` rows has an area floor, ``area_floor`` times its initial
-    area.  ``record(state)`` keeps the state on every cadence mark and at
+    area, and the curvature cap; the march lands on both.  ``record(state)`` keeps the state on every cadence mark and at
     the stop, and returns the stop reason its failure sets (None if it keeps
     it); a failure ends the run.  When the march ends, the last accepted
     state is recorded and the reason is convexity-loss.
@@ -836,7 +844,7 @@ def _drive(y, k, config, n_floors, record):
     clock = _Clock(config.snapshot_every)
     state = None  # the caller records the initial state
     for state in _march(y, int(config.formulation != "support"), k, grid, config.law, clock,
-                        floors):
+                        floors, config.curvature_cap):
         stop = _stop_reason(state, floors, config, clock)
         if state.on_cadence or stop is not None:
             stop = record(state) or stop

@@ -276,7 +276,7 @@ def test_stacked_step_matches_per_row_steps():
     law = power_law(1)
     stack = np.array([kp.k, sp.h, other.h])
     # a run's full step of the stack, S taken over all three rows
-    scale = flow._step_scale(g)
+    scale = flow.ETD_STEP
     dt = scale / flow._stiffness(flow._rhs(stack, 1, g, law), 1.0, law, scale)
     coefficients = flow._etd_coefficients(g.n, scale)
 
@@ -293,7 +293,7 @@ def test_stacked_step_matches_per_row_steps():
 @pytest.mark.parametrize("n", [32, 64, 128, 256, 512, 1024])
 def test_etd_contour_means_match_series_and_closed_forms(n):
     g = AngleGrid(n)
-    full = flow._step_scale(g)
+    full = flow.ETD_STEP
     for level in range(3):  # the full step and two halvings
         scale = full / 2 ** level
         z = -scale * geometry.second_derivative_symbol(n)
@@ -465,14 +465,16 @@ def test_snapshots_land_on_the_cfl_clock(monkeypatch, n):
             units_since = 0.0
     assert spans == pytest.approx([50.0] * len(interior), rel=1e-12, abs=0.0)
     assert units_since < 50.0
-    if n == 64:  # a full step is one CFL unit here, as an RK4 step is; no
-        # step is rejected, and where this ellipse's estimates drop below
-        # ETD_GROW steps double, so every step that neither a cadence mark
-        # nor the area floor (the last step) clipped is 2^j full steps
-        assert traj.rejected_count == 0
-        assert all(units >= 1.0 and math.log2(units).is_integer()
-                   for _, units, on_cadence in ticks[:-1] if not on_cadence)
-    else:  # fewer than half the steps an RK4 run takes on the same clock
+    # no step is rejected, and where this ellipse's estimates drop below
+    # ETD_GROW steps double, so every step that neither a cadence mark nor
+    # the area floor (the last step) clipped is 2^j full steps, dtau S =
+    # ETD_STEP on either grid
+    full = flow.ETD_STEP / flow._cfl_base(g)
+    assert traj.rejected_count == 0
+    assert all(units >= full and math.log2(units / full).is_integer()
+               for _, units, on_cadence in ticks[:-1] if not on_cadence)
+    if n == 128:  # a full step is 3.1 CFL units here (0.78 at n = 64): fewer
+        # than half the steps an RK4 run takes on the same clock
         assert len(ticks) < 0.5 * 50.0 * (len(interior) + 1)
 
 
@@ -563,17 +565,18 @@ def test_shortened_step_redoubles_up_to_the_full_step(monkeypatch):
 
 
 def test_full_step_grows_on_coarse_grids(monkeypatch):
-    # on n <= 64 the full step is the RK4 stability bound, one CFL unit;
-    # the circle's steps double from it while the estimate allows, as they
-    # double from ETD_STEP on n >= 128, and stay exact to rounding
+    # on n <= 64 the full step is ETD_STEP, as on finer grids, though one
+    # CFL unit is longer there; the circle's steps double from it while the
+    # estimate allows, and stay exact to rounding
     ticks = _record_steps(monkeypatch)
     for n in (32, 64):
         ticks.clear()
         traj = run(FlowConfig(law=power_law(1), initial=circle_kp(1.0, n=n)))
-        assert flow._step_scale(AngleGrid(n)) == flow._cfl_base(AngleGrid(n))
+        full = flow.ETD_STEP / flow._cfl_base(AngleGrid(n))
+        assert full < 1.0
         assert traj.stop_reason == flow.STOP_AREA_FLOOR
         assert traj.step_count == len(ticks) <= 20
-        assert [units for _, units, _ in ticks[:4]] == [1.0, 2.0, 4.0, 8.0]
+        assert [units for _, units, _ in ticks[:4]] == [full, 2.0 * full, 4.0 * full, 8.0 * full]
         # R(t)^2 = 1 - 2t
         err = max(float(np.max(np.abs(s.curvature.k * math.sqrt(1.0 - 2.0 * s.t) - 1.0)))
                   for s in traj.snapshots)
@@ -697,11 +700,16 @@ def test_stable_dt_formula_value():
 
 
 @pytest.mark.parametrize("n", [32, 64, 128, 4096])
-def test_full_step_is_the_longer_of_etd_step_and_one_cfl_unit(n):
+def test_full_step_is_etd_step_on_every_grid(monkeypatch, n):
     g = AngleGrid(n)
     unit = 0.4 * g.dtheta ** 2 / 2.0
     assert flow._cfl_base(g) == unit
-    assert flow._step_scale(g) == (unit if n <= 64 else 0.0015)
+    # a march's first step is one full step, dtau S = 0.0015, whether one
+    # CFL unit is longer (n <= 64) or shorter
+    ticks = _record_steps(monkeypatch)
+    kp = circle_kp(1.0, n=n)
+    next(flow._march(kp.k[None], 1, kp.k[None], g, power_law(1), flow._Clock(math.inf), []))
+    assert ticks[0][1] * unit == pytest.approx(0.0015, rel=1e-15)
 
 
 def test_run_circle_affine_exponent():
@@ -737,6 +745,31 @@ def test_run_curvature_cap_stop():
     traj = run(config)
     assert traj.stop_reason == flow.STOP_CURVATURE_CAP
     assert traj.last.summary.k_max >= 5.0
+
+
+@pytest.mark.parametrize("cap", [10.0, 30.0])
+@pytest.mark.parametrize("p", [1, 2])
+def test_curvature_cap_is_landed(p, cap):
+    # the step that would pass the cap is clipped to land just past it, as
+    # steps land on the area floor, which lies far beyond it here
+    traj = run(FlowConfig(law=power_law(p), initial=circle_kp(1.0, n=128), k_cap=cap,
+                          snapshot_every=10 ** 9, area_floor=1e-9))
+    assert traj.stop_reason == flow.STOP_CURVATURE_CAP
+    k_max = traj.last.summary.k_max
+    assert abs(k_max / cap - 1.0) <= 1e-6
+    # the circle's k(t) = (1 - (p + 1) t)^(-1 / (p + 1)) at the stop
+    exact = (1.0 - (p + 1) * traj.last.t) ** (-1.0 / (p + 1))
+    assert k_max == pytest.approx(exact, rel=1e-9)
+
+
+def test_ellipse_run_lands_on_its_default_cap(tmp_path):
+    # the default cap is 1e6 times the 2:1 ellipse's initial k_max of 2,
+    # reached before the area floor
+    spec = cli.RunSpec(curve="ellipse:2,1", n=128, area_floor=1e-14)
+    assert cli.execute_run(spec, tmp_path) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["stop_reason"] == flow.STOP_CURVATURE_CAP
+    assert abs(summary["snapshots"][-1]["k_max"] / 2e6 - 1.0) <= 1e-6
 
 
 def test_run_step_limit_stop():
@@ -967,9 +1000,10 @@ def test_containment_curvature_cap_stop():
                         formulation="support")
     report = containment_run(config, inner)
     assert report.stop_reason == flow.STOP_CURVATURE_CAP
-    # the inner radius sqrt(1 - 2t) reaches 1/1.5; the stop records its gap
+    # the inner radius sqrt(1 - 2t) reaches 1/1.5, where the last step
+    # lands; the stop records its gap
     t_cap = (1.0 - 1.0 / 1.5 ** 2) / 2.0
-    assert report.times[-1] == pytest.approx(t_cap, abs=1e-3)
+    assert report.times[-1] == pytest.approx(t_cap, abs=1e-5)
     exact = math.sqrt(4.0 - 2.0 * report.times[-1]) - math.sqrt(1.0 - 2.0 * report.times[-1])
     assert report.min_gap[-1] == pytest.approx(exact, abs=1e-6)
 
@@ -994,8 +1028,10 @@ def test_containment_step_limit_off_cadence_records_the_final_gap(monkeypatch):
     outer = SupportProfile(g, np.full(g.n, 2.0))
     inner = SupportProfile(g, np.full(g.n, 1.0))
     ticks = _record_steps(monkeypatch)
+    # a cadence of 25 CFL units puts one mark within the ten steps, at the
+    # seventh, and none on the last
     report = containment_run(FlowConfig(law=power_law(1), initial=outer, max_steps=10,
-                                        snapshot_every=20, formulation="support"), inner)
+                                        snapshot_every=25, formulation="support"), inner)
     assert report.stop_reason == flow.STOP_STEP_LIMIT
     assert len(ticks) == 10 and not ticks[-1][2]
     # t = 0 and the steps on a cadence mark, then the final state at step 10
