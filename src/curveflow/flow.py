@@ -19,28 +19,30 @@ One stepper core (``_march``) advances a (B, n) stack of rows, at most one
 curvature row first, with shared ETDRK4 steps (Cox & Matthews 2002, as in
 Kassam & Trefethen 2005): L = -(S / 2) sigma(m), S the largest
 kappa^2 Phi_l' over the rows and sigma the symbol of -d^2/dtheta^2, is
-integrated exactly in Fourier space, and N = rhs - L y is built on
-``_rhs``.  A constant-coefficient stabilizer of a variable diffusion rate
-a needs only half its largest value (Douglas & Dupont 1971; Smereka 2003).
-N keeps the rate a - S / 2 in sigma, at most S / 2 in size where
-L = -S sigma would leave up to S, and that stiffness in N sets the steps
-the error estimate accepts.  Where a row's rate is S, N holds as much as
-L and its high modes are only just damped; where the rate grows past S
-within a step, they grow until the error estimate halves the step.
-dtau S equals dt max k^2 Phi'(k), so a full step is dtau S = ETD_STEP in
-either variable on every grid, and the snapshot cadence counts CFL units,
-dtau S / (0.4 dtheta^2 / 2).  Every step carries an embedded error
-estimate that rejects, halves and re-grows it; steps double without a cap
-while the estimate allows, and the cadence, the area floor and the
-curvature cap clip them, the last two to land just past the mark.  Every
-transform goes through
-geometry.rfft / irfft, numpy's FFT kernels without numpy's Python wrapper:
-a curvature-form step makes 17.  ``run`` and ``containment_run`` hand
-their rows to ``_drive``, which builds, clocks and stops the march by one
-stop test, gated by Blaschke's A >= pi / k_max^2.  ``step`` takes one
-physical ETDRK4 step at a dt of the caller's choosing, ``stable_dt`` gives
-one CFL unit, and the ``rhs_*`` functions give the physical right-hand
-sides.
+integrated exactly in Fourier space, and N = rhs - L y is built on the
+stages of ``_rhs``, each a ``_Stage`` that carries the rows' rates with
+their spectrum.  ``_etd`` only steps, from its four stages and the
+result's; ``_elapsed`` integrates t and the flux integrals over the step
+from the same stages.  A constant-coefficient stabilizer of a variable
+diffusion rate a needs only half its largest value (Douglas & Dupont 1971;
+Smereka 2003).  N keeps the rate a - S / 2 in sigma, at most S / 2 in size
+where L = -S sigma would leave up to S, and that stiffness in N sets the
+steps the error estimate accepts.  Where a row's rate is S, N holds as much
+as L and its high modes are only just damped; where the rate grows past S
+within a step, they grow until the error estimate halves the step.  dtau S
+equals dt max k^2 Phi'(k), so a full step is dtau S = ETD_STEP in either
+variable on every grid, and the snapshot cadence counts CFL units,
+dtau S / (0.4 dtheta^2 / 2).  Every step carries an embedded error estimate
+that rejects, halves and re-grows it; steps double without a cap while the
+estimate allows, and the cadence, the area floor and the curvature cap
+clip them, the last two to land just past the mark.  Every transform goes
+through geometry.rfft / irfft, numpy's FFT kernels without numpy's Python
+wrapper: a curvature-form step makes 17.  ``run`` and ``containment_run``
+hand their rows to ``_drive``, which builds, clocks and stops the march by
+one stop test, gated by Blaschke's A >= pi / k_max^2.  ``step`` takes one
+physical ETDRK4 step, of the same stages at lambda = 1 and m = 0, at a dt
+of the caller's choosing, ``stable_dt`` gives one CFL unit, and the
+``rhs_*`` functions give the physical right-hand sides.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import dataclasses
 import functools
 import math
 import sys
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -254,8 +256,21 @@ class Trajectory:
 # the stepper core
 # ---------------------------------------------------------------------------
 
+class _Stage(NamedTuple):
+    """A _rhs result: the rows' rates ``dy`` and their ``spectrum``, rfft(dy);
+    ``m``, the mean of Phi_l over the first row (0 for the physical
+    equations); ``unit``, G(1/lambda); and ``blocks``, the (G, k, kappa) of
+    the curvature rows and of the support rows, k the physical curvature."""
+
+    dy: np.ndarray
+    spectrum: np.ndarray
+    m: float
+    unit: float
+    blocks: list
+
+
 def _rhs(y, ncurv, grid, law, ell=None):
-    """Right-hand sides of all rows of the (B, n) stack ``y`` at one stage.
+    """The _Stage of all rows of the (B, n) stack ``y``.
 
     The first ``ncurv`` rows (0 or 1) hold curvature, the rest support
     functions.  With ``ell`` = log lambda they are the frame's kappa and eta,
@@ -267,11 +282,6 @@ def _rhs(y, ncurv, grid, law, ell=None):
     law.g call; the frame makes one more, at 1/lambda.  Raises StepRejected
     when a stage leaves the domain of any row, or when G(1/lambda) is not a
     positive finite number.
-
-    Returns (dy, m, unit, blocks): m is the mean of Phi_l over the first
-    row (0 for the physical equations), ``unit`` is G(1/lambda), and
-    ``blocks`` lists (G, k, kappa) of the curvature rows and of the support
-    rows, k the physical curvature.
     """
     kappa, h = y[:ncurv], y[ncurv:]
     frame = ell is not None
@@ -310,22 +320,19 @@ def _rhs(y, ncurv, grid, law, ell=None):
             first = phi_h
     m = float(np.add.reduce(first[0])) / grid.n if frame else 0.0
     rows = []
-    if ncurv:
-        if frame:  # kappa (kappa (Phi_l'' + Phi_l) - m)
-            dk = d2[:ncurv]
-            dk += phi
-            dk *= kappa
-            dk -= m
-            dk *= kappa
-        else:  # k^2 (Phi'' + Phi), in the order of the definition
-            dk = kappa * kappa
-            dk *= d2[:ncurv] + phi
+    if ncurv:  # kappa (kappa (Phi_l'' + Phi_l) - m)
+        dk = d2[:ncurv]
+        dk += phi
+        dk *= kappa
+        dk -= m
+        dk *= kappa
         rows.append(dk)
     if len(h):  # m eta - Phi_l
         dh = m * h
         dh -= phi_h
         rows.append(dh)
-    return (rows[0] if len(rows) == 1 else np.concatenate(rows)), m, unit, blocks
+    dy = rows[0] if len(rows) == 1 else np.concatenate(rows)
+    return _Stage(dy, geometry.rfft(dy), m, unit, blocks)
 
 
 def _cfl_base(grid):
@@ -334,7 +341,7 @@ def _cfl_base(grid):
 
 
 def _stiffness(stage, lam, law, scale):
-    """S = max kappa^2 Phi_l'(kappa) over the rows of a _rhs result ``stage``.
+    """S = max kappa^2 Phi_l'(kappa) over the rows of the _Stage ``stage``.
 
     That is max kappa^2 Phi'(k) / G(1/lambda) with k = kappa / lambda, from
     the G the right-hand side formed; with lam = 1 and the physical
@@ -343,16 +350,15 @@ def _stiffness(stage, lam, law, scale):
     max k^2 Phi'(k) = S G(1/lambda) / lambda^2, and over S, is a finite
     positive step: the physical time must stay representable.
     """
-    _, _, unit, blocks = stage
     rate = 0.0
-    for g, k, kappa in blocks:
+    for g, k, kappa in stage.blocks:
         # Phi' = G' k + G as law.phi_prime forms it, without its k > 0
         # check: _rhs has already refused k <= 0
         rate = max(rate, float((kappa * kappa * (law.g_prime(k) * k + g)).max()))
-    stiffness, physical = rate / unit, rate / (lam * lam)
+    stiffness, physical = rate / stage.unit, rate / (lam * lam)
     if not (physical > 0.0 and 0.0 < scale / physical < math.inf
             and stiffness > 0.0 and scale / stiffness < math.inf):
-        k_max = max(float(k.max()) for _, k, _ in blocks)
+        k_max = max(float(k.max()) for _, k, _ in stage.blocks)
         raise SpeedLawDomainError(f"{law.label}: no finite step at k_max = {k_max:.3e}",
                                   abscissa=k_max)
     return stiffness
@@ -411,22 +417,19 @@ def _etd_coefficients(n, scale):
     return tables
 
 
-def _etd(y, y_hat, start, ncurv, dt, coefficients, grid, law, ell=None):
+def _etd(y_hat, start, ncurv, dt, coefficients, grid, law, ell=None):
     """One ETDRK4 step of every row, with its local error estimate.
 
-    ``y_hat`` is rfft(y), ``start`` the step's first stage, (rfft(dy), *rest)
-    of _rhs(y), ``coefficients`` the step's _etd_coefficients, and ``ell``
-    log lambda in the frame (None for a physical step of length dt).  The
-    linear part L = -(S / 2) sigma is integrated exactly; N = rhs - L y is
-    built on _rhs, so a stage that leaves the domain of a row raises
-    StepRejected there.  The result is judged the same way, once: its _rhs
-    is ``end``, the next step's first stage, which refuses k <= 0 or
-    h'' + h <= 0 in any row.  log lambda takes the same formulas at sigma = 0, classical RK4,
-    from each stage's m, and so do the flux integrals' shape factors, of the
-    law's rates at each stage (see _elapsed).  Returns (y, y_hat, end,
-    error, ell, shape) of the result:
-    ``shape`` holds the shape factors of the two fluxes at the step's
-    start, middle and end (None for a physical step).
+    ``y_hat`` is rfft(y), ``start`` the _Stage of y, ``coefficients`` the
+    step's _etd_coefficients, and ``ell`` log lambda in the frame (None for
+    a physical step of length dt).  The linear part L = -(S / 2) sigma is
+    integrated exactly; N = rhs - L y is built on _rhs, so a stage that
+    leaves the domain of a row raises StepRejected there.  The result is
+    judged the same way, once: its stage ``end``, the next step's first,
+    refuses k <= 0 or h'' + h <= 0 in any row.  log lambda takes the same
+    formulas at sigma = 0, classical RK4, from each stage's m.  Returns
+    (y, y_hat, end, error, ell, stages) of the result, ``stages`` the
+    step's four, start, a, b and c, from which _elapsed integrates.
     ``error`` is the largest over the rows of |f3 (N(y_new) - N(c))|
     relative to the row's largest |y_new|, where c is the last stage, at the
     same time as y_new: swapping N(c) for N(y_new) in the last weight gives
@@ -436,39 +439,34 @@ def _etd(y, y_hat, start, ncurv, dt, coefficients, grid, law, ell=None):
     own such estimate, which is also its relative error in lambda, counts as
     one more row.  N(y_new) is the next step's first stage, so the estimate
     costs no extra right-hand side on an accepted step.  Each stage's dt N is
-    dt rfft(rhs) + (scale / 2) sigma v for its spectrum v; the sums are
-    formed in place, in the order of the ETDRK4 formulas.
+    dt times its ``spectrum`` plus (scale / 2) sigma v, v the spectrum of
+    its rows; the sums are formed in place, in the order of the ETDRK4
+    formulas.
     """
     e, e_half, q, f1, f2, f3, linear = coefficients
     n = grid.n
-    rfft, irfft = geometry.rfft, geometry.irfft
+    irfft = geometry.irfft
     frame = ell is not None
     half = 0.5 * dt
-    nv = start[0] * dt
+    nv = start.spectrum * dt
     nv += linear * y_hat
     e_half_v = e_half * y_hat
     a_hat = q * nv
     a_hat += e_half_v
-    ell_a = ell - half * start[1] if frame else None
-    a = _rhs(irfft(a_hat, n), ncurv, grid, law, ell_a)
-    na = rfft(a[0])
-    na *= dt
+    a = _rhs(irfft(a_hat, n), ncurv, grid, law, ell - half * start.m if frame else None)
+    na = a.spectrum * dt
     na += linear * a_hat
     b_hat = q * na
     b_hat += e_half_v
-    ell_b = ell - half * a[1] if frame else None
-    b = _rhs(irfft(b_hat, n), ncurv, grid, law, ell_b)
-    nb = rfft(b[0])
-    nb *= dt
+    b = _rhs(irfft(b_hat, n), ncurv, grid, law, ell - half * a.m if frame else None)
+    nb = b.spectrum * dt
     nb += linear * b_hat
     c_hat = 2.0 * nb
     c_hat -= nv
     c_hat *= q
     c_hat += e_half * a_hat
-    ell_c = ell - dt * b[1] if frame else None
-    c = _rhs(irfft(c_hat, n), ncurv, grid, law, ell_c)
-    nc = rfft(c[0])
-    nc *= dt
+    c = _rhs(irfft(c_hat, n), ncurv, grid, law, ell - dt * b.m if frame else None)
+    nc = c.spectrum * dt
     nc += linear * c_hat
     new_hat = e * y_hat
     new_hat += f1 * nv
@@ -478,65 +476,59 @@ def _etd(y, y_hat, start, ncurv, dt, coefficients, grid, law, ell=None):
     new_hat += stage_sum
     new_hat += f3 * nc
     new = irfft(new_hat, n)
-    shape = None
     if frame:
-        # the first row's oint Phi dtheta t_tau / lambda and oint G dtheta
-        # t_tau / lambda^2 at the stages: 2 pi m, and the sum of the G the
-        # stage formed over G(1/lambda); 2 pi each on a circle, and for a
-        # power law set by the shape alone.  Their values at the step's
-        # start, middle and end are what the RK4 weights take, as log
-        # lambda's rates do.
-        m = (start[1], a[1], b[1], c[1])
-        g_shape = [grid.dtheta * float(np.add.reduce(s[3][0][0][0])) / s[2]
-                   for s in (start, a, b, c)]
-        shape = ((2.0 * math.pi * m[0], math.pi * (m[1] + m[2]), 2.0 * math.pi * m[3]),
-                 (g_shape[0], 0.5 * (g_shape[1] + g_shape[2]), g_shape[3]))
-        ell -= dt / 6.0 * (m[0] + 2.0 * (m[1] + m[2]) + m[3])
+        ell -= dt / 6.0 * (start.m + 2.0 * (a.m + b.m) + c.m)
     end = _rhs(new, ncurv, grid, law, ell)
-    end = (rfft(end[0]),) + end[1:]
-    estimate = end[0] * dt
+    estimate = end.spectrum * dt
     estimate += linear * new_hat
     estimate -= nc
     estimate *= f3
     estimate = irfft(estimate, n)
     error = float((np.abs(estimate).max(axis=1) / np.abs(new).max(axis=1)).max())
     if frame:
-        error = max(error, abs(dt * (c[1] - end[1])) / 6.0)
-    return new, new_hat, end, error, ell, shape
+        error = max(error, abs(dt * (c.m - end.m)) / 6.0)
+    return new, new_hat, end, error, ell, (start, a, b, c)
 
 
-def _elapsed(ell, ell_new, m, m_new, dtau, law, shape):
-    """(dt, flux) over a step: the run time, the integral of
-    t_tau = lambda^2 / G(1/lambda), and the flux integrals of oint Phi dtheta
-    and oint G dtheta.
+def _elapsed(ell, ell_new, stages, end, dtau, law, grid):
+    """(dt, flux) over a step of _etd in the frame: the run time, the
+    integral of t_tau = lambda^2 / G(1/lambda), and the flux integrals of
+    oint Phi dtheta and oint G dtheta.
 
     log lambda over the step is the cubic Hermite of its values ``ell`` and
-    ``ell_new`` and its rates -m and -m_new at the ends, exact where it is
-    linear, as on a circle.  The integrals are summed by 8-point
-    Gauss-Legendre on two halves of the step, in one law.g call with the
-    one-panel rule's nodes; raises StepRejected unless the two rules agree
-    on dt to _T_QUADRATURE_RTOL.  The fluxes' rates are lambda and lambda^2
-    times their ``shape`` factors (_etd), which are taken quadratic through
-    their values at the step's start, middle and end: where lambda stays
-    put that is the RK4 weights' rule, and on a circle, where the factors
-    are constant, it is exact however long the step.
+    ``ell_new`` and its rates -m at the first of ``stages`` and at ``end``,
+    exact where it is linear, as on a circle.  The integrals are summed by
+    8-point Gauss-Legendre on two halves of the step, in one law.g call with
+    the one-panel rule's nodes; raises StepRejected unless the two rules
+    agree on dt to _T_QUADRATURE_RTOL.  The fluxes' rates are lambda and
+    lambda^2 times shape factors of the first row, 2 pi m and the sum of the
+    G a stage formed over G(1/lambda) (2 pi each on a circle, and for a
+    power law set by the shape alone), taken quadratic through their values
+    at the step's start, middle and end as the RK4 weights take them from
+    the four stages: where lambda stays put that is the RK4 weights' rule,
+    and on a circle, where the factors are constant, it is exact however
+    long the step.
     """
-    lam = np.exp(_T_HERMITE @ np.array((-dtau * m, ell_new - ell, -dtau * m_new)))
+    start, a, b, c = stages
+    lam = np.exp(_T_HERMITE @ np.array((-dtau * start.m, ell_new - ell, -dtau * end.m)))
     lam *= math.exp(ell)
     square = lam * lam
     coarse, fine = (_T_RULES @ (square / law.g(1.0 / lam))).tolist()
     if not abs(coarse - fine) <= _T_QUADRATURE_RTOL * fine:
         raise StepRejected("the t quadrature has not converged")
+    g = [grid.dtheta * float(np.add.reduce(s.blocks[0][0][0])) / s.unit for s in stages]
+    shapes = ((2.0 * math.pi * start.m, math.pi * (a.m + b.m), 2.0 * math.pi * c.m),
+              (g[0], 0.5 * (g[1] + g[2]), g[3]))
     flux = []
-    for rate, (start, middle, end) in zip((lam, square), shape):
-        u_start, u_middle, u_end = (_T_LAGRANGE @ rate).tolist()
-        flux.append(dtau * (u_start * start + u_middle * middle + u_end * end))
+    for rate, (first, middle, last) in zip((lam, square), shapes):
+        u_first, u_middle, u_last = (_T_LAGRANGE @ rate).tolist()
+        flux.append(dtau * (u_first * first + u_middle * middle + u_last * last))
     return dtau * fine, tuple(flux)
 
 
 class _State:
     """An accepted state of a march, in the frame: ``y`` holds kappa and eta,
-    ``kappa`` the curvature of each row of a _rhs result ``stage`` at y, ``lam``
+    ``kappa`` the curvature of each row of the _Stage ``stage`` of y, ``lam``
     is lambda and ``t`` the physical time; ``flux`` holds the flux integrals
     of the first row up to t.  For each of the first ``n_floors`` rows, those
     with stop marks, ``k_max`` lists the physical largest curvature,
@@ -552,11 +544,11 @@ class _State:
                  "_grid", "_areas")
 
     def __init__(self, t, lam, y, stage, flux, on_cadence, grid, n_floors):
-        _, _, unit, blocks = stage
+        unit = stage.unit
         self.t, self.lam, self.y, self.flux = t, lam, y, flux
-        self.kappa = [row for _, _, kappa in blocks for row in kappa]
+        self.kappa = [row for _, _, kappa in stage.blocks for row in kappa]
         self.on_cadence, self._grid = on_cadence, grid
-        g_rows = [row for g, _, _ in blocks for row in g]
+        g_rows = [row for g, _, _ in stage.blocks for row in g]
         self.k_max, self.k_rate, self.loss = [], [], []
         for kappa, g in zip(self.kappa[:n_floors], g_rows):
             peak = int(kappa.argmax())
@@ -642,7 +634,6 @@ def _march(y, ncurv, k, grid, law, clock, floors, cap=math.inf):
         start = _rhs(y, ncurv, grid, law, ell)
     except StepRejected:
         return
-    start = (geometry.rfft(start[0]),) + start[1:]
     state = _State(0.0, lam, y, start, (0.0, 0.0), True, grid, len(floors))
     tau, first = 0.0, None
     level = 0  # the step is ETD_STEP / 2^level
@@ -660,11 +651,11 @@ def _march(y, ncurv, k, grid, law, clock, floors, cap=math.inf):
             if first is None:
                 first = dtau
             try:
-                new, new_hat, end, error, ell_new, shape = _etd(
-                    y, y_hat, start, ncurv, dtau, _etd_coefficients(grid.n, scale), grid, law, ell)
+                new, new_hat, end, error, ell_new, stages = _etd(
+                    y_hat, start, ncurv, dtau, _etd_coefficients(grid.n, scale), grid, law, ell)
                 if not error <= ETD_TOLERANCE:
                     raise StepRejected("the error estimate exceeds ETD_TOLERANCE")
-                dt, flux = _elapsed(ell, ell_new, start[1], end[1], dtau, law, shape)
+                dt, flux = _elapsed(ell, ell_new, stages, end, dtau, law, grid)
                 break
             except StepRejected:
                 clock.rejected += 1
@@ -695,12 +686,12 @@ def _stack(profile):
 
 def rhs_curvature(kp, law):
     """dk/dt = k^2 (Phi'' + Phi) on the grid; raises StepRejected unless k > 0."""
-    return _rhs(kp.k[None], 1, kp.grid, law)[0][0]
+    return _rhs(kp.k[None], 1, kp.grid, law).dy[0]
 
 
 def rhs_support(sp, law):
     """dh/dt = -Phi(k), k = (h'' + h)^-1; raises StepRejected unless h'' + h > 0."""
-    return _rhs(sp.h[None], 0, sp.grid, law)[0][0]
+    return _rhs(sp.h[None], 0, sp.grid, law).dy[0]
 
 
 def stable_dt(profile, law):
@@ -730,8 +721,7 @@ def step(state, law, dt):
     y, ncurv = _stack(state)
     start = _rhs(y, ncurv, state.grid, law)
     scale = dt * _stiffness(start, 1.0, law, dt)
-    start = (geometry.rfft(start[0]),) + start[1:]
-    new = _etd(y, geometry.rfft(y), start, ncurv, dt, _etd_coefficients(state.grid.n, scale),
+    new = _etd(geometry.rfft(y), start, ncurv, dt, _etd_coefficients(state.grid.n, scale),
                state.grid, law)[0]
     return type(state)(state.grid, new[0], state.t + dt)
 
@@ -834,9 +824,10 @@ def _drive(y, k, config, n_floors, record):
 
     Returns (stop_reason, clock), the march's _Clock.  Each of the first
     ``n_floors`` rows has an area floor, ``area_floor`` times its initial
-    area, and the curvature cap; the march lands on both.  ``record(state)`` keeps the state on every cadence mark and at
-    the stop, and returns the stop reason its failure sets (None if it keeps
-    it); a failure ends the run.  When the march ends, the last accepted
+    area, and the curvature cap; the march lands on both.  ``record(state)``
+    keeps the state on every cadence mark and at the stop, and returns the
+    stop reason its failure sets (None if it keeps it); a failure ends the
+    run.  When the march ends, the last accepted
     state is recorded and the reason is convexity-loss.
     """
     grid = config.initial.grid

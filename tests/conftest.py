@@ -29,9 +29,10 @@ def profile_corpus(grid256):
     return [random_convex_support(grid256, rng) for _ in range(100)]
 
 
-def scaled_rhs(factor, result):
-    """A ``flow._rhs`` result whose state rates, the rows' dy and log
-    lambda's -m, are ``factor`` times too fast: the law's G and G(1/lambda),
-    from which the flux integrals are taken, are left as they are."""
-    dy, m, unit, blocks = result
-    return factor * dy, factor * m, unit, blocks
+def scaled_rhs(factor, stage):
+    """A ``flow._rhs`` stage whose state rates, the rows' dy (and their
+    spectrum) and log lambda's -m, are ``factor`` times too fast: the law's
+    G and G(1/lambda), from which the flux integrals are taken, are left as
+    they are."""
+    return stage._replace(dy=factor * stage.dy, spectrum=factor * stage.spectrum,
+                          m=factor * stage.m)

@@ -430,6 +430,19 @@ def test_gradient_estimate_of_a_phi_whose_square_overflows(tmp_path):
     assert grad["worst_margin"] is not None and grad["worst_margin"] >= 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_deep_area_floor_run_judges_only_changed_fluxes(tmp_path):
+    # at an area floor of 1e-30 the flux integrals stop changing in rounding
+    # before the run ends; the intervals where they did not change are not
+    # judged, rather than divided by
+    assert run_main(["run", "--curve", "circle:1", "--area-floor", "1e-30", "--n", "32",
+                     "--k-cap", "1e300", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["stop_reason"] == "area-floor"
+    statuses = {m["name"]: m["status"] for m in summary["monitors"]}
+    assert statuses["evolution-identities"] == "pass"
+
+
 def test_a_failed_monitor_exits_1_and_still_writes(tmp_path, monkeypatch):
     # a 2% error in the stepper's right-hand side breaks the evolution identities
     rhs = flow._rhs

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -198,6 +199,33 @@ def test_evolution_identities_need_two_snapshots():
         monitor_evolution_identities(oracle.circle_trajectory(1.0, 1.0, [0.0], n=64))
     # one interval of the exact circle is judged, against its exact fluxes
     report = monitor_evolution_identities(oracle.circle_trajectory(1.0, 1.0, [0.0, 0.2], n=64))
+    assert report.passed
+    assert report.times == [0.2]
+    assert report.extras["worst_mismatch"] < 1e-12
+
+
+def test_evolution_identities_skip_an_interval_whose_flux_did_not_change():
+    # far below the initial area, rounding can leave a flux integral where
+    # it was: that identity is not judged on the interval, whose ratio would
+    # divide by 0
+    traj = oracle.circle_trajectory(1.0, 1.0, [0.0, 0.2], n=64)
+    first = traj.snapshots[0]
+    traj.snapshots[1] = dataclasses.replace(traj.snapshots[1], flux=first.flux)
+    report = monitor_evolution_identities(traj)
+    assert report.status == "inconclusive"
+    assert report.values == []
+    # with three snapshots the first interval is judged, the equal-flux one not
+    traj = oracle.circle_trajectory(1.0, 1.0, [0.0, 0.1, 0.2], n=64)
+    middle = traj.snapshots[1]
+    traj.snapshots[2] = dataclasses.replace(traj.snapshots[2], flux=middle.flux)
+    report = monitor_evolution_identities(traj)
+    assert report.passed
+    assert report.times == [0.1]
+    # one unchanged flux leaves the other identity judged on the interval
+    traj = oracle.circle_trajectory(1.0, 1.0, [0.0, 0.2], n=64)
+    last = traj.snapshots[1]
+    traj.snapshots[1] = dataclasses.replace(last, flux=(last.flux[0], first.flux[1]))
+    report = monitor_evolution_identities(traj)
     assert report.passed
     assert report.times == [0.2]
     assert report.extras["worst_mismatch"] < 1e-12

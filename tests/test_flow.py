@@ -127,12 +127,6 @@ def test_step_refuses_a_dt_that_is_not_positive_and_finite(monkeypatch, dt):
         step(circle_kp(1.0, n=32), power_law(1), dt)
 
 
-def _first_stage(y, ncurv, grid, law, ell=None):
-    """The first stage _etd takes at ``y``: (rfft(dy), *rest) of _rhs(y)."""
-    start = flow._rhs(y, ncurv, grid, law, ell)
-    return (np.fft.rfft(start[0]),) + start[1:]
-
-
 @pytest.mark.parametrize("ncurv, message", [
     (1, "curvature lost positivity in a stage"),
     (0, "support profile lost convexity in a stage")])
@@ -147,15 +141,16 @@ def test_etd_rejects_a_result_that_leaves_the_domain(monkeypatch, ncurv, message
 
     def last_stage_falls(rows, *args):
         calls.append(None)
-        dy, *rest = rhs(rows, *args)  # the domain gate runs on every stage
-        return (np.full_like(dy, -6.0 if len(calls) == 4 else 0.0), *rest)
+        stage = rhs(rows, *args)  # the domain gate runs on every stage
+        dy = np.full_like(stage.dy, -6.0 if len(calls) == 4 else 0.0)
+        return stage._replace(dy=dy, spectrum=np.fft.rfft(dy))
 
     monkeypatch.setattr(flow, "_rhs", last_stage_falls)
     for ell in (None, 0.0):  # a physical step and a step in the frame
         calls.clear()
-        start = _first_stage(y, ncurv, g, power_law(1), ell)
+        start = flow._rhs(y, ncurv, g, power_law(1), ell)
         with pytest.raises(StepRejected, match=message):
-            flow._etd(y, np.fft.rfft(y), start, ncurv, 1.0, flow._etd_coefficients(g.n, 1.0),
+            flow._etd(np.fft.rfft(y), start, ncurv, 1.0, flow._etd_coefficients(g.n, 1.0),
                       g, power_law(1), ell)
         assert len(calls) == 5
 
@@ -205,17 +200,17 @@ def test_stacked_stage_matches_per_row_rhs():
     law = power_law(2)
     # the per-row definitions, one second derivative per row
     phi = law.g(kp.k) * kp.k
-    by_def_k = kp.k * kp.k * (geometry.second_derivative(phi, g) + phi)
+    by_def_k = kp.k * (kp.k * (geometry.second_derivative(phi, g) + phi))
     rho = geometry.second_derivative(sp.h, g) + sp.h
     by_def_h = -(law.g(1.0 / rho) * (1.0 / rho))
 
-    pair = flow._rhs(np.array([kp.k, sp.h]), 1, g, law)[0]
+    pair = flow._rhs(np.array([kp.k, sp.h]), 1, g, law).dy
     assert np.array_equal(pair[0], rhs_curvature(kp, law))
     assert np.array_equal(pair[0], by_def_k)
     assert np.array_equal(pair[1], rhs_support(sp, law))
     assert np.array_equal(pair[1], by_def_h)
 
-    two = flow._rhs(np.array([sp.h, other.h]), 0, g, law)[0]
+    two = flow._rhs(np.array([sp.h, other.h]), 0, g, law).dy
     assert np.array_equal(two[0], rhs_support(sp, law))
     assert np.array_equal(two[1], rhs_support(other, law))
 
@@ -223,8 +218,24 @@ def test_stacked_stage_matches_per_row_rhs():
     # equals the lone one, and both forms share m, the first row's
     frame_pair = flow._rhs(np.array([kp.k, sp.h]), 1, g, law, 0.0)
     frame_k = flow._rhs(kp.k[None], 1, g, law, 0.0)
-    assert np.array_equal(frame_pair[0][0], frame_k[0][0])
-    assert frame_pair[1] == frame_k[1]
+    assert np.array_equal(frame_pair.dy[0], frame_k.dy[0])
+    assert frame_pair.m == frame_k.m
+
+
+@pytest.mark.parametrize("ell", [None, math.log(0.37)])
+def test_stage_spectrum_is_the_rfft_of_its_rates(ell):
+    # _etd steps a stage by its spectrum: it must be rfft(dy) bit for bit,
+    # for curvature, support, mixed and containment stacks, physical or in
+    # the frame
+    g = AngleGrid(128)
+    kp = oracle.ellipse_profile(2.0, 1.0, g)
+    sp, other = _support_pair(g)
+    law = power_law(2)
+    for y, ncurv in ((kp.k[None], 1), (sp.h[None], 0), (np.array([kp.k, sp.h]), 1),
+                     (np.array([sp.h, other.h]), 0)):
+        stage = flow._rhs(y, ncurv, g, law, ell)
+        assert stage.dy.shape == y.shape
+        assert np.array_equal(stage.spectrum, geometry.rfft(stage.dy))
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 3.0])
@@ -238,11 +249,11 @@ def test_frame_rhs_is_the_rescaled_physical_rhs(p):
     sp = geometry.support_from_curvature(kp)
     lam = 0.37
     unit = law.g(1.0 / lam)
-    dy, m, frame_unit, _ = flow._rhs(np.array([lam * kp.k, sp.h / lam]), 1, g, law,
-                                     math.log(lam))
-    assert frame_unit == pytest.approx(unit, rel=1e-15)
+    stage = flow._rhs(np.array([lam * kp.k, sp.h / lam]), 1, g, law, math.log(lam))
+    dy, m = stage.dy, stage.m
+    assert stage.unit == pytest.approx(unit, rel=1e-15)
     assert m == pytest.approx(float(np.mean(law.phi(kp.k))) * lam / unit, rel=1e-13)
-    physical = flow._rhs(np.array([kp.k, sp.h]), 1, g, law)[0]
+    physical = flow._rhs(np.array([kp.k, sp.h]), 1, g, law).dy
     scale = np.max(np.abs(dy), axis=1)
     assert np.max(np.abs(dy[0] - (lam ** 3 / unit * physical[0] - m * lam * kp.k))) \
         <= 1e-12 * scale[0]
@@ -250,8 +261,8 @@ def test_frame_rhs_is_the_rescaled_physical_rhs(p):
         <= 1e-12 * scale[1]
     # a circle, kappa = 1, is a fixed point whatever lambda is
     circle = flow._rhs(np.ones((1, g.n)), 1, g, law, math.log(lam))
-    assert circle[1] == pytest.approx(1.0, rel=1e-15)
-    assert np.max(np.abs(circle[0])) <= 1e-14
+    assert circle.m == pytest.approx(1.0, rel=1e-15)
+    assert np.max(np.abs(circle.dy)) <= 1e-14
 
 
 @pytest.mark.parametrize("unit", [0.0, math.inf])
@@ -281,7 +292,7 @@ def test_stacked_step_matches_per_row_steps():
     coefficients = flow._etd_coefficients(g.n, scale)
 
     def etd(rows, ncurv):
-        return flow._etd(rows, np.fft.rfft(rows), _first_stage(rows, ncurv, g, law), ncurv, dt,
+        return flow._etd(np.fft.rfft(rows), flow._rhs(rows, ncurv, g, law), ncurv, dt,
                          coefficients, g, law)
 
     y = etd(stack, 1)[0]
@@ -342,7 +353,7 @@ def _etd_to(y, ncurv, grid, law, eps, t_end):
     """Physical ETDRK4 steps with dt S = eps from t = 0, the last one clipped
     to land on t_end."""
     y_hat = np.fft.rfft(y)
-    start = _first_stage(y, ncurv, grid, law)
+    start = flow._rhs(y, ncurv, grid, law)
     t = 0.0
     while t < t_end:
         stiffness = flow._stiffness(start, 1.0, law, eps)
@@ -351,8 +362,7 @@ def _etd_to(y, ncurv, grid, law, eps, t_end):
             dt = t_end - t
             scale = dt * stiffness
         coefficients = flow._etd_coefficients(grid.n, scale)
-        y, y_hat, start, _, _, _ = flow._etd(y, y_hat, start, ncurv, dt, coefficients,
-                                             grid, law)
+        y, y_hat, start, _, _, _ = flow._etd(y_hat, start, ncurv, dt, coefficients, grid, law)
         t = t_end if t + dt >= t_end else t + dt
     return y[0]
 
@@ -362,13 +372,13 @@ def test_etd_error_estimate_is_fourth_order():
     g = AngleGrid(128)
     law = power_law(1)
     y = oracle.ellipse_profile(2.0, 1.0, g).k[None]
-    start = _first_stage(y, 1, g, law)
+    start = flow._rhs(y, 1, g, law)
     stiffness = flow._stiffness(start, 1.0, law, 1.0)
     errors = []
     for level in range(4):
         scale = flow.ETD_STEP / 2 ** level
         coefficients = flow._etd_coefficients(g.n, scale)
-        errors.append(flow._etd(y, np.fft.rfft(y), start, 1, scale / stiffness,
+        errors.append(flow._etd(np.fft.rfft(y), start, 1, scale / stiffness,
                                 coefficients, g, law)[3])
     assert errors[0] < flow.ETD_TOLERANCE  # the full step is accepted here
     for coarse, fine in zip(errors, errors[1:]):
@@ -400,7 +410,7 @@ def _frame_to(k, grid, law, eps, tau_end):
     ell = math.log(float(np.mean(1.0 / k)))
     y = math.exp(ell) * k[None]
     y_hat = np.fft.rfft(y)
-    start = _first_stage(y, 1, grid, law, ell)
+    start = flow._rhs(y, 1, grid, law, ell)
     tau = t = 0.0
     while tau < tau_end:
         stiffness = flow._stiffness(start, math.exp(ell), law, eps)
@@ -409,9 +419,9 @@ def _frame_to(k, grid, law, eps, tau_end):
             dtau = tau_end - tau
             scale = dtau * stiffness
         coefficients = flow._etd_coefficients(grid.n, scale)
-        y, y_hat, end, _, ell_new, shape = flow._etd(y, y_hat, start, 1, dtau, coefficients,
-                                                     grid, law, ell)
-        t += flow._elapsed(ell, ell_new, start[1], end[1], dtau, law, shape)[0]
+        y, y_hat, end, _, ell_new, stages = flow._etd(y_hat, start, 1, dtau, coefficients,
+                                                      grid, law, ell)
+        t += flow._elapsed(ell, ell_new, stages, end, dtau, law, grid)[0]
         ell, start = ell_new, end
         tau = tau_end if tau + dtau >= tau_end else tau + dtau
     return y[0], t
